@@ -22,7 +22,8 @@ MAX_PLANE_HEIGHT = 8
 def macmahon_box(alpha: int, beta: int, gamma: int) -> int:
     """Number of plane partitions in the alpha x beta x gamma box.
 
-    Computed as the exact product over the box of (i+j+k-1)/(i+j+k-2),
+    Computed as the exact product over the base of (i+j+gamma-1)/(i+j-1),
+    the telescoped form of prod over the box of (i+j+k-1)/(i+j+k-2),
     accumulated as a single fraction and verified to reduce to an integer.
     A box with any zero dimension holds exactly the empty plane partition.
     """
@@ -32,9 +33,8 @@ def macmahon_box(alpha: int, beta: int, gamma: int) -> int:
     den = 1
     for i in range(1, alpha + 1):
         for j in range(1, beta + 1):
-            for k in range(1, gamma + 1):
-                num *= i + j + k - 1
-                den *= i + j + k - 2
+            num *= i + j + gamma - 1
+            den *= i + j - 1
     value = Fraction(num, den)
     if value.denominator != 1:
         raise ArithmeticError("box product did not reduce to an integer")

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar=("DX", "DY"),
                        help="offset of the removed triangle from its default position")
 
-    lgv = cmodes.add_parser("lgv", help="midpoint-determinant count")
+    lgv = cmodes.add_parser("lgv", help="lattice-path determinant count")
     lgv.add_argument("--a", type=int, required=True)
     lgv.add_argument("--b", type=int, required=True)
     lgv.add_argument("--c", type=int, required=True)
@@ -128,6 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
             trials: Optional[int]):
     """Run one verification target; returns (params, verdict, counterexample)."""
+    if trials is not None and trials < 1:
+        # a verdict over zero instances would be vacuous
+        raise ValueError("--trials must be at least 1")
     if target == "lemma8":
         pairs = generate_rab(a, b)
         params = {"a": a, "b": b, "pairs": len(pairs)}

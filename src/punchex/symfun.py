@@ -111,9 +111,10 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
     """Schur value as a ratio of alternants.
 
     s_lambda(x_1..x_n) = det(x_j^(lam_i + n - i)) / det(x_j^(n - i)).
-    The denominator is the Vandermonde alternant, so the points must be
-    pairwise distinct; shapes longer than n are rejected (use schur_nk,
-    which returns 0 for them).
+    The denominator is the Vandermonde alternant, evaluated as
+    (-1)^(n(n-1)/2) * vandermonde_product, so the points must be pairwise
+    distinct; shapes longer than n are rejected (use schur_nk, which
+    returns 0 for them).
     """
     lam = p if isinstance(p, Partition) else Partition(p)
     points = as_points(pts)
@@ -123,8 +124,7 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
     if len(lam) > n:
         raise ValueError("schur_bidet requires at least length(lambda) points")
     num = [[points[j] ** (lam.part(i + 1) + n - (i + 1)) for j in range(n)] for i in range(n)]
-    den = [[points[j] ** (n - (i + 1)) for j in range(n)] for i in range(n)]
-    return determinant(num) / determinant(den)
+    return determinant(num) / ((-1) ** (n * (n - 1) // 2) * vandermonde_product(points))
 
 
 @lru_cache(maxsize=None)

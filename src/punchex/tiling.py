@@ -15,8 +15,9 @@ units closer to the side of length b+1 and one unit closer to the side of
 length c+1, which in path coordinates is ((a+b)/2, (a+c+1)/2).
 
 This module provides the brute-force enumeration of such families (an
-oracle independent of every closed formula), the midpoint-determinant
-count, and an SVG renderer that inverts the bijection back to rhombi.
+oracle independent of every closed formula), a single lattice-path
+determinant that counts them for any puncture position, and an SVG
+renderer that inverts the bijection back to rhombi.
 """
 
 from __future__ import annotations
@@ -287,54 +288,38 @@ def validate_family(h: PuncturedHexagon, family: PathFamily) -> None:
 
 
 # ---------------------------------------------------------------------------
-# midpoint-determinant count
+# lattice-path determinant count
 # ---------------------------------------------------------------------------
 
 def count_via_path_determinants(h: PuncturedHexagon) -> int:
-    """Count tilings of the centrally punctured hexagon as a sum over
-    midpoint placements of products of two lattice-path determinants.
+    """Count tilings as one (a+1) x (a+1) lattice-path determinant.
 
-    The removed triangle splits each family at a+1 "midpoints"
-    M_l = ((a+b)/2 + i_l, (a+c)/2 + i_l) on the diagonal x - y = (b-c)/2,
-    where i_1 < ... < i_k < 0 = i_{k+1} < ... < i_{a+1} ranges over all
-    admissible index vectors.  For each choice the families decompose into
-    a determinant of path counts A_i -> M_j (the center skipped) times a
-    determinant of path counts M_i -> E_j.
+    Every east or south step raises x - y by 1, so each path crosses the
+    diagonal through the puncture P exactly once: the paths from A_1..A_a
+    at distinct midpoints M != P, the puncture path at P itself.  By
+    Lindstroem-Gessel-Viennot and Cauchy-Binet the sum over midpoint
+    placements folds into a single determinant with columns E_1..E_{a+1}:
+    row i is sum_M s_M * paths(A_i -> M) * paths(M -> E_j), with s_M = -1
+    for M east of P (the sign of moving P's row past M's) and +1 otherwise;
+    the last row is paths(P -> E_j).  Valid for every puncture position.
     """
-    a, b, c = h.a, h.b, h.c
-    if not (a % 2 == b % 2 == c % 2):
-        raise ValueError(
-            "count_via_path_determinants requires a, b, c of equal parity"
-        )
-    if h.puncture_offset != (0, 0):
-        raise ValueError("count_via_path_determinants requires the central puncture")
-    from itertools import combinations
-
-    half = (a + b) // 2
-    cx, cy = (a + b) // 2, (a + c) // 2
     starts, ends = start_end_points(h)
-    a_pts = starts[:a]
-    total = 0
-    for k in range(0, a + 1):
-        if k > half or a - k > half:
-            continue
-        for negs in combinations(range(-half, 0), k):
-            for poss in combinations(range(1, half + 1), a - k):
-                ivec = list(negs) + [0] + list(poss)
-                mids = [LatticePoint(cx + i, cy + i) for i in ivec]
-                # rows: A_1..A_a; columns: all midpoints except the center
-                m1 = [
-                    [
-                        count_paths(a_pts[r], mids[j if j + 1 <= k else j + 1])
-                        for j in range(a)
-                    ]
-                    for r in range(a)
-                ]
-                m2 = [[count_paths(mids[r], ends[j]) for j in range(a + 1)] for r in range(a + 1)]
-                d1 = determinant(m1)
-                d2 = determinant(m2)
-                if d1 and d2:
-                    total += d1 * d2
+    p = starts[-1]
+    diag = p.x - p.y
+    mids = [
+        LatticePoint(x, x - diag)
+        for x in range(h.a + h.b + 1)
+        if 0 <= x - diag <= h.a + h.c and x != p.x
+    ]
+    rows = [
+        [
+            sum((-1 if m.x > p.x else 1) * count_paths(s, m) * count_paths(m, e) for m in mids)
+            for e in ends
+        ]
+        for s in starts[:-1]
+    ]
+    rows.append([count_paths(p, e) for e in ends])
+    total = determinant(rows)
     assert total.denominator == 1
     return int(total)
 

@@ -160,10 +160,12 @@ def test_criterion_05_brute_force_confirms_mixed_parity_formula():
     failures = []
     for (a, b, c) in [(1, 1, 2), (2, 2, 1), (2, 2, 3), (1, 3, 2), (3, 3, 2)]:
         closed = theorem4_count(a, b, c)
-        brute = enumerate_tilings(PuncturedHexagon(a, b, c))
-        if closed != brute:
-            failures.append((a, b, c, closed, brute))
-    _finish(5, "brute force confirms the off-center closed form",
+        h = PuncturedHexagon(a, b, c)
+        brute = enumerate_tilings(h)
+        lgv = count_via_path_determinants(h)
+        if not closed == brute == lgv:
+            failures.append((a, b, c, closed, brute, lgv))
+    _finish(5, "brute force and determinants confirm the off-center closed form",
             failures, time.monotonic() - t0, limit=120)
 
 

@@ -72,9 +72,11 @@ def test_count_box():
 
 
 def test_count_brute_and_lgv_agree():
-    brute = _report(_run("count", "brute", "--a", "2", "--b", "2", "--c", "2"))
-    lgv = _report(_run("count", "lgv", "--a", "2", "--b", "2", "--c", "2"))
-    assert brute["result"] == lgv["result"] == "54"
+    for (a, b, c), expected in (((2, 2, 2), "54"), ((1, 1, 2), "4")):
+        sides = ("--a", str(a), "--b", str(b), "--c", str(c))
+        brute = _report(_run("count", "brute", *sides))
+        lgv = _report(_run("count", "lgv", *sides))
+        assert brute["result"] == lgv["result"] == expected, (a, b, c)
 
 
 def test_count_brute_with_offset_puncture():
@@ -136,9 +138,16 @@ def test_verify_conjecture5():
 
 
 def test_verify_rejects_bad_parameters():
-    proc = _run("verify", "theorem3", "--a", "1", "--b", "2")
-    assert proc.returncode == 2
-    assert proc.stdout.strip() == ""
+    for args in (
+        ("theorem3", "--a", "1", "--b", "2"),
+        # a verdict over zero instances would be vacuous
+        ("lemma9", "--trials", "0"),
+        ("theorem3", "--trials", "-5"),
+        ("minor-summation", "--trials", "0"),
+    ):
+        proc = _run("verify", *args)
+        assert proc.returncode == 2, args
+        assert proc.stdout.strip() == "", args
 
 
 def test_unknown_target_is_usage_error():

@@ -1,5 +1,5 @@
 """Tests for the lattice-path model: brute-force enumeration, the
-midpoint-determinant count, and SVG rendering."""
+lattice-path determinant count, and SVG rendering."""
 
 from punchex.boxcount import theorem1_count, theorem4_count
 from punchex.tiling import (
@@ -137,25 +137,40 @@ def test_validate_family_rejects_tampering():
 
 
 # ---------------------------------------------------------------------------
-# midpoint determinants
+# lattice-path determinant
 # ---------------------------------------------------------------------------
 
 def test_determinant_route_matches_closed_form():
     for (a, b, c) in [(1, 1, 1), (1, 1, 3), (1, 3, 3), (2, 2, 2), (2, 2, 4), (3, 3, 3)]:
         h = PuncturedHexagon(a, b, c)
         assert count_via_path_determinants(h) == theorem1_count(a, b, c), (a, b, c)
+    for (a, b, c) in [(1, 1, 2), (2, 2, 1), (1, 3, 4), (3, 1, 2), (4, 4, 3), (5, 7, 6)]:
+        h = PuncturedHexagon(a, b, c)
+        assert count_via_path_determinants(h) == theorem4_count(a, b, c), (a, b, c)
 
 
 def test_determinant_route_matches_brute_force():
-    for (a, b, c) in [(1, 3, 1), (2, 4, 2), (3, 1, 1)]:
-        h = PuncturedHexagon(a, b, c)
-        assert count_via_path_determinants(h) == enumerate_tilings(h), (a, b, c)
-
-
-def test_determinant_route_requires_central_puncture():
-    # the midpoint construction needs the dead-center removed triangle
-    _expect_value_error(count_via_path_determinants, PuncturedHexagon(1, 1, 2))
-    _expect_value_error(count_via_path_determinants, PuncturedHexagon(1, 1, 1, (0, 1)))
+    # every puncture strictly inside the hexagon, both parities of c
+    cases = 0
+    for a in range(1, 4):
+        for b in range(1, 4):
+            if a % 2 != b % 2:
+                continue
+            for c in range(1, 4):
+                anchor = PuncturedHexagon(a, b, c).puncture_point()
+                for px in range(a + b + 1):
+                    for py in range(a + c + 1):
+                        offset = (px - anchor.x, py - anchor.y)
+                        try:
+                            h = PuncturedHexagon(a, b, c, offset)
+                        except ValueError:
+                            continue
+                        assert count_via_path_determinants(h) == enumerate_tilings(h), (
+                            a, b, c, offset)
+                        cases += 1
+    assert cases == 240
+    h = PuncturedHexagon(2, 4, 2)
+    assert count_via_path_determinants(h) == enumerate_tilings(h)
 
 
 # ---------------------------------------------------------------------------
