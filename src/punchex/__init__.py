@@ -1,7 +1,7 @@
 """Exact counting and verification toolkit for rhombus tilings of punctured hexagons.
 
 Three independent counting routes — closed-form products, one lattice-path
-determinant, and brute-force enumeration of non-intersecting path families —
+determinant, and an exact diagonal sweep over non-intersecting path families —
 plus exact checks of the symmetric-function and Pfaffian identities behind
 them.  All arithmetic is exact (int / Fraction); nothing here floats.
 """

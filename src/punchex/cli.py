@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     box.add_argument("--y", type=int, required=True)
     box.add_argument("--z", type=int, required=True)
 
-    brute = cmodes.add_parser("brute", help="exhaustive path-family enumeration")
+    brute = cmodes.add_parser("brute", help="exact diagonal sweep over path families")
     brute.add_argument("--a", type=int, required=True)
     brute.add_argument("--b", type=int, required=True)
     brute.add_argument("--c", type=int, required=True)
@@ -279,9 +279,10 @@ def run(argv) -> int:
 
         # render
         hexagon = PuncturedHexagon(args.a, args.b, args.c)
-        family = next(islice(tiling_families(hexagon), args.index, None), None)
-        if family is None:
-            raise ValueError(f"index {args.index} exceeds the number of tilings")
+        count = enumerate_tilings(hexagon)
+        if not 0 <= args.index < count:
+            raise ValueError(f"index {args.index} is out of range: there are {count} tilings")
+        family = next(islice(tiling_families(hexagon), args.index, None))
         svg = render_tiling_svg(hexagon, family)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -115,10 +115,6 @@ def binomial(n: int, k: int) -> int:
 # matrices
 # ---------------------------------------------------------------------------
 
-def identity(n: int) -> ExactMatrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def transpose(m: ExactMatrix) -> ExactMatrix:
     return [list(row) for row in zip(*m)] if m else []
 

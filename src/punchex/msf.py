@@ -470,12 +470,8 @@ def n_matrix_entry_check(a: int, b: int, xs: Iterable, ys: Iterable) -> bool:
                 raise ValueError("requires x_i != y_j for all pairs")
     sets = IndexSets(a, b, n)
     s = (a + b) // 2
-    gamma = sets.Gamma
-    pos = {g: i for i, g in enumerate(gamma)}
-    p = len(gamma)
-    B = [[Fraction(0)] * p for _ in range(p)]
-    for k in gamma:
-        B[pos[k]][pos[a + b - k]] = Fraction(1) if k <= s - 1 else Fraction(-1)
+    p = len(sets.Gamma)
+    B = [row[p:] for row in structured_skew(a, b)[:p]]
     mx = moment_matrix(sets.P, x)
     my = moment_matrix(sets.P, y)
     product = matmul(matmul(mx, B), transpose(my))

@@ -14,19 +14,22 @@ c of the other) the removed triangle sits on the vertical mid-line, two
 units closer to the side of length b+1 and one unit closer to the side of
 length c+1, which in path coordinates is ((a+b)/2, (a+c+1)/2).
 
-This module provides the brute-force enumeration of such families (an
-oracle independent of every closed formula), a single lattice-path
-determinant that counts them for any puncture position, and an SVG
-renderer that inverts the bijection back to rhombi.
+This module provides an exact combinatorial count of such families (a
+sweep over the diagonals x - y = d, independent of every closed formula
+and of the determinant), a single lattice-path determinant that counts
+them for any puncture position, a depth-first lister of the families
+themselves, and an SVG renderer that inverts the bijection back to rhombi.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import product
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .core import binomial, determinant
 
-# exhaustive-search guard for enumerate_tilings
+# size guard for enumerate_tilings and tiling_families
 MAX_A = 4
 MAX_BC = 6
 
@@ -146,7 +149,7 @@ def count_paths(p: LatticePoint, q: LatticePoint) -> int:
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration
+# combinatorial count and family listing
 # ---------------------------------------------------------------------------
 
 def _check_guard(h: PuncturedHexagon) -> None:
@@ -156,18 +159,53 @@ def _check_guard(h: PuncturedHexagon) -> None:
         )
 
 
+def enumerate_tilings(h: PuncturedHexagon) -> int:
+    """Count rhombus tilings exactly by a sweep over the diagonals x - y = d.
+
+    Every east or south step raises x - y by 1, so the paths from A_1..A_a
+    leave the diagonal d = -c-1 together, the puncture path joins them on
+    its own diagonal, and all of them advance in lockstep to the E points
+    on d = b.  A state is the sorted tuple of the paths' x positions on the
+    current diagonal; it maps to the number of partial families reaching
+    it.  A move (east: x+1, south: x unchanged, per path) is kept only if
+    the positions stay strictly increasing (vertex-disjoint), y >= 0 and
+    x <= a+b.  Disjoint paths keep their order, so consecutive states fix
+    every step and no family is counted twice.  Purely combinatorial —
+    shares nothing with the closed-form or determinant routes beyond
+    start_end_points.
+    """
+    _check_guard(h)
+    starts, ends = start_end_points(h)
+    p = starts[-1]
+    p_diag = p.x - p.y
+    top = h.a + h.b
+    states = {tuple(s.x for s in starts[:-1]): 1}
+    for d in range(starts[0].x - starts[0].y + 1, ends[0].x - ends[0].y + 1):
+        reached = defaultdict(int)
+        for xs, weight in states.items():
+            for steps in product((0, 1), repeat=len(xs)):
+                new = [x + e for x, e in zip(xs, steps)]
+                if d == p_diag:
+                    new.append(p.x)
+                    new.sort()
+                if new[0] >= d and new[-1] <= top and all(u < v for u, v in zip(new, new[1:])):
+                    reached[tuple(new)] += weight
+        states = reached
+    return states.get(tuple(e.x for e in ends), 0)
+
+
 def _candidate_paths(h: PuncturedHexagon):
     """For every start, all monotone paths ending at an E point.
 
-    Returns a list (per start, in start order) of (mask, end_index, verts)
-    triples, each list in lexicographic step order with east before south.
-    Masks are vertex bitmasks (bit = x * (a+c+1) + y), so two paths are
+    Returns a list (per start, in start order) of (mask, verts) pairs,
+    each list in lexicographic step order with east before south.  Masks
+    are vertex bitmasks (bit = x * (a+c+1) + y), so two paths are
     vertex-disjoint iff their masks do not intersect.
     """
     a, b, c = h.a, h.b, h.c
     height = a + c + 1
     starts, ends = start_end_points(h)
-    end_index = {e: j for j, e in enumerate(ends)}
+    end_set = set(ends)
 
     def feasible(x: int, y: int) -> bool:
         # some E_j must remain reachable: b+j-1 >= x and j-1 <= y
@@ -181,9 +219,8 @@ def _candidate_paths(h: PuncturedHexagon):
         def walk(x: int, y: int, mask: int) -> None:
             verts.append(LatticePoint(x, y))
             mask |= 1 << (x * height + y)
-            j = end_index.get((x, y))
-            if j is not None:
-                cands.append((mask, j, tuple(verts)))
+            if (x, y) in end_set:
+                cands.append((mask, tuple(verts)))
             else:
                 if feasible(x + 1, y):
                     walk(x + 1, y, mask)
@@ -197,64 +234,16 @@ def _candidate_paths(h: PuncturedHexagon):
     return all_cands
 
 
-def _count_families(lists: List[List[int]]) -> int:
-    """Count ways to pick one mask per list, pairwise non-intersecting.
-
-    ``lists`` must each already be filtered against prior choices; the
-    recursion refilters the tail lists after each pick, so the final level
-    reduces to a length count.
-    """
-    if len(lists) == 2:
-        first, last = lists
-        total = 0
-        for m in first:
-            total += len([x for x in last if not (x & m)])
-        return total
-    head = lists[0]
-    rest = lists[1:]
-    total = 0
-    for m in head:
-        filtered = []
-        for lst in rest:
-            nxt = [x for x in lst if not (x & m)]
-            if not nxt:
-                break
-            filtered.append(nxt)
-        else:
-            total += _count_families(filtered)
-    return total
-
-
-def enumerate_tilings(h: PuncturedHexagon) -> int:
-    """Count rhombus tilings by exhaustive search over path families.
-
-    Depth-first, paths built in start order with steps tried east before
-    south; a partial family is abandoned as soon as some later start has
-    no remaining disjoint path.  Purely combinatorial — shares nothing
-    with the closed-form or determinant routes.
-    """
-    _check_guard(h)
-    cands = _candidate_paths(h)
-    if any(not c for c in cands):
-        return 0
-    mask_lists = [[m for (m, _j, _v) in c] for c in cands]
-    if len(mask_lists) == 1:
-        return len(mask_lists[0])
-    return _count_families(mask_lists)
-
-
 def tiling_families(h: PuncturedHexagon) -> Iterator[PathFamily]:
-    """Yield every vertex-disjoint path family in deterministic DFS order.
-
-    The order matches enumerate_tilings' search: start index major, then
-    lexicographic step order (east before south) per path.
-    """
+    """Yield every vertex-disjoint path family in deterministic DFS order:
+    first path major, then lexicographic step order (east before south)
+    per path."""
     _check_guard(h)
     cands = _candidate_paths(h)
 
     def rec(level: int, used: int, chosen):
         if level == len(cands):
-            yield PathFamily([v for (_m, _j, v) in chosen])
+            yield PathFamily([v for (_m, v) in chosen])
             return
         for item in cands[level]:
             if not (item[0] & used):

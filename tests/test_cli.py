@@ -10,6 +10,13 @@ import subprocess
 import sys
 import tempfile
 
+import punchex
+
+# the subprocess imports the same punchex as this test run, installed or not
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.dirname(os.path.dirname(punchex.__file__))]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
 
 def _run(*args):
     proc = subprocess.run(
@@ -17,6 +24,7 @@ def _run(*args):
         capture_output=True,
         text=True,
         timeout=120,
+        env=_ENV,
     )
     return proc
 
@@ -187,7 +195,8 @@ def test_render_writes_svg():
 def test_render_index_out_of_range():
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "x.svg")
-        proc = _run("render", "--a", "1", "--b", "1", "--c", "1",
-                    "--index", "99", "-o", out)
-        assert proc.returncode == 2
-        assert not os.path.exists(out)
+        for a, b, c, index in (("1", "1", "1", "99"), ("3", "5", "5", "8750000")):
+            proc = _run("render", "--a", a, "--b", b, "--c", c,
+                        "--index", index, "-o", out)
+            assert proc.returncode == 2, (a, b, c, index)
+            assert not os.path.exists(out)

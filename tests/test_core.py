@@ -10,7 +10,6 @@ from punchex.core import (
     binomial,
     conjugate,
     determinant,
-    identity,
     matmul,
     pfaffian,
     pfaffian_minor,
@@ -95,7 +94,7 @@ def test_determinant_small():
     assert determinant([[7]]) == 7
     assert determinant([[1, 2], [3, 4]]) == -2
     assert determinant([[1, 2], [2, 4]]) == 0
-    assert determinant(identity(5)) == 1
+    assert determinant([[int(i == j) for j in range(5)] for i in range(5)]) == 1
     _expect_value_error(determinant, [[1, 2, 3], [4, 5, 6]])
     _expect_value_error(determinant, [[1, 2], [3]])
 

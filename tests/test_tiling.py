@@ -24,6 +24,24 @@ def _expect_value_error(fn, *args):
     raise AssertionError(f"expected ValueError from {fn.__name__}{args}")
 
 
+def _every_puncture(max_a, max_bc):
+    """Every hexagon with a <= max_a, b, c <= max_bc, punctured at every
+    point strictly inside it (both parities of c)."""
+    for a in range(1, max_a + 1):
+        for b in range(1, max_bc + 1):
+            if a % 2 != b % 2:
+                continue
+            for c in range(1, max_bc + 1):
+                anchor = PuncturedHexagon(a, b, c).puncture_point()
+                for px in range(a + b + 1):
+                    for py in range(a + c + 1):
+                        try:
+                            h = PuncturedHexagon(a, b, c, (px - anchor.x, py - anchor.y))
+                        except ValueError:
+                            continue
+                        yield h
+
+
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------
@@ -74,7 +92,7 @@ def test_count_paths():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_matches_closed_forms_small():
-    for (a, b, c) in [(1, 1, 1), (1, 1, 3), (2, 2, 2), (1, 3, 1), (3, 3, 1)]:
+    for (a, b, c) in [(1, 1, 1), (1, 1, 3), (2, 2, 2), (1, 3, 1), (3, 3, 1), (4, 6, 6)]:
         h = PuncturedHexagon(a, b, c)
         assert enumerate_tilings(h) == theorem1_count(a, b, c), (a, b, c)
     for (a, b, c) in [(1, 1, 2), (2, 2, 1), (1, 3, 2), (3, 1, 2)]:
@@ -111,14 +129,17 @@ def test_families_golden_order():
 
 
 def test_families_are_valid_and_counted_consistently():
-    for (a, b, c) in [(1, 1, 1), (2, 2, 2), (1, 1, 2), (2, 2, 1)]:
-        h = PuncturedHexagon(a, b, c)
+    cases = families = 0
+    for h in _every_puncture(2, 3):
         fams = list(tiling_families(h))
-        assert len(fams) == enumerate_tilings(h)
+        assert len(fams) == enumerate_tilings(h), h
         for f in fams:
             validate_family(h, f)
         # all families distinct
         assert len(set(f.paths for f in fams)) == len(fams)
+        cases += 1
+        families += len(fams)
+    assert (cases, families) == (120, 6920)
 
 
 def test_validate_family_rejects_tampering():
@@ -150,24 +171,10 @@ def test_determinant_route_matches_closed_form():
 
 
 def test_determinant_route_matches_brute_force():
-    # every puncture strictly inside the hexagon, both parities of c
     cases = 0
-    for a in range(1, 4):
-        for b in range(1, 4):
-            if a % 2 != b % 2:
-                continue
-            for c in range(1, 4):
-                anchor = PuncturedHexagon(a, b, c).puncture_point()
-                for px in range(a + b + 1):
-                    for py in range(a + c + 1):
-                        offset = (px - anchor.x, py - anchor.y)
-                        try:
-                            h = PuncturedHexagon(a, b, c, offset)
-                        except ValueError:
-                            continue
-                        assert count_via_path_determinants(h) == enumerate_tilings(h), (
-                            a, b, c, offset)
-                        cases += 1
+    for h in _every_puncture(3, 3):
+        assert count_via_path_determinants(h) == enumerate_tilings(h), h
+        cases += 1
     assert cases == 240
     h = PuncturedHexagon(2, 4, 2)
     assert count_via_path_determinants(h) == enumerate_tilings(h)
