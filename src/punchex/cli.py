@@ -17,6 +17,7 @@ import json
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import Optional
@@ -40,6 +41,14 @@ from .tiling import (
     render_tiling_svg,
     tiling_families,
 )
+
+
+# Largest R(a,b) that ``verify theorem3|conjecture5|chain53|lemma8`` walk:
+# C(a+b, a) pairs, each costing two Schur evaluations per trial.  C(14, 7):
+# at the default n and trials, a = b = 7 takes about 5 s and a = b = 8
+# (12,870 pairs) about 25 s (Python 3.11, one core of a 2-core x86 host).
+MAX_RAB_PAIRS = 3432
+RAB_TARGETS = ("theorem3", "conjecture5", "chain53", "lemma8")
 
 
 class Report:
@@ -131,6 +140,15 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
     if trials is not None and trials < 1:
         # a verdict over zero instances would be vacuous
         raise ValueError("--trials must be at least 1")
+    # C(a+b, a) >= a+b once a, b >= 1, so the first test spares computing a
+    # huge binomial for huge sides
+    if target in RAB_TARGETS and (
+        a + b > MAX_RAB_PAIRS or binomial(a + b, a) > MAX_RAB_PAIRS
+    ):
+        raise ValueError(
+            f"R({a},{b}) has C(a+b, a) > {MAX_RAB_PAIRS} pairs, "
+            f"more than verify {target} admits"
+        )
     if target == "lemma8":
         pairs = generate_rab(a, b)
         params = {"a": a, "b": b, "pairs": len(pairs)}
@@ -246,22 +264,22 @@ def run(argv) -> int:
                 fn = theorem1_count if theorem == 1 else theorem4_count
                 value = fn(args.a, args.b, args.c)
                 params = {"a": args.a, "b": args.b, "c": args.c, "theorem": theorem}
-                report = Report("count closed", params, str(value), _ms(t0))
+                report = Report("count closed", params, _digits(value), _ms(t0))
             elif args.mode == "box":
                 value = macmahon_box(args.x, args.y, args.z)
                 params = {"x": args.x, "y": args.y, "z": args.z}
-                report = Report("count box", params, str(value), _ms(t0))
+                report = Report("count box", params, _digits(value), _ms(t0))
             elif args.mode == "brute":
                 hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(args.puncture))
                 value = enumerate_tilings(hexagon)
                 params = {"a": args.a, "b": args.b, "c": args.c,
                           "puncture": list(args.puncture)}
-                report = Report("count brute", params, str(value), _ms(t0))
+                report = Report("count brute", params, _digits(value), _ms(t0))
             else:
                 hexagon = PuncturedHexagon(args.a, args.b, args.c)
                 value = count_via_path_determinants(hexagon)
                 params = {"a": args.a, "b": args.b, "c": args.c}
-                report = Report("count lgv", params, str(value), _ms(t0))
+                report = Report("count lgv", params, _digits(value), _ms(t0))
             print(report.to_json())
             return 0
 
@@ -294,6 +312,13 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _digits(value: int) -> str:
+    """Exact decimal form of ``value``.  ``str`` on an int refuses more than
+    ``sys.get_int_max_str_digits()`` digits (4300 by default); ``Decimal``
+    converts any int exactly and prints it in full."""
+    return str(Decimal(value))
 
 
 def _ms(t0: float) -> int:

@@ -5,11 +5,18 @@ Everything downstream (closed-form counts, lattice-path determinants,
 symmetric-function identities) is built on the operations in this module,
 so all arithmetic here is exact: Python's arbitrary-precision ``int`` and
 ``fractions.Fraction``.  Matrices are plain row-major lists of lists.
+
+The matrix kernels (``determinant``, ``pfaffian``, ``matmul``) clear the
+denominators of their input first and then work over ``int`` only, with
+exact integer divisions (Bareiss elimination and its Pfaffian analogue);
+each result is a ``Fraction`` built once, at the end.  Rational
+elimination would instead reduce a gcd after every operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm, prod
 from typing import Iterable, List, Sequence, Tuple, Union
 
 # Type aliases used throughout the package.  ExactInt/ExactRational are the
@@ -105,9 +112,6 @@ def binomial(n: int, k: int) -> int:
     """C(n, k), with the lattice-path convention C(n,k)=0 for k<0, k>n or n<0."""
     if n < 0 or k < 0 or k > n:
         return 0
-    # math.comb is exact for arbitrary precision
-    from math import comb
-
     return comb(n, k)
 
 
@@ -119,12 +123,28 @@ def transpose(m: ExactMatrix) -> ExactMatrix:
     return [list(row) for row in zip(*m)] if m else []
 
 
+def _cleared(v: Sequence[Scalar]) -> Tuple[int, List[int]]:
+    """(d, [d*x for x in v]) with d the lcm of the denominators of v, so the
+    scaled entries are ints (d = 1 for an all-int or empty v)."""
+    d = lcm(*(x.denominator for x in v))
+    return d, [x.numerator * (d // x.denominator) for x in v]
+
+
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Dense exact matrix product."""
+    """Dense exact matrix product, with ``Fraction`` entries.
+
+    Each row of ``a`` and each column of ``b`` is cleared of denominators
+    first, so the dot products run over ``int`` and every entry divides
+    once: (a b)_ij = (d_i a_i) . (e_j b^j) / (d_i e_j).
+    """
     if a and b and len(a[0]) != len(b):
         raise ValueError("matmul: inner dimensions disagree")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    rows = [_cleared(row) for row in a]
+    cols = [_cleared(col) for col in zip(*b)]
+    return [
+        [Fraction(sum(x * y for x, y in zip(row, col)), d * e) for e, col in cols]
+        for d, row in rows
+    ]
 
 
 def _check_rectangular(m: ExactMatrix) -> None:
@@ -133,10 +153,18 @@ def _check_rectangular(m: ExactMatrix) -> None:
 
 
 def determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant by rational Gaussian elimination with pivoting.
+    """Exact determinant by fraction-free (Bareiss) elimination.
 
-    The empty 0x0 matrix has determinant 1 (empty product).  Non-square
-    input is rejected.
+    Row i is scaled by the lcm d_i of its denominators, so the elimination
+    runs over ``int``: each step replaces a_ij by
+    (a_kk a_ij - a_ik a_kj) / p with p the previous pivot, a division that
+    is exact by Sylvester's identity (every entry is then a minor of the
+    scaled matrix).  A zero pivot is replaced by a nonzero entry below it,
+    flipping the sign; if there is none the determinant is 0.  The result
+    is det / prod d_i, one division at the end.
+
+    Entries are ``int`` or ``Fraction``.  The empty 0x0 matrix has
+    determinant 1 (empty product).  Non-square input is rejected.
     """
     _check_rectangular(m)
     n = len(m)
@@ -144,28 +172,25 @@ def determinant(m: ExactMatrix) -> Fraction:
         return Fraction(1)
     if len(m[0]) != n:
         raise ValueError("determinant requires a square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                arow, crow = a[r], a[col]
-                for c in range(col, n):
-                    arow[c] -= f * crow[c]
-    return det
+    rows = [_cleared(row) for row in m]
+    a = [ints for _, ints in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if r is None:
+                return Fraction(0)
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+        prev = p
+    return Fraction(sign * a[n - 1][n - 1], prod(d for d, _ in rows))
 
 
 def _check_skew(m: ExactMatrix) -> None:
@@ -182,16 +207,26 @@ def _check_skew(m: ExactMatrix) -> None:
 
 
 def pfaffian(m: SkewMatrix) -> Fraction:
-    """Exact Pfaffian of a skew-symmetric matrix.
+    """Exact Pfaffian of a skew-symmetric matrix, by fraction-free
+    elimination.
 
-    Uses skew-symmetric Gaussian elimination: congruence transforms
-    P A P^T with unit determinant leave the Pfaffian unchanged, a
-    simultaneous row/column swap flips its sign, and once A is reduced
-    to 2x2 diagonal blocks the Pfaffian is the product of the block
-    entries A[k][k+1].
+    The matrix is scaled to D A D with D = diag(d_i), d_i the lcm of the
+    denominators of row i; D A D is a skew integer matrix and
+    Pf(D A D) = Pf(A) * prod d_i.  Step k takes the pivot p = a_{k,k+1}
+    and replaces a_ij (i, j > k+1) by
 
-    Conventions: empty matrix -> 1; odd dimension -> 0 (its determinant
-    vanishes identically).  Non-skew input is rejected.
+        (p a_ij - a_ki a_{k+1,j} + a_kj a_{k+1,i}) / prev,
+
+    prev being the previous step's pivot.  The division is exact by the
+    Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians"):
+    each entry becomes the Pfaffian of the leading k+2 indices together
+    with i and j, so the last pivot is Pf(D A D).  A zero pivot is replaced
+    by swapping row and column k+1 with a later j that has a_kj != 0,
+    which flips the sign; if there is none the Pfaffian is 0.
+
+    Entries are ``int`` or ``Fraction``.  Conventions: empty matrix -> 1;
+    odd dimension -> 0 (its determinant vanishes identically).  Non-skew
+    input is rejected.
     """
     _check_skew(m)
     n = len(m)
@@ -199,71 +234,33 @@ def pfaffian(m: SkewMatrix) -> Fraction:
         return Fraction(1)
     if n % 2 == 1:
         return Fraction(0)
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
+    ds = [lcm(*(x.denominator for x in row)) for row in m]
+    a = [
+        [x.numerator * (di // x.denominator) * dj for x, dj in zip(row, ds)]
+        for row, di in zip(m, ds)
+    ]
+    sign, prev = 1, 1
     for k in range(0, n - 1, 2):
-        # Bring a nonzero entry into position (k, k+1).
-        pivot_row = None
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                pivot_row = j
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k + 1:
-            a[k + 1], a[pivot_row] = a[pivot_row], a[k + 1]
+        rk = a[k]
+        if rk[k + 1] == 0:
+            j = next((j for j in range(k + 2, n) if rk[j]), None)
+            if j is None:
+                return Fraction(0)
+            a[k + 1], a[j] = a[j], a[k + 1]
             for row in a:
-                row[k + 1], row[pivot_row] = row[pivot_row], row[k + 1]
-            result = -result
-        piv = a[k][k + 1]
-        result *= piv
-        # Zero out rows/columns k and k+1 beyond the 2x2 block.  For each
-        # later column j: first clear a[k][j] using row/column k+1, then
-        # clear a[k+1][j] using row/column k.  Both are unit-determinant
-        # congruence transforms.
-        for j in range(k + 2, n):
-            f = a[k][j] / piv
-            if f:
-                rk1 = a[k + 1]
-                rj = a[j]
-                for t in range(n):
-                    rj[t] -= f * rk1[t]
-                for t in range(n):
-                    a[t][j] -= f * a[t][k + 1]
-        for j in range(k + 2, n):
-            g = a[k + 1][j] / piv
-            if g:
-                rk = a[k]
-                rj = a[j]
-                for t in range(n):
-                    rj[t] += g * rk[t]
-                for t in range(n):
-                    a[t][j] += g * a[t][k]
-    return result
-
-
-def _pfaffian_expand(m: SkewMatrix) -> Fraction:
-    """Pfaffian by recursive expansion along the first row.
-
-    O(n!!) — usable as an independent cross-check for dimension <= 8.
-    Assumes the skew invariant has already been validated.
-    """
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if n % 2 == 1:
-        return Fraction(0)
-    if n == 2:
-        return Fraction(m[0][1])
-    total = Fraction(0)
-    for j in range(1, n):
-        if m[0][j] == 0:
-            continue
-        rest = [r for r in range(1, n) if r != j]
-        sub = [[m[r][c] for c in rest] for r in rest]
-        sign = -1 if (j % 2) == 0 else 1  # (-1)^j for 1-based column j+1
-        total += sign * m[0][j] * _pfaffian_expand(sub)
-    return total
+                row[k + 1], row[j] = row[j], row[k + 1]
+            sign = -sign
+        rk1 = a[k + 1]
+        p = rk[k + 1]
+        for i in range(k + 2, n):
+            ri = a[i]
+            aki, ak1i = rk[i], rk1[i]
+            for j in range(i + 1, n):
+                v = (p * ri[j] - aki * rk1[j] + rk[j] * ak1i) // prev
+                ri[j] = v
+                a[j][i] = -v  # a later pivot swap moves whole rows and columns
+        prev = p
+    return Fraction(sign * prev, prod(ds))
 
 
 def pfaffian_minor(m: SkewMatrix, K: Sequence[int]) -> Fraction:

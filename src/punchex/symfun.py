@@ -7,7 +7,9 @@ Schur polynomials are evaluated two independent ways:
   accepts repeated evaluation points, in particular all-ones
   specializations.
 * ``schur_bidet`` — ratio of two alternants det(x_j^(lam_i+n-i)) /
-  det(x_j^(n-i)).  Requires pairwise distinct points.
+  det(x_j^(n-i)), both cleared of denominators so the determinant and the
+  Vandermonde product run over ``int`` and divide once.  Requires pairwise
+  distinct points.
 
 ``generate_rab`` produces the family R(a,b) of partition pairs (lambda, mu)
 indexed by (k; i_1..i_{a+1}) that the summation identities range over, and
@@ -21,6 +23,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import Partition, conjugate, determinant
@@ -111,10 +114,14 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
     """Schur value as a ratio of alternants.
 
     s_lambda(x_1..x_n) = det(x_j^(lam_i + n - i)) / det(x_j^(n - i)).
-    The denominator is the Vandermonde alternant, evaluated as
-    (-1)^(n(n-1)/2) * vandermonde_product, so the points must be pairwise
-    distinct; shapes longer than n are rejected (use schur_nk, which
-    returns 0 for them).
+    Both alternants are taken over the integers: with x_j = p_j / q_j and
+    E = lam_1 + n - 1, column j of the numerator is scaled by q_j^E to
+    p_j^e q_j^(E-e), and the Vandermonde denominator is
+    (-1)^(n(n-1)/2) * prod_{i<j} (p_j q_i - p_i q_j) / prod_j q_j^(n-1).
+    So s_lambda = (-1)^(n(n-1)/2) * det(p_j^e q_j^(E-e))
+    / (prod_{i<j} (p_j q_i - p_i q_j) * prod_j q_j^lam_1), one division.
+    The points must be pairwise distinct; shapes longer than n are
+    rejected (use schur_nk, which returns 0 for them).
     """
     lam = p if isinstance(p, Partition) else Partition(p)
     points = as_points(pts)
@@ -123,8 +130,11 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
         raise ValueError("schur_bidet requires pairwise distinct points")
     if len(lam) > n:
         raise ValueError("schur_bidet requires at least length(lambda) points")
-    num = [[points[j] ** (lam.part(i + 1) + n - (i + 1)) for j in range(n)] for i in range(n)]
-    return determinant(num) / ((-1) ** (n * (n - 1) // 2) * vandermonde_product(points))
+    top = lam.part(1) + n - 1
+    exps = [lam.part(i + 1) + n - (i + 1) for i in range(n)]
+    num = [[x.numerator ** e * x.denominator ** (top - e) for x in points] for e in exps]
+    den = _vandermonde_numerator(points) * prod(x.denominator for x in points) ** lam.part(1)
+    return determinant(num) / ((-1) ** (n * (n - 1) // 2) * den)
 
 
 @lru_cache(maxsize=None)
@@ -144,14 +154,21 @@ def schur_eval(p, pts: Iterable) -> Fraction:
     return _schur_cached(lam.parts, as_points(pts))
 
 
-def vandermonde_product(pts: Iterable) -> Fraction:
-    """Delta(X_n) = prod_{i<j} (x_j - x_i)."""
-    p = as_points(pts)
-    out = Fraction(1)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            out *= p[j] - p[i]
+def _vandermonde_numerator(points: EvalPoint) -> int:
+    """prod_{i<j} (p_j q_i - p_i q_j) for points x_i = p_i / q_i: the
+    Vandermonde product times prod_j q_j^(n-1), an integer."""
+    out = 1
+    for i, xi in enumerate(points):
+        for xj in points[i + 1:]:
+            out *= xj.numerator * xi.denominator - xi.numerator * xj.denominator
     return out
+
+
+def vandermonde_product(pts: Iterable) -> Fraction:
+    """Delta(X_n) = prod_{i<j} (x_j - x_i), over the integers and divided once."""
+    p = as_points(pts)
+    scale = prod(x.denominator for x in p) ** max(len(p) - 1, 0)
+    return Fraction(_vandermonde_numerator(p), scale)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 
 import punchex
+from punchex.boxcount import macmahon_box, theorem1_count
+from punchex.cli import MAX_RAB_PAIRS
 
 # the subprocess imports the same punchex as this test run, installed or not
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -77,6 +80,19 @@ def test_count_closed_rejects_bad_parity():
 def test_count_box():
     rep = _report(_run("count", "box", "--x", "3", "--y", "3", "--z", "3"))
     assert rep["result"] == "980"
+
+
+def test_counts_beyond_int_string_limit_print_every_digit():
+    # more digits than str(int) allows by default (4300)
+    for args, value in (
+        (("closed", "--a", "130", "--b", "130", "--c", "130"), theorem1_count(130, 130, 130)),
+        (("box", "--x", "120", "--y", "120", "--z", "120"), macmahon_box(120, 120, 120)),
+    ):
+        proc = _run("count", *args)
+        assert proc.returncode == 0, proc.stderr
+        digits = _report(proc)["result"]
+        assert digits.isdigit() and len(digits) > 4300
+        assert Decimal(digits) == value, args
 
 
 def test_count_brute_and_lgv_agree():
@@ -156,6 +172,19 @@ def test_verify_rejects_bad_parameters():
         proc = _run("verify", *args)
         assert proc.returncode == 2, args
         assert proc.stdout.strip() == "", args
+
+
+def test_verify_refuses_large_rab_up_front():
+    # C(28, 14) = 40,116,600 pairs, and sides too large for C(a+b, a) to be
+    # computed: refused before any pair is generated
+    for target, a, b in (("theorem3", "14", "14"), ("conjecture5", "14", "14"),
+                         ("chain53", "8", "8"), ("lemma8", "1", "10000001")):
+        proc = _run("verify", target, "--a", a, "--b", b, "--n", b)
+        assert proc.returncode == 2, target
+        assert proc.stdout.strip() == "" and f"> {MAX_RAB_PAIRS} pairs" in proc.stderr
+    # the largest admitted family, C(14, 7)
+    rep = _report(_run("verify", "lemma8", "--a", "7", "--b", "7"))
+    assert rep["params"]["pairs"] == MAX_RAB_PAIRS and rep["result"] is True
 
 
 def test_unknown_target_is_usage_error():

@@ -1,12 +1,15 @@
 """Tests for the exact-arithmetic substrate: partitions, determinants,
-Pfaffians."""
+Pfaffians.
+
+The fraction-free kernels in ``punchex.core`` are checked against two
+test-only oracles kept here: rational Gaussian elimination for
+determinants and recursive expansion for Pfaffians."""
 
 import random
 from fractions import Fraction
 
 from punchex.core import (
     Partition,
-    _pfaffian_expand,
     binomial,
     conjugate,
     determinant,
@@ -31,6 +34,69 @@ def _random_skew(n, rng, lo=-5, hi=5):
         for j in range(i + 1, n):
             m[i][j] = Fraction(rng.randint(lo, hi))
             m[j][i] = -m[i][j]
+    return m
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _rational_skew(n, rng):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = _random_rational(rng)
+            m[j][i] = -m[i][j]
+    return m
+
+
+def _gauss_determinant(m):
+    """Oracle: determinant by rational Gaussian elimination with pivoting."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
+def _pfaffian_expand(m):
+    """Oracle: Pfaffian by recursive expansion along the first row, O(n!!)."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    if n % 2 == 1:
+        return Fraction(0)
+    total = Fraction(0)
+    for j in range(1, n):
+        if m[0][j] == 0:
+            continue
+        rest = [r for r in range(1, n) if r != j]
+        sub = [[m[r][c] for c in rest] for r in rest]
+        sign = -1 if (j % 2) == 0 else 1  # (-1)^j for 1-based column j+1
+        total += sign * m[0][j] * _pfaffian_expand(sub)
+    return total
+
+
+def _with_zero_pivots(m):
+    """m with row and column 0 zeroed except at (0, n-1), and (1, 2) zeroed:
+    the first pivot is 0, so elimination has to swap."""
+    n = len(m)
+    m = [list(row) for row in m]
+    for j in range(1, n - 1):
+        m[0][j] = m[j][0] = Fraction(0)
+    if n > 3:
+        m[1][2] = m[2][1] = Fraction(0)
     return m
 
 
@@ -109,6 +175,30 @@ def test_determinant_vandermonde():
     assert determinant(m) == expected
 
 
+def test_determinant_matches_rational_elimination():
+    rng = random.Random(29)
+    cases = [[]]
+    for n in list(range(1, 9)) * 6 + [12, 16, 20]:
+        ints = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        rats = [[_random_rational(rng) for _ in range(n)] for _ in range(n)]
+        cases += [ints, rats]
+        if n >= 2:
+            # singular: a repeated (scaled) row
+            cases.append(rats[:-1] + [[3 * x for x in rats[0]]])
+            # needs a row swap: column 0 is zero above the last row
+            cases.append([[0] + row[1:] for row in ints[:-1]] + [ints[-1]])
+        # sparse, so that zero pivots turn up deep in the elimination
+        cases.append([[rng.choice([0, 0, 0, 1, -2, Fraction(1, 3)]) for _ in range(n)]
+                      for _ in range(n)])
+    singular = 0
+    for m in cases:
+        expected = _gauss_determinant(m)
+        got = determinant(m)
+        assert type(got) is Fraction and got == expected, m
+        singular += expected == 0
+    assert singular >= 40
+
+
 def test_determinant_multiplicative():
     rng = random.Random(3)
     for _ in range(20):
@@ -151,6 +241,11 @@ def test_pfaffian_squares_to_determinant():
         m = _random_skew(n, rng)
         pf = pfaffian(m)
         assert pf * pf == determinant(m)
+    for n in (10, 12, 14, 16, 18):
+        for m in (_random_skew(n, rng), _rational_skew(n, rng),
+                  _with_zero_pivots(_rational_skew(n, rng))):
+            pf = pfaffian(m)
+            assert pf * pf == _gauss_determinant(m)
     # odd dimensions have pfaffian 0
     for n in (1, 3, 5):
         assert pfaffian(_random_skew(n, rng)) == 0
@@ -162,15 +257,28 @@ def test_pfaffian_matches_recursive_expansion():
         n = rng.choice([2, 4, 6, 8])
         m = _random_skew(n, rng)
         assert pfaffian(m) == _pfaffian_expand(m)
-    # rational entries as well
-    for _ in range(10):
-        n = rng.choice([4, 6])
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                m[j][i] = -m[i][j]
-        assert pfaffian(m) == _pfaffian_expand(m)
+    # rational entries as well, sparse ones, and zero leading pivots
+    zero = 0
+    for n in (2, 4, 6, 8) * 10:
+        for m in (_rational_skew(n, rng), _random_skew(n, rng, -1, 1),
+                  _with_zero_pivots(_rational_skew(n, rng))):
+            expected = _pfaffian_expand(m)
+            assert pfaffian(m) == expected, m
+            zero += expected == 0
+    assert zero >= 5
+
+
+def test_matmul_matches_naive_product():
+    rng = random.Random(31)
+    for _ in range(60):
+        n, k, m = rng.randint(0, 13), rng.randint(0, 13), rng.randint(0, 13)
+        entry = rng.choice([lambda: rng.randint(-9, 9), lambda: _random_rational(rng)])
+        a = [[entry() for _ in range(k)] for _ in range(n)]
+        b = [[entry() for _ in range(m)] for _ in range(k)]
+        expected = [[sum((Fraction(a[i][t]) * b[t][j] for t in range(k)), Fraction(0))
+                     for j in range(m if k else 0)] for i in range(n)]
+        assert matmul(a, b) == expected
+    _expect_value_error(matmul, [[1, 2]], [[1, 2]])
 
 
 def test_pfaffian_minor():

@@ -61,13 +61,19 @@ def test_schur_known_values():
     assert schur_eval(Partition([1, 1, 1]), pts) == 0
 
 
+# zero, negatives, ints and unreduced fractions: schur_bidet and
+# vandermonde_product clear denominators point by point
+MIXED_POINTS = (0, -3, 5, 1, -1, F(6, 4), F(6, -4), F(-10, 15), F(7, 3), F(1, 12),
+                F(-13, 11), F(22, 6))
+
+
 def test_schur_two_routes_agree():
     rng = random.Random(23)
-    for trial in range(40):
-        npts = rng.randint(1, 4)
+    pool = sorted(set(F(n, d) for n in range(1, 8) for d in range(1, 5)))
+    for trial in range(240):
+        npts = rng.randint(1, 6)
         # distinct points so both evaluators apply
-        pool = [F(n, d) for n in range(1, 8) for d in range(1, 5)]
-        pts = tuple(rng.sample(sorted(set(pool)), npts))
+        pts = tuple(rng.sample(pool if trial < 40 else MIXED_POINTS, npts))
         parts = sorted((rng.randint(0, 4) for _ in range(rng.randint(0, npts))),
                        reverse=True)
         p = Partition(parts)
@@ -113,6 +119,15 @@ def test_vandermonde_product():
     assert vandermonde_product((F(2),)) == 1
     assert vandermonde_product((F(2), F(3))) == 1
     assert vandermonde_product((F(1), F(2), F(4))) == (2 - 1) * (4 - 1) * (4 - 2)
+    assert vandermonde_product(()) == 1
+    rng = random.Random(37)
+    for _ in range(100):
+        pts = [F(x) for x in rng.sample(MIXED_POINTS, rng.randint(0, 8))]
+        expected = F(1)
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                expected *= pts[j] - pts[i]
+        assert vandermonde_product(pts) == expected, pts
 
 
 # ---------------------------------------------------------------------------
