@@ -43,12 +43,29 @@ from .tiling import (
 )
 
 
-# Largest R(a,b) that ``verify theorem3|conjecture5|chain53|lemma8`` walk:
-# C(a+b, a) pairs, each costing two Schur evaluations per trial.  C(14, 7):
-# at the default n and trials, a = b = 7 takes about 5 s and a = b = 8
-# (12,870 pairs) about 25 s (Python 3.11, one core of a 2-core x86 host).
+# Largest R(a,b) that ``verify theorem3|conjecture5|chain53|lemma8`` walk,
+# C(14, 7) pairs.  It is lemma8's only bound (about 0.1 s at this size), and
+# it keeps the cost estimate below from computing C(a+b, a) for huge sides.
 MAX_RAB_PAIRS = 3432
 RAB_TARGETS = ("theorem3", "conjecture5", "chain53", "lemma8")
+
+# ``verify`` refuses up front any input whose estimated run time is longer.
+VERIFY_BUDGET_S = 5
+# Picoseconds per unit of work, fitted to one-trial timings with cold caches
+# (one core of a 2-core x86 host, Python 3.11); see ``_estimated_ps``.
+PS_PER = {"step": 250_000, "schur_digit": 30, "pfaffian_digit": 46,
+          "entry_digit": 10_600, "minor-summation": 360_000_000, "lemma9": 125_000_000}
+
+# The targets checked at seeded points: how many points beyond n each draws,
+# and its check on (a, b, n, points).  The lambdas look the checks up at call
+# time, so a wrapper bound over a module global (a tracer's) sees every call.
+POINT_TARGETS = {
+    "theorem3": (1, lambda a, b, n, pts: theorem3_lhs(a, b, n, pts, pts[:n])
+                 == theorem3_rhs(a, b, n, pts, pts[:n])),
+    "conjecture5": (2, lambda a, b, n, pts: conjecture5_check(a, b, n, pts)),
+    "chain53": (1, lambda a, b, n, pts: chain_5_3_check(a, b, n, pts, pts[:n])),
+    "lemma10": (0, lambda a, b, n, pts: lemma10_check(a, b, n, pts)),
+}
 
 
 class Report:
@@ -134,10 +151,53 @@ def _build_parser() -> argparse.ArgumentParser:
 # verify targets
 # ---------------------------------------------------------------------------
 
+def _estimated_ps(target: str, a: int, b: int, n: int, trials: int) -> int:
+    """Estimated run time of ``verify target`` in picoseconds, in integers so
+    that huge inputs cannot overflow.
+
+    ``minor-summation`` and ``lemma9`` cost a fixed time per trial.  A trial
+    of the other targets is a few exact eliminations; one of size k over
+    entries of about D digits takes about k^3 interpreter steps and k^4 D^2
+    digit operations (schoolbook products of numbers grown to k D digits).
+    The R(a,b) targets evaluate 2 C(a+b, a) Schur alternants, plus four
+    rectangles for theorem3 and conjecture5, of size k = n+1 (n+2 for
+    conjecture5) with parts at most a, so D = k + a.  The moment Pfaffians
+    have entries of degree about D = 2n+a-b+2: chain53 adds one of size
+    4n-2b+2 whose (2n+1)^2 entries are sums of a+b products, and lemma10
+    builds two of size k = 2n-b+2 whose entries are sums of s = (a+b)/2
+    products.  Measured times above 0.5 s on a grid of 149 inputs were
+    0.62x..1.69x the estimate.  lemma8 is bounded by MAX_RAB_PAIRS alone.
+    """
+    if target in ("minor-summation", "lemma9"):
+        return trials * PS_PER[target]
+    if target == "lemma8":
+        return 0
+    n, s = max(n, 0), (a + b) // 2
+    work = dict.fromkeys(("step", "schur_digit", "pfaffian_digit", "entry_digit"), 0)
+    if target in RAB_TARGETS:
+        k = n + (2 if target == "conjecture5" else 1)
+        m = 2 * binomial(a + b, a) + (0 if target == "chain53" else 4)
+        work["step"] += m * k ** 3
+        work["schur_digit"] += m * k ** 4 * (k + a) ** 2
+    if target == "chain53":
+        k, D = 4 * n - 2 * b + 2, 2 * n + a - b + 2
+        work["step"] += k ** 3
+        work["pfaffian_digit"] += k ** 4 * D ** 2
+        work["entry_digit"] += (2 * n + 1) ** 2 * (a + b) * D ** 2
+    if target == "lemma10":
+        k, D = 2 * n - b + 2, 2 * n + a - b + 2
+        work["step"] += 2 * k ** 3
+        work["pfaffian_digit"] += 2 * k ** 4 * D ** 2
+        work["entry_digit"] += 2 * k ** 2 * (s + 1) * D ** 2
+    return trials * sum(PS_PER[unit] * w for unit, w in work.items())
+
+
 def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
             trials: Optional[int]):
     """Run one verification target; returns (params, verdict, counterexample)."""
-    if trials is not None and trials < 1:
+    t = (50 if target in ("minor-summation", "lemma9") else 3) if trials is None else trials
+    nn = b if n is None else n
+    if t < 1:
         # a verdict over zero instances would be vacuous
         raise ValueError("--trials must be at least 1")
     # C(a+b, a) >= a+b once a, b >= 1, so the first test spares computing a
@@ -148,6 +208,13 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
         raise ValueError(
             f"R({a},{b}) has C(a+b, a) > {MAX_RAB_PAIRS} pairs, "
             f"more than verify {target} admits"
+        )
+    estimate = _estimated_ps(target, a, b, nn, t)
+    if estimate > VERIFY_BUDGET_S * 10 ** 12:
+        raise ValueError(
+            f"verify {target} at a={a}, b={b}, n={nn}, trials={t} would take about "
+            f"{Decimal(estimate) / 10 ** 12:.2g} s, more than the {VERIFY_BUDGET_S} s "
+            "verify admits"
         )
     if target == "lemma8":
         pairs = generate_rab(a, b)
@@ -161,78 +228,52 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
         return params, True, None
 
     if target == "minor-summation":
-        t = 50 if trials is None else trials
         rng = random.Random(seed)
         params = {"trials": t}
         for trial in range(t):
-            nn = rng.randint(1, 4)
-            q = rng.choice([x for x in (0, 1, 2) if (nn + x) % 2 == 0 and x <= nn])
-            p = rng.randint(max(1, nn - q), 6)
-            G = [[Fraction(rng.randint(-3, 3)) for _ in range(p)] for _ in range(nn)]
-            H = [[Fraction(rng.randint(-3, 3)) for _ in range(q)] for _ in range(nn)]
-            A = [[Fraction(0)] * p for _ in range(p)]
-            for i in range(p):
-                for j in range(i + 1, p):
-                    A[i][j] = Fraction(rng.randint(-3, 3))
-                    A[j][i] = -A[i][j]
-            lhs, rhs = minor_summation(G, H, A)
+            size = rng.randint(1, 4)
+            q = rng.choice([x for x in (0, 1, 2) if (size + x) % 2 == 0 and x <= size])
+            p = rng.randint(max(1, size - q), 6)
+            G = [[Fraction(rng.randint(-3, 3)) for _ in range(p)] for _ in range(size)]
+            H = [[Fraction(rng.randint(-3, 3)) for _ in range(q)] for _ in range(size)]
+            lhs, rhs = minor_summation(G, H, _random_skew(rng, p))
             if lhs != rhs:
-                return params, False, {"trial": trial, "n": nn, "p": p, "q": q,
+                return params, False, {"trial": trial, "n": size, "p": p, "q": q,
                                        "lhs": str(lhs), "rhs": str(rhs)}
         return params, True, None
 
     if target == "lemma9":
-        t = 50 if trials is None else trials
         rng = random.Random(seed)
         params = {"trials": t}
         for trial in range(t):
-            nn = rng.randint(1, 5)
-            A = [[Fraction(0)] * nn for _ in range(nn)]
-            for i in range(nn):
-                for j in range(i + 1, nn):
-                    A[i][j] = Fraction(rng.randint(-3, 3))
-                    A[j][i] = -A[i][j]
-            bvec = [rng.randint(-3, 3) for _ in range(nn)]
-            cvec = [rng.randint(-3, 3) for _ in range(nn)]
+            size = rng.randint(1, 5)
+            A = _random_skew(rng, size)
+            bvec = [rng.randint(-3, 3) for _ in range(size)]
+            cvec = [rng.randint(-3, 3) for _ in range(size)]
             d = rng.randint(-3, 3)
             if not lemma9_check(A, bvec, cvec, d):
-                return params, False, {"trial": trial, "n": nn}
+                return params, False, {"trial": trial, "n": size}
         return params, True, None
 
     # the remaining targets are parameterized by (a, b, n) and seeded points
-    nn = b if n is None else n
-    t = 3 if trials is None else trials
+    extra, check = POINT_TARGETS[target]
     params = {"a": a, "b": b, "n": nn, "trials": t}
     for trial in range(t):
-        trial_seed = seed + trial
-        if target == "theorem3":
-            pts1 = seeded_points(nn + 1, trial_seed)
-            ok = theorem3_lhs(a, b, nn, pts1, pts1[:nn]) == theorem3_rhs(
-                a, b, nn, pts1, pts1[:nn]
-            )
-        elif target == "conjecture5":
-            pts2 = seeded_points(nn + 2, trial_seed)
-            ok = conjecture5_check(a, b, nn, pts2)
-        elif target == "chain53":
-            pts1 = seeded_points(nn + 1, trial_seed)
-            ok = chain_5_3_check(a, b, nn, pts1, pts1[:nn])
-        elif target == "lemma10":
-            pts = seeded_points(nn, trial_seed)
-            ok = lemma10_check(a, b, nn, pts)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown verify target {target!r}")
-        if not ok:
-            pts_used = {
-                "theorem3": nn + 1, "conjecture5": nn + 2,
-                "chain53": nn + 1, "lemma10": nn,
-            }[target]
-            ce = {
-                "trial": trial,
-                "seed": trial_seed,
-                "points": [str(x) for x in seeded_points(pts_used, trial_seed)],
-            }
+        pts = seeded_points(nn + extra, seed + trial)
+        if not check(a, b, nn, pts):
+            ce = {"trial": trial, "seed": seed + trial, "points": [str(x) for x in pts]}
             return params, False, ce
     return params, True, None
+
+
+def _random_skew(rng: random.Random, size: int):
+    """A size x size skew matrix, its upper triangle drawn row by row from -3..3."""
+    A = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            A[i][j] = Fraction(rng.randint(-3, 3))
+            A[j][i] = -A[i][j]
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,8 @@ from fractions import Fraction
 from math import comb, lcm, prod
 from typing import Iterable, List, Sequence, Tuple, Union
 
-# Type aliases used throughout the package.  ExactInt/ExactRational are the
-# scalar types every count and evaluation lives in; matrices are dense
+# Every count and evaluation is an int or a Fraction; matrices are dense
 # row-major lists of lists of those scalars.
-ExactInt = int
-ExactRational = Fraction
 Scalar = Union[int, Fraction]
 ExactMatrix = List[List[Scalar]]
 # A SkewMatrix is an ExactMatrix with entry(i,j) == -entry(j,i); the
@@ -86,9 +83,6 @@ class Partition:
         if h < 1:
             raise IndexError("part index is 1-based")
         return self.parts[h - 1] if h <= len(self.parts) else 0
-
-    def conjugate(self) -> "Partition":
-        return conjugate(self)
 
 
 def conjugate(p: Partition) -> Partition:

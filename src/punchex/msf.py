@@ -10,10 +10,15 @@ n + q even and 0 <= n - q <= p, and any skew-symmetric A (p x p),
 K running over (n-q)-subsets of the columns of G.  Applied to block
 moment matrices over two nested point sets and a fixed skew matrix of
 +-1 entries, it turns the sum over R(a,b) of products of Schur values
-into a single Pfaffian (``chain_5_3_check``); ``lemma9_check`` and
-``lemma10_check`` verify the factorizations that evaluate that Pfaffian,
-and ``theorem3_lhs`` / ``theorem3_rhs`` state the resulting closed-form
-identity.
+into a single Pfaffian (``chain_5_3_check``).  Up to sign that Pfaffian is
+the product of two moment Pfaffians, and Lemma 10 (``lemma10_check``)
+evaluates each as Delta(X) s_R(X) s_R'(X): (R, R') = (R_A, R_B) on X_n
+and (R_B, R_C) on X_{n+1}, where R_A = (ceil((a+1)/2))^(floor(b/2)),
+R_B = (ceil(a/2))^(ceil(b/2)) and R_C = (floor(a/2))^(ceil((b+1)/2)).
+The Vandermonde products cancel and leave Theorem 3: the R(a,b) sum
+(``theorem3_lhs``) is s_{R_A}(X_n) s_{R_B}(X_n) s_{R_B}(X_{n+1})
+s_{R_C}(X_{n+1}) (``theorem3_rhs``).  ``lemma9_check`` verifies the
+bordered-determinant factorization of skew matrices.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .core import (
     transpose,
 )
 from .symfun import (
+    EvalPoint,
     as_points,
     distinct,
     generate_rab,
@@ -43,6 +49,11 @@ from .symfun import (
 # ---------------------------------------------------------------------------
 # index sets and structured matrices
 # ---------------------------------------------------------------------------
+
+def _gamma(a: int, b: int) -> List[int]:
+    """{0..a+b} minus the midpoint (a+b)/2, in ascending order."""
+    return [g for g in range(a + b + 1) if g != (a + b) // 2]
+
 
 class IndexSets:
     """The four index sets attached to parameters (a, b, n), n >= b.
@@ -65,7 +76,7 @@ class IndexSets:
             raise ValueError("index sets require n >= b")
         s = (a + b) // 2
         self.a, self.b, self.n = a, b, n
-        self.Gamma = [g for g in range(0, a + b + 1) if g != s]
+        self.Gamma = _gamma(a, b)
         self.P = [n - b + g for g in self.Gamma]
         self.Q = list(range(0, n - b)) + [n - b + s]
         self.R = list(range(0, n - b))
@@ -93,7 +104,7 @@ def structured_skew(a: int, b: int) -> ExactMatrix:
     if a < 1 or b < 1 or a % 2 != b % 2:
         raise ValueError("structured skew matrix requires positive same-parity a, b")
     s = (a + b) // 2
-    gamma = [g for g in range(0, a + b + 1) if g != s]
+    gamma = _gamma(a, b)
     pos = {g: i for i, g in enumerate(gamma)}
     p = len(gamma)
     m = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
@@ -194,7 +205,7 @@ def sub_pfaffian_sign(K: Sequence[int], a: int, b: int) -> int:
     every h; in that case it is (-1)^(number of j_h >= (a+b)/2 + 1).
     """
     s = (a + b) // 2
-    gamma = [g for g in range(0, a + b + 1) if g != s]
+    gamma = _gamma(a, b)
     p = len(gamma)
     idx = tuple(sorted(K))
     for t, i in enumerate(idx):
@@ -243,48 +254,56 @@ def lemma9_check(A: ExactMatrix, bvec: Sequence, cvec: Sequence, d) -> bool:
 # the summation identities
 # ---------------------------------------------------------------------------
 
-def _rect(s: int, m: int) -> Partition:
-    return Partition([s] * m)
+def _rectangles(a: int, b: int) -> Tuple[Partition, Partition, Partition]:
+    """R_A = (ceil((a+1)/2))^(floor(b/2)), R_B = (ceil(a/2))^(ceil(b/2))
+    and R_C = (floor(a/2))^(ceil((b+1)/2)), the shapes of Theorem 3."""
+    if a % 2 != b % 2:
+        raise ValueError("requires a and b of equal parity")
+    return (
+        Partition([(a + 2) // 2] * (b // 2)),
+        Partition([(a + 1) // 2] * ((b + 1) // 2)),
+        Partition([a // 2] * ((b + 2) // 2)),
+    )
 
 
-def theorem3_lhs(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> Fraction:
-    """sum over (lambda, mu) in R(a,b) of s_lambda(X_{n+1}) * s_mu(X_n).
+def _rab_sum(a: int, b: int, big: EvalPoint, small: EvalPoint) -> Fraction:
+    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small)."""
+    return sum((schur_eval(pair.lam, big) * schur_eval(pair.mu, small)
+                for pair in generate_rab(a, b)), Fraction(0))
 
-    pts0 must be the first n values of pts1 (X_n is a sub-alphabet of
-    X_{n+1}).
-    """
+
+def _rect_product(a: int, b: int, xa, xb1, xb2, xc) -> Fraction:
+    """s_{R_A}(xa) * s_{R_B}(xb1) * s_{R_B}(xb2) * s_{R_C}(xc)."""
+    ra, rb, rc = _rectangles(a, b)
+    return schur_eval(ra, xa) * schur_eval(rb, xb1) * schur_eval(rb, xb2) * schur_eval(rc, xc)
+
+
+def _nested(n: int, pts1: Iterable, pts0: Iterable) -> Tuple[EvalPoint, EvalPoint]:
+    """(X_{n+1}, X_n) as point tuples, checked to hold n+1 and n values
+    with X_n the first n values of X_{n+1}."""
     p1 = as_points(pts1)
     p0 = as_points(pts0)
     if len(p1) != n + 1 or len(p0) != n:
         raise ValueError("need n+1 points for X_{n+1} and n points for X_n")
     if p0 != p1[:n]:
         raise ValueError("pts0 must be the first n values of pts1")
-    total = Fraction(0)
-    for pair in generate_rab(a, b):
-        total += schur_eval(pair.lam, p1) * schur_eval(pair.mu, p0)
-    return total
+    return p1, p0
+
+
+def theorem3_lhs(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> Fraction:
+    """sum over (lambda, mu) in R(a,b) of s_lambda(X_{n+1}) * s_mu(X_n),
+    where pts0 (X_n) must be the first n values of pts1 (X_{n+1})."""
+    p1, p0 = _nested(n, pts1, pts0)
+    return _rab_sum(a, b, p1, p0)
 
 
 def theorem3_rhs(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> Fraction:
     """Product of four rectangular Schur values equal to theorem3_lhs:
-
-    s_((ceil((a+1)/2))^(floor(b/2)))(X_n) * s_((ceil(a/2))^(ceil(b/2)))(X_n)
-    * s_((ceil(a/2))^(ceil(b/2)))(X_{n+1}) * s_((floor(a/2))^(ceil((b+1)/2)))(X_{n+1})
+    s_{R_A}(X_n) * s_{R_B}(X_n) * s_{R_B}(X_{n+1}) * s_{R_C}(X_{n+1}),
+    with R_A, R_B and R_C as in the module docstring.
     """
-    p1 = as_points(pts1)
-    p0 = as_points(pts0)
-    if len(p1) != n + 1 or len(p0) != n:
-        raise ValueError("need n+1 points for X_{n+1} and n points for X_n")
-    if p0 != p1[:n]:
-        raise ValueError("pts0 must be the first n values of pts1")
-    if a % 2 != b % 2:
-        raise ValueError("requires a and b of equal parity")
-    return (
-        schur_eval(_rect((a + 2) // 2, b // 2), p0)
-        * schur_eval(_rect((a + 1) // 2, (b + 1) // 2), p0)
-        * schur_eval(_rect((a + 1) // 2, (b + 1) // 2), p1)
-        * schur_eval(_rect(a // 2, (b + 2) // 2), p1)
-    )
+    p1, p0 = _nested(n, pts1, pts0)
+    return _rect_product(a, b, p0, p0, p1, p1)
 
 
 def conjecture5_check(a: int, b: int, n: int, pts2: Iterable) -> bool:
@@ -292,10 +311,8 @@ def conjecture5_check(a: int, b: int, n: int, pts2: Iterable) -> bool:
 
     Compares sum over R(a,b) of s_lambda(X_{n+2}) * s_mu(X_n) with
 
-      s_((ceil((a+1)/2))^(floor(b/2)))(X_n)
-      * s_((ceil(a/2))^(ceil(b/2)))(X_n + {x_{n+1}})
-      * s_((ceil(a/2))^(ceil(b/2)))(X_n + {x_{n+2}})
-      * s_((floor(a/2))^(ceil((b+1)/2)))(X_{n+2})
+      s_{R_A}(X_n) * s_{R_B}(X_n + {x_{n+1}}) * s_{R_B}(X_n + {x_{n+2}})
+      * s_{R_C}(X_{n+2})
 
     where pts2 supplies x_1..x_{n+2}.  This equality is unproven in
     general; the function reports whether it holds at the given points.
@@ -303,21 +320,9 @@ def conjecture5_check(a: int, b: int, n: int, pts2: Iterable) -> bool:
     p2 = as_points(pts2)
     if len(p2) != n + 2:
         raise ValueError("need n+2 points")
-    if a % 2 != b % 2:
-        raise ValueError("requires a and b of equal parity")
     p0 = p2[:n]
-    with_x1 = p0 + (p2[n],)
-    with_x2 = p0 + (p2[n + 1],)
-    lhs = Fraction(0)
-    for pair in generate_rab(a, b):
-        lhs += schur_eval(pair.lam, p2) * schur_eval(pair.mu, p0)
-    rhs = (
-        schur_eval(_rect((a + 2) // 2, b // 2), p0)
-        * schur_eval(_rect((a + 1) // 2, (b + 1) // 2), with_x1)
-        * schur_eval(_rect((a + 1) // 2, (b + 1) // 2), with_x2)
-        * schur_eval(_rect(a // 2, (b + 2) // 2), p2)
-    )
-    return lhs == rhs
+    lhs = _rab_sum(a, b, p2, p0)
+    return lhs == _rect_product(a, b, p0, p0 + (p2[n],), p0 + (p2[n + 1],), p2)
 
 
 def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> bool:
@@ -330,12 +335,9 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
     with (G, H, A) from build_msf_instance.  Needs pairwise distinct
     points (the right side divides by both Vandermonde products).
     """
-    p1 = as_points(pts1)
-    p0 = as_points(pts0)
-    if not distinct(p1) or not distinct(p0):
+    p1, p0 = _nested(n, pts1, pts0)
+    if not distinct(p1):
         raise ValueError("requires pairwise distinct points")
-    if p0 != p1[:n]:
-        raise ValueError("pts0 must be the first n values of pts1")
     G, H, A = build_msf_instance(a, b, n, p1, p0)
     gag = matmul(matmul(G, A), transpose(G))
     pf = pfaffian(_skew_border(gag, H))
@@ -345,14 +347,12 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
 
 
 # ---------------------------------------------------------------------------
-# closed evaluation of the four structured moment-matrix Pfaffians
+# closed evaluation of the structured moment-matrix Pfaffians
 # ---------------------------------------------------------------------------
 
 def _n_entry(x, y, s: int, shift: int) -> Fraction:
     """(x y)^shift * (y^(s+1) - x^(s+1)) * sum_{r<s} x^r y^(s-1-r)."""
-    acc = Fraction(0)
-    for r in range(s):
-        acc += x ** r * y ** (s - 1 - r)
+    acc = sum((x ** r * y ** (s - 1 - r) for r in range(s)), Fraction(0))
     return (x ** shift) * (y ** shift) * (y ** (s + 1) - x ** (s + 1)) * acc
 
 
@@ -360,96 +360,47 @@ def _n_matrix(pts, s: int, shift: int) -> ExactMatrix:
     return [[_n_entry(x, y, s, shift) for y in pts] for x in pts]
 
 
-def _interval_moment(pts, lo: int, hi: int) -> List[List[Fraction]]:
-    if hi < lo:
-        return [[] for _ in pts]
-    return moment_matrix(list(range(lo, hi + 1)), pts)
-
-
-def _hstack_det(pts, intervals) -> Fraction:
-    cols: List[List[Fraction]] = [[] for _ in pts]
-    for lo, hi in intervals:
-        block = _interval_moment(pts, lo, hi)
-        for r, row in enumerate(block):
-            cols[r].extend(row)
-    return determinant(cols)
-
-
-def _lemma10_first(a: int, b: int, n: int, pts) -> bool:
-    """Identity for the Pfaffian over X_n at ambient n (needs n >= b)."""
-    s = (a + b) // 2
-    sets = IndexSets(a, b, n)
-    N = _n_matrix(pts, s, n - b)
-    if b % 2 == 0:
-        lhs = pfaffian(_skew_border(N, moment_matrix(sets.R, pts)))
-        e = b * (n - b) + (n - b) * (n - b - 1) // 2
-        d1 = _hstack_det(
-            pts, [(0, n - b // 2 - 1), (n + a // 2 - b // 2, n + a // 2 - 1)]
-        )
-        d2 = _hstack_det(
-            pts, [(0, n - b // 2 - 1), (n + a // 2 - b // 2 + 1, n + a // 2)]
-        )
-    else:
-        lhs = pfaffian(_skew_border(N, moment_matrix(sets.Q, pts)))
-        e = (b - 1) * (n - b) + (b - 1) // 2 + (n - b + 1) * (n - b) // 2
-        d1 = _hstack_det(
-            pts,
-            [(0, n - (b - 1) // 2 - 1), (n + (a + 1) // 2 - (b - 1) // 2, n + (a + 1) // 2 - 1)],
-        )
-        d2 = _hstack_det(
-            pts,
-            [(0, n - (b + 1) // 2 - 1), (n + (a + 1) // 2 - (b + 1) // 2, n + (a + 1) // 2 - 1)],
-        )
-    sign = -1 if e % 2 else 1
-    return lhs == sign * d1 * d2 / vandermonde_product(pts)
-
-
-def _lemma10_second(a: int, b: int, m: int, pts) -> bool:
-    """Identity for the Pfaffian over X_{m+1} at ambient m (needs m >= b)."""
-    s = (a + b) // 2
-    sets = IndexSets(a, b, m)
-    N = _n_matrix(pts, s, m - b)
-    if b % 2 == 0:
-        lhs = pfaffian(_skew_border(N, moment_matrix(sets.Q, pts)))
-        e = b * (m - b) + b // 2 + (m - b + 1) * (m - b) // 2
-        d1 = _hstack_det(pts, [(0, m - b // 2), (m + a // 2 - b // 2 + 1, m + a // 2)])
-        d2 = _hstack_det(pts, [(0, m - b // 2 - 1), (m + a // 2 - b // 2, m + a // 2)])
-    else:
-        lhs = pfaffian(_skew_border(N, moment_matrix(sets.R, pts)))
-        e = (b + 1) * (m - b) + (m - b) * (m - b - 1) // 2
-        d1 = _hstack_det(
-            pts,
-            [(0, m - (b + 1) // 2), (m + (a - 1) // 2 - (b + 1) // 2 + 1, m + (a - 1) // 2)],
-        )
-        d2 = _hstack_det(
-            pts,
-            [(0, m - (b + 1) // 2), (m + (a + 1) // 2 - (b + 1) // 2 + 1, m + (a + 1) // 2)],
-        )
-    sign = -1 if e % 2 else 1
-    return lhs == sign * d1 * d2 / vandermonde_product(pts)
+def _lemma10_identity(a: int, b: int, ambient: int, pts: EvalPoint) -> bool:
+    """Lemma 10 for the alphabet pts of L = ambient or ambient + 1 points."""
+    L = len(pts)
+    sets = IndexSets(a, b, ambient)
+    border = sets.R if (L + len(sets.R)) % 2 == 0 else sets.Q
+    t = len(border)
+    e = (L - t) * t + t * (t - 1) // 2
+    if border is sets.Q:
+        e += (L - t) // 2
+    N = _n_matrix(pts, (a + b) // 2, ambient - b)
+    lhs = pfaffian(_skew_border(N, moment_matrix(border, pts)))
+    R, R2 = _rectangles(a, b)[L - ambient:L - ambient + 2]
+    rhs = vandermonde_product(pts) * schur_eval(R, pts) * schur_eval(R2, pts)
+    return lhs == (-rhs if e % 2 else rhs)
 
 
 def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
-    """Verify the closed evaluations of the structured Pfaffians at the
-    given n distinct points.
+    """Verify Lemma 10, the closed evaluation of the moment Pfaffians, at
+    the given n distinct points.
 
-    There is one identity per parity combination of (a, b): one for the
-    Pfaffian built on X_n (checked at ambient n), one for the Pfaffian
-    built on X_{n+1} (checked here with pts as X_{m+1}, ambient m = n-1;
-    it needs m >= b, so for n == b only the first identity applies).
+    For an alphabet X of L points at ambient n' >= b, with L = n' or n'+1,
+    let N = M_P(X) B M_P(X)^T (see ``n_matrix_entry_check``) and let M be
+    the t columns of M_R(X) when L + |R| is even and of M_Q(X) otherwise:
+
+        Pf([[N, M], [-M^T, 0]]) = (-1)^e Delta(X) s_R(X) s_R'(X),
+        e = (L-t) t + t(t-1)/2, plus (L-t)/2 when M is M_Q(X),
+
+    with (R, R') = (R_A, R_B) when L = n' and (R_B, R_C) when L = n'+1
+    (the rectangles of ``theorem3_rhs``).  The points are checked as X_n at
+    ambient n and, when n-1 >= b, as X_{m+1} at ambient m = n-1.  With
+    ``chain_5_3_check`` this gives Theorem 3 (see the module docstring).
     """
     p = as_points(pts)
     if len(p) != n:
         raise ValueError("need n points")
     if not distinct(p):
         raise ValueError("requires pairwise distinct points")
-    if a % 2 != b % 2:
-        raise ValueError("requires a and b of equal parity")
-    if n < b:
-        raise ValueError("requires n >= b")
-    ok = _lemma10_first(a, b, n, p)
+    # IndexSets rejects a, b of unequal parity and n < b
+    ok = _lemma10_identity(a, b, n, p)
     if n - 1 >= b:
-        ok = ok and _lemma10_second(a, b, n - 1, p)
+        ok = ok and _lemma10_identity(a, b, n - 1, p)
     return ok
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
@@ -307,8 +307,6 @@ def rect_product_decomposition_check(s: int, t: int, m: int, n: int, pts: Iterab
     total = Fraction(0)
     lo, hi = max(s, t), s + t
     # weakly decreasing choices for the first m parts, each in [lo, hi]
-    from itertools import combinations_with_replacement
-
     for head_desc in combinations_with_replacement(range(lo, hi + 1), m):
         head = tuple(reversed(head_desc))
         tail_mid = [t] * (n - m)

@@ -13,7 +13,7 @@ from decimal import Decimal
 
 import punchex
 from punchex.boxcount import macmahon_box, theorem1_count
-from punchex.cli import MAX_RAB_PAIRS
+from punchex.cli import MAX_RAB_PAIRS, VERIFY_BUDGET_S
 
 # the subprocess imports the same punchex as this test run, installed or not
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -185,6 +185,24 @@ def test_verify_refuses_large_rab_up_front():
     # the largest admitted family, C(14, 7)
     rep = _report(_run("verify", "lemma8", "--a", "7", "--b", "7"))
     assert rep["params"]["pairs"] == MAX_RAB_PAIRS and rep["result"] is True
+
+
+def test_verify_refuses_costly_inputs_up_front():
+    # from about 10 s to far beyond 100 s each; refused before any work,
+    # huge n and --trials included
+    for args in (("lemma10", "--a", "2", "--b", "2", "--n", "30"),
+                 ("lemma10", "--a", "2", "--b", "2", "--n", "60"),
+                 ("lemma10", "--a", "41", "--b", "41", "--n", "41"),
+                 ("lemma10", "--a", "101", "--b", "101", "--n", "101"),
+                 ("theorem3", "--a", "1", "--b", "1", "--n", "60"),
+                 ("chain53", "--a", "1", "--b", "1", "--n", "21"),
+                 ("conjecture5", "--a", "1", "--b", "1", "--n", "10" * 200),
+                 ("lemma9", "--trials", "1000000"),
+                 ("minor-summation", "--trials", "100000")):
+        proc = _run("verify", *args)
+        assert proc.returncode == 2, args
+        assert proc.stdout.strip() == "", args
+        assert f"more than the {VERIFY_BUDGET_S} s verify admits" in proc.stderr, args
 
 
 def test_unknown_target_is_usage_error():

@@ -282,12 +282,31 @@ def test_lemma10_instances():
     assert lemma10_check(3, 3, 3, (F(1), F(2), F(3)))
 
 
+def _mixed_points(count, rng):
+    """count distinct rationals: a negative one first, then 0 (count >= 2),
+    then integers and fractions of either sign."""
+    pts = [F(-rng.randint(1, 9), rng.randint(1, 4)), F(0)]
+    while len(pts) < count:
+        x = F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
+        if x not in pts:
+            pts.append(x)
+    return tuple(pts[:count])
+
+
 def test_lemma10_seeded_sweep():
-    for (a, b) in [(1, 1), (2, 2), (1, 3), (3, 1)]:
-        for n in (b, b + 1, b + 2):
-            for seed in (0, 1):
-                pts = seeded_points(n, 100 * a + 10 * b + seed)
-                assert lemma10_check(a, b, n, pts), (a, b, n, seed)
+    # both identities, both parities and both border kinds (M_R and M_Q),
+    # at seeded positive points and at points with 0 and negative values
+    rng = random.Random(10)
+    cases = 0
+    for a in range(1, 6):
+        for b in range(1, 6):
+            if a % 2 != b % 2:
+                continue
+            for n in range(b, b + 4):
+                for pts in (seeded_points(n, 100 * a + 10 * b + n), _mixed_points(n, rng)):
+                    assert lemma10_check(a, b, n, pts), (a, b, n, pts)
+                    cases += 1
+    assert cases == 13 * 4 * 2
 
 
 def test_lemma10_validation():
