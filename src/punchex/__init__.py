@@ -57,7 +57,7 @@ from .tiling import (
     enumerate_tilings,
     render_tiling_svg,
     start_end_points,
-    tiling_families,
+    tiling_family,
     validate_family,
 )
 
@@ -80,7 +80,7 @@ __all__ = [
     "start_end_points",
     "count_paths",
     "enumerate_tilings",
-    "tiling_families",
+    "tiling_family",
     "validate_family",
     "count_via_path_determinants",
     "render_tiling_svg",

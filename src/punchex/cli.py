@@ -19,7 +19,6 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
 from typing import Optional
 
 from .boxcount import macmahon_box, theorem1_count, theorem4_count
@@ -39,7 +38,7 @@ from .tiling import (
     count_via_path_determinants,
     enumerate_tilings,
     render_tiling_svg,
-    tiling_families,
+    tiling_family,
 )
 
 
@@ -200,6 +199,9 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
     if t < 1:
         # a verdict over zero instances would be vacuous
         raise ValueError("--trials must be at least 1")
+    if target in RAB_TARGETS + ("lemma10",) and a % 2 != b % 2:
+        raise ValueError(f"verify {target} needs --a and --b of equal parity "
+                         f"(got --a {a}, --b {b})")
     # C(a+b, a) >= a+b once a, b >= 1, so the first test spares computing a
     # huge binomial for huge sides
     if target in RAB_TARGETS and (
@@ -338,11 +340,7 @@ def run(argv) -> int:
 
         # render
         hexagon = PuncturedHexagon(args.a, args.b, args.c)
-        count = enumerate_tilings(hexagon)
-        if not 0 <= args.index < count:
-            raise ValueError(f"index {args.index} is out of range: there are {count} tilings")
-        family = next(islice(tiling_families(hexagon), args.index, None))
-        svg = render_tiling_svg(hexagon, family)
+        svg = render_tiling_svg(hexagon, tiling_family(hexagon, args.index))
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)
         params = {"a": args.a, "b": args.b, "c": args.c, "index": args.index,

@@ -16,20 +16,20 @@ length c+1, which in path coordinates is ((a+b)/2, (a+c+1)/2).
 
 This module provides an exact combinatorial count of such families (a
 sweep over the diagonals x - y = d, independent of every closed formula
-and of the determinant), a single lattice-path determinant that counts
-them for any puncture position, a depth-first lister of the families
-themselves, and an SVG renderer that inverts the bijection back to rhombi.
+and of the determinant), the family at any index of the depth-first
+order (unranked with the same sweep), a single lattice-path determinant
+that counts them for any puncture position, and an SVG renderer that
+inverts the bijection back to rhombi.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import product
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .core import binomial, determinant
 
-# size guard for enumerate_tilings and tiling_families
+# size guard for enumerate_tilings and tiling_family
 MAX_A = 4
 MAX_BC = 6
 
@@ -40,7 +40,7 @@ __all__ = [
     "start_end_points",
     "count_paths",
     "enumerate_tilings",
-    "tiling_families",
+    "tiling_family",
     "count_via_path_determinants",
     "render_tiling_svg",
 ]
@@ -149,107 +149,92 @@ def count_paths(p: LatticePoint, q: LatticePoint) -> int:
 
 
 # ---------------------------------------------------------------------------
-# combinatorial count and family listing
+# combinatorial count and family unranking
 # ---------------------------------------------------------------------------
 
 def _check_guard(h: PuncturedHexagon) -> None:
     if h.a > MAX_A or h.b > MAX_BC or h.c > MAX_BC:
         raise ValueError(
-            f"region too large for exhaustive search (need a <= {MAX_A}, b, c <= {MAX_BC})"
+            f"region too large for the path-family sweep (need a <= {MAX_A}, b, c <= {MAX_BC})"
         )
 
 
-def enumerate_tilings(h: PuncturedHexagon) -> int:
-    """Count rhombus tilings exactly by a sweep over the diagonals x - y = d.
+def _sweep(h: PuncturedHexagon, starts: Sequence[LatticePoint], forbidden=frozenset()) -> int:
+    """Number of families of vertex-disjoint monotone paths from ``starts``
+    to the E points that avoid every vertex in ``forbidden``.
 
-    Every east or south step raises x - y by 1, so the paths from A_1..A_a
-    leave the diagonal d = -c-1 together, the puncture path joins them on
-    its own diagonal, and all of them advance in lockstep to the E points
-    on d = b.  A state is the sorted tuple of the paths' x positions on the
-    current diagonal; it maps to the number of partial families reaching
-    it.  A move (east: x+1, south: x unchanged, per path) is kept only if
-    the positions stay strictly increasing (vertex-disjoint), y >= 0 and
-    x <= a+b.  Disjoint paths keep their order, so consecutive states fix
-    every step and no family is counted twice.  Purely combinatorial —
-    shares nothing with the closed-form or determinant routes beyond
-    start_end_points.
+    Every east or south step raises x - y by 1, so the paths cross each
+    diagonal x - y = d once, in an order they keep.  A state is the sorted
+    tuple of the paths' x positions on the current diagonal; it maps to the
+    number of partial families reaching it.  A start joins on its own
+    diagonal.  To reach the next diagonal the paths step one at a time,
+    right to left (east: x+1, south: x unchanged), so each step is checked
+    only against the right neighbour's new position, y >= 0, x <= a+b and
+    ``forbidden``.  The points of the last diagonal, d = b, that satisfy
+    those bounds are exactly the E points.
     """
-    _check_guard(h)
-    starts, ends = start_end_points(h)
-    p = starts[-1]
-    p_diag = p.x - p.y
-    top = h.a + h.b
-    states = {tuple(s.x for s in starts[:-1]): 1}
-    for d in range(starts[0].x - starts[0].y + 1, ends[0].x - ends[0].y + 1):
-        reached = defaultdict(int)
-        for xs, weight in states.items():
-            for steps in product((0, 1), repeat=len(xs)):
-                new = [x + e for x, e in zip(xs, steps)]
-                if d == p_diag:
-                    new.append(p.x)
-                    new.sort()
-                if new[0] >= d and new[-1] <= top and all(u < v for u, v in zip(new, new[1:])):
-                    reached[tuple(new)] += weight
-        states = reached
-    return states.get(tuple(e.x for e in ends), 0)
-
-
-def _candidate_paths(h: PuncturedHexagon):
-    """For every start, all monotone paths ending at an E point.
-
-    Returns a list (per start, in start order) of (mask, verts) pairs,
-    each list in lexicographic step order with east before south.  Masks
-    are vertex bitmasks (bit = x * (a+c+1) + y), so two paths are
-    vertex-disjoint iff their masks do not intersect.
-    """
-    a, b, c = h.a, h.b, h.c
-    height = a + c + 1
-    starts, ends = start_end_points(h)
-    end_set = set(ends)
-
-    def feasible(x: int, y: int) -> bool:
-        # some E_j must remain reachable: b+j-1 >= x and j-1 <= y
-        return max(1, x - b + 1) <= min(a + 1, y + 1)
-
-    all_cands = []
+    top, last = h.a + h.b, h.b
+    joins = defaultdict(list)
     for s in starts:
-        cands = []
-        verts: List[LatticePoint] = []
+        joins[s.x - s.y].append(s.x)
+    states, width = {(): 1}, 0
+    for d in range(min(joins, default=last), last + 1):
+        for x in joins.get(d, ()):
+            if not d <= x <= top or (x, x - d) in forbidden:
+                return 0
+            states = {tuple(sorted(xs + (x,))): w for xs, w in states.items() if x not in xs}
+            width += 1
+        if d == last:
+            break
+        for i in reversed(range(width)):
+            moved = defaultdict(int)
+            for xs, w in states.items():
+                bound = xs[i + 1] if i + 1 < width else top + 1
+                for nx in (xs[i], xs[i] + 1):
+                    if d + 1 <= nx < bound and (nx, nx - d - 1) not in forbidden:
+                        moved[xs[:i] + (nx,) + xs[i + 1:]] += w
+            states = moved
+    return sum(states.values())
 
-        def walk(x: int, y: int, mask: int) -> None:
-            verts.append(LatticePoint(x, y))
-            mask |= 1 << (x * height + y)
-            if (x, y) in end_set:
-                cands.append((mask, tuple(verts)))
-            else:
-                if feasible(x + 1, y):
-                    walk(x + 1, y, mask)
-                if feasible(x, y - 1):
-                    walk(x, y - 1, mask)
-            verts.pop()
 
-        if feasible(s.x, s.y):
-            walk(s.x, s.y, 0)
-        all_cands.append(cands)
-    return all_cands
-
-
-def tiling_families(h: PuncturedHexagon) -> Iterator[PathFamily]:
-    """Yield every vertex-disjoint path family in deterministic DFS order:
-    first path major, then lexicographic step order (east before south)
-    per path."""
+def enumerate_tilings(h: PuncturedHexagon) -> int:
+    """Count rhombus tilings exactly: the paths from A_1..A_a and from the
+    puncture, swept over the diagonals x - y = d (see ``_sweep``).  Purely
+    combinatorial — shares nothing with the closed-form or determinant
+    routes beyond start_end_points."""
     _check_guard(h)
-    cands = _candidate_paths(h)
+    return _sweep(h, start_end_points(h)[0])
 
-    def rec(level: int, used: int, chosen):
-        if level == len(cands):
-            yield PathFamily([v for (_m, v) in chosen])
-            return
-        for item in cands[level]:
-            if not (item[0] & used):
-                yield from rec(level + 1, used | item[0], chosen + [item])
 
-    yield from rec(0, 0, [])
+def tiling_family(h: PuncturedHexagon, index: int) -> PathFamily:
+    """The ``index``-th path family (0-based) in depth-first order: first
+    path major, then lexicographic step order (east before south) per path.
+
+    Path 1 is fixed step by step: east while ``index`` is below the number
+    of families that continue east (the sweep from there and the later
+    starts, avoiding every vertex fixed so far), otherwise south with that
+    number subtracted; then path 2, and so on.
+    """
+    total = enumerate_tilings(h)
+    if not 0 <= index < total:
+        raise ValueError(f"index {index} is out of range: there are {total} tilings")
+    starts = start_end_points(h)[0]
+    fixed: set = set()
+    paths = []
+    for i, s in enumerate(starts):
+        path = [s]
+        while path[-1].x - path[-1].y < h.b:
+            x, y = path[-1]
+            east = LatticePoint(x + 1, y)
+            completions = _sweep(h, [east, *starts[i + 1:]], fixed.union(path))
+            if index < completions:
+                path.append(east)
+            else:
+                index -= completions
+                path.append(LatticePoint(x, y - 1))
+        fixed.update(path)
+        paths.append(path)
+    return PathFamily(paths)
 
 
 def validate_family(h: PuncturedHexagon, family: PathFamily) -> None:

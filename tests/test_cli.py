@@ -174,6 +174,16 @@ def test_verify_rejects_bad_parameters():
         assert proc.stdout.strip() == "", args
 
 
+def test_verify_refuses_unequal_parity_up_front():
+    for target in ("theorem3", "conjecture5", "chain53", "lemma10", "lemma8"):
+        for a, b in (("1", "2"), ("4", "1")):
+            proc = _run("verify", target, "--a", a, "--b", b)
+            assert proc.returncode == 2, (target, a, b)
+            assert proc.stdout.strip() == "", (target, a, b)
+            assert proc.stderr == (f"error: verify {target} needs --a and --b of equal "
+                                   f"parity (got --a {a}, --b {b})\n"), (target, a, b)
+
+
 def test_verify_refuses_large_rab_up_front():
     # C(28, 14) = 40,116,600 pairs, and sides too large for C(a+b, a) to be
     # computed: refused before any pair is generated
@@ -237,6 +247,24 @@ def test_render_writes_svg():
             svg = fh.read()
         assert svg.startswith("<?xml") and "</svg>" in svg
         assert svg.count("<polygon") == 7
+
+
+def test_render_large_index_by_unranking():
+    # the first (3,5,5) index a one-by-one walk took 104 s to reach, and the
+    # last of 41,177,150,000 (4,6,6) tilings.  Of T = (a+b+c+1)^2 - a^2 -
+    # b^2 - c^2 unit triangles one is the hole, so (T - 1) / 2 + 1 polygons
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "tiling.svg")
+        for a, b, c, index, polygons in ((3, 5, 5, 2000000, 69),
+                                         (4, 6, 6, 41177149999, 101)):
+            proc = _run("render", "--a", str(a), "--b", str(b), "--c", str(c),
+                        "--index", str(index), "-o", out)
+            assert proc.returncode == 0, proc.stderr
+            assert _report(proc)["params"]["index"] == index
+            with open(out, "r", encoding="utf-8") as fh:
+                svg = fh.read()
+            assert svg.count("<polygon") == polygons, (a, b, c)
+            assert svg.count("#000000") == 1
 
 
 def test_render_index_out_of_range():

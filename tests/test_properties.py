@@ -1,5 +1,6 @@
 """Property tests: Lemma 10, the block-Pfaffian chain and Theorem 3 at
-drawn distinct rational points, 0 and negative values included."""
+drawn distinct rational points, 0 and negative values included; and the
+counting routes against each other at drawn hexagons and punctures."""
 
 from fractions import Fraction
 
@@ -9,11 +10,19 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from punchex.boxcount import theorem1_count, theorem4_count  # noqa: E402
 from punchex.msf import (  # noqa: E402
     chain_5_3_check,
     lemma10_check,
     theorem3_lhs,
     theorem3_rhs,
+)
+from punchex.tiling import (  # noqa: E402
+    PuncturedHexagon,
+    count_via_path_determinants,
+    enumerate_tilings,
+    tiling_family,
+    validate_family,
 )
 
 
@@ -41,3 +50,40 @@ def test_theorem3_chain_and_lemma10_at_drawn_points(case):
     assert lemma10_check(a, b, n + 1, pts1)
     assert chain_5_3_check(a, b, n, pts1, pts0)
     assert theorem3_lhs(a, b, n, pts1, pts0) == theorem3_rhs(a, b, n, pts1, pts0)
+
+
+@st.composite
+def hexagons(draw):
+    """A punctured hexagon with a <= 3, b, c <= 5, a and b of equal parity,
+    punctured at a drawn point strictly inside it (the default in about a
+    quarter of the draws)."""
+    a = draw(st.integers(1, 3))
+    b = draw(st.sampled_from([x for x in range(1, 6) if x % 2 == a % 2]))
+    c = draw(st.integers(1, 5))
+    if draw(st.integers(0, 3)) == 0:
+        return PuncturedHexagon(a, b, c)
+    # strictly inside: 0 <= x <= a+b, 0 <= y <= a+c, -c <= x - y <= b - 1
+    x = draw(st.integers(0, a + b))
+    y = draw(st.integers(max(0, x - b + 1), min(a + c, x + c)))
+    anchor = PuncturedHexagon(a, b, c).puncture_point()
+    return PuncturedHexagon(a, b, c, (x - anchor.x, y - anchor.y))
+
+
+def _steps(family):
+    """A family's steps in depth-first order, east (0) before south (1)."""
+    return [int(v.x == u.x) for path in family for u, v in zip(path, path[1:])]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(hexagons(), st.integers(0, 10 ** 12))
+def test_counting_routes_agree_and_unranking_is_ordered(h, draw):
+    count = enumerate_tilings(h)
+    assert count == count_via_path_determinants(h)
+    if h.puncture_offset == (0, 0):
+        closed = theorem1_count if h.c % 2 == h.a % 2 else theorem4_count
+        assert count == closed(h.a, h.b, h.c)
+    if count > 1:
+        k = draw % (count - 1)
+        first, second = tiling_family(h, k), tiling_family(h, k + 1)
+        validate_family(h, first)
+        assert _steps(first) < _steps(second)

@@ -1,5 +1,7 @@
-"""Tests for the lattice-path model: brute-force enumeration, the
-lattice-path determinant count, and SVG rendering."""
+"""Tests for the lattice-path model: the diagonal sweep and its unranking,
+the lattice-path determinant count, and SVG rendering."""
+
+from typing import List
 
 from punchex.boxcount import theorem1_count, theorem4_count
 from punchex.tiling import (
@@ -11,7 +13,7 @@ from punchex.tiling import (
     enumerate_tilings,
     render_tiling_svg,
     start_end_points,
-    tiling_families,
+    tiling_family,
     validate_family,
 )
 
@@ -40,6 +42,64 @@ def _every_puncture(max_a, max_bc):
                         except ValueError:
                             continue
                         yield h
+
+
+def _candidate_paths(h: PuncturedHexagon):
+    """For every start, all monotone paths ending at an E point.
+
+    Returns a list (per start, in start order) of (mask, verts) pairs,
+    each list in lexicographic step order with east before south.  Masks
+    are vertex bitmasks (bit = x * (a+c+1) + y), so two paths are
+    vertex-disjoint iff their masks do not intersect.
+    """
+    a, b, c = h.a, h.b, h.c
+    height = a + c + 1
+    starts, ends = start_end_points(h)
+    end_set = set(ends)
+
+    def feasible(x: int, y: int) -> bool:
+        # some E_j must remain reachable: b+j-1 >= x and j-1 <= y
+        return max(1, x - b + 1) <= min(a + 1, y + 1)
+
+    all_cands = []
+    for s in starts:
+        cands = []
+        verts: List[LatticePoint] = []
+
+        def walk(x: int, y: int, mask: int) -> None:
+            verts.append(LatticePoint(x, y))
+            mask |= 1 << (x * height + y)
+            if (x, y) in end_set:
+                cands.append((mask, tuple(verts)))
+            else:
+                if feasible(x + 1, y):
+                    walk(x + 1, y, mask)
+                if feasible(x, y - 1):
+                    walk(x, y - 1, mask)
+            verts.pop()
+
+        if feasible(s.x, s.y):
+            walk(s.x, s.y, 0)
+        all_cands.append(cands)
+    return all_cands
+
+
+def _listed_families(h: PuncturedHexagon):
+    """Oracle for ``tiling_family``: every vertex-disjoint path family in
+    depth-first order (first path major, then lexicographic step order,
+    east before south, per path), by a bitmask search that shares no code
+    with the sweep."""
+    cands = _candidate_paths(h)
+
+    def rec(level: int, used: int, chosen):
+        if level == len(cands):
+            yield PathFamily([v for (_m, v) in chosen])
+            return
+        for item in cands[level]:
+            if not (item[0] & used):
+                yield from rec(level + 1, used | item[0], chosen + [item])
+
+    yield from rec(0, 0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +148,7 @@ def test_count_paths():
 
 
 # ---------------------------------------------------------------------------
-# brute force
+# diagonal sweep and unranking
 # ---------------------------------------------------------------------------
 
 def test_enumerate_matches_closed_forms_small():
@@ -114,8 +174,8 @@ def test_enumerate_guards():
 
 def test_families_golden_order():
     h = PuncturedHexagon(1, 1, 1)
-    fams = list(tiling_families(h))
-    assert len(fams) == 2 == enumerate_tilings(h)
+    fams = [tiling_family(h, k) for k in range(enumerate_tilings(h))]
+    assert len(fams) == 2
     # deterministic order: east steps preferred, first start point first
     assert fams[0].paths == (
         ((0, 2), (1, 2), (2, 2), (2, 1)),
@@ -125,16 +185,17 @@ def test_families_golden_order():
         ((0, 2), (0, 1), (0, 0), (1, 0)),
         ((1, 1), (2, 1)),
     )
-    assert list(tiling_families(h)) == fams  # stable across runs
+    assert list(_listed_families(h)) == fams
 
 
 def test_families_are_valid_and_counted_consistently():
     cases = families = 0
     for h in _every_puncture(2, 3):
-        fams = list(tiling_families(h))
+        fams = list(_listed_families(h))
         assert len(fams) == enumerate_tilings(h), h
-        for f in fams:
+        for k, f in enumerate(fams):
             validate_family(h, f)
+            assert tiling_family(h, k) == f, (h, k)
         # all families distinct
         assert len(set(f.paths for f in fams)) == len(fams)
         cases += 1
@@ -142,9 +203,25 @@ def test_families_are_valid_and_counted_consistently():
     assert (cases, families) == (120, 6920)
 
 
+def test_tiling_family_index_range():
+    h = PuncturedHexagon(3, 5, 5)
+    for index in (-1, 8750000):
+        try:
+            tiling_family(h, index)
+        except ValueError as exc:
+            assert str(exc) == f"index {index} is out of range: there are 8750000 tilings"
+        else:
+            raise AssertionError(f"index {index} was accepted")
+    _expect_value_error(tiling_family, PuncturedHexagon(1, 7, 1), 0)
+    # the first and last families of a large shape, without listing the rest
+    h = PuncturedHexagon(4, 6, 6)
+    for index in (0, 41177149999):
+        validate_family(h, tiling_family(h, index))
+
+
 def test_validate_family_rejects_tampering():
     h = PuncturedHexagon(1, 1, 1)
-    good = next(iter(tiling_families(h)))
+    good = tiling_family(h, 0)
     bad_start = PathFamily([((1, 2),) + good[0][1:], good[1]])
     _expect_value_error(validate_family, h, bad_start)
     bad_step = PathFamily([(good[0][0], good[0][2], good[0][3]), good[1]])
@@ -186,7 +263,7 @@ def test_determinant_route_matches_brute_force():
 
 def test_render_svg_structure():
     h = PuncturedHexagon(1, 1, 1)
-    fams = list(tiling_families(h))
+    fams = [tiling_family(h, 0), tiling_family(h, 1)]
     svg = render_tiling_svg(h, fams[0])
     assert svg.startswith("<?xml")
     assert "<svg" in svg and svg.rstrip().endswith("</svg>")
@@ -200,7 +277,7 @@ def test_render_svg_structure():
 
 def test_render_svg_polygon_count_scales():
     h = PuncturedHexagon(1, 1, 2)
-    fam = next(iter(tiling_families(h)))
+    fam = tiling_family(h, 0)
     svg = render_tiling_svg(h, fam)
     # area (a+b+c+1)^2 - a^2 - b^2 - c^2 = 19 triangles -> 9 rhombi + 1 hole
     assert svg.count("<polygon") == 10
@@ -208,5 +285,5 @@ def test_render_svg_polygon_count_scales():
 
 def test_render_rejects_foreign_family():
     h = PuncturedHexagon(1, 1, 1)
-    other = next(iter(tiling_families(PuncturedHexagon(1, 1, 2))))
+    other = tiling_family(PuncturedHexagon(1, 1, 2), 0)
     _expect_value_error(render_tiling_svg, h, other)
