@@ -166,6 +166,13 @@ def _estimated_ps(target: str, a: int, b: int, n: int, trials: int) -> int:
     builds two of size k = 2n-b+2 whose entries are sums of s = (a+b)/2
     products.  Measured times above 0.5 s on a grid of 149 inputs were
     0.62x..1.69x the estimate.  lemma8 is bounded by MAX_RAB_PAIRS alone.
+
+    The weights were fitted to n x n Schur alternants and to moment
+    Pfaffians over Fraction entries.  The Schur values are integer
+    Jacobi-Trudi determinants of size at most a+1 over one e-table per
+    alphabet, and the moment matrices are scaled to integers point by
+    point, so the Schur and Pfaffian terms overestimate: the slowest input
+    found near the budget takes about half of it (see the README).
     """
     if target in ("minor-summation", "lemma9"):
         return trials * PS_PER[target]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import (
@@ -92,6 +93,12 @@ def moment_matrix(I: Sequence[int], pts: Iterable) -> ExactMatrix:
         raise ValueError("moment matrix exponents must be nonnegative")
     points = as_points(pts)
     return [[x ** e for e in exps] for x in points]
+
+
+def _scale_rows(m: ExactMatrix, d: Sequence[int]) -> ExactMatrix:
+    """diag(d) m as an ``int`` matrix, d_k being a multiple of every
+    denominator in row k."""
+    return [[x.numerator * (dk // x.denominator) for x in row] for row, dk in zip(m, d)]
 
 
 def structured_skew(a: int, b: int) -> ExactMatrix:
@@ -334,13 +341,20 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
 
     with (G, H, A) from build_msf_instance.  Needs pairwise distinct
     points (the right side divides by both Vandermonde products).
+
+    Row k of G and H is scaled by d_k = q_k^(n+a), x_k = p_k / q_k, n+a
+    being the largest exponent in P, Q and R.  That makes G, H and the
+    bordered matrix integer: it becomes diag(D, I) M diag(D, I), whose
+    Pfaffian is prod d_k Pf(M), divided out once.
     """
     p1, p0 = _nested(n, pts1, pts0)
     if not distinct(p1):
         raise ValueError("requires pairwise distinct points")
     G, H, A = build_msf_instance(a, b, n, p1, p0)
+    d = [x.denominator ** (n + a) for x in p1 + p0]
+    G, H = _scale_rows(G, d), _scale_rows(H, d)
     gag = matmul(matmul(G, A), transpose(G))
-    pf = pfaffian(_skew_border(gag, H))
+    pf = pfaffian(_skew_border(gag, H)) / prod(d)
     sign = -1 if (b * n + n - b) % 2 else 1
     rhs = sign * pf / (vandermonde_product(p1) * vandermonde_product(p0))
     return theorem3_lhs(a, b, n, p1, p0) == rhs
@@ -352,12 +366,18 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
 
 def _n_entry(x, y, s: int, shift: int) -> Fraction:
     """(x y)^shift * (y^(s+1) - x^(s+1)) * sum_{r<s} x^r y^(s-1-r)."""
-    acc = sum((x ** r * y ** (s - 1 - r) for r in range(s)), Fraction(0))
-    return (x ** shift) * (y ** shift) * (y ** (s + 1) - x ** (s + 1)) * acc
+    return Fraction(_scaled_n_entry(x, y, s, shift),
+                    (x.denominator * y.denominator) ** (shift + 2 * s))
 
 
-def _n_matrix(pts, s: int, shift: int) -> ExactMatrix:
-    return [[_n_entry(x, y, s, shift) for y in pts] for x in pts]
+def _scaled_n_entry(x: Fraction, y: Fraction, s: int, shift: int) -> int:
+    """``_n_entry`` times (q v)^(shift+2s), for x = p/q and y = u/v: with
+    A = p v and B = q u, the integer
+    (p u)^shift * (B^(s+1) - A^(s+1)) * sum_{r<s} A^r B^(s-1-r)."""
+    p, q, u, v = x.numerator, x.denominator, y.numerator, y.denominator
+    A, B = p * v, q * u
+    acc = sum(A ** r * B ** (s - 1 - r) for r in range(s))
+    return (p * u) ** shift * (B ** (s + 1) - A ** (s + 1)) * acc
 
 
 def _lemma10_identity(a: int, b: int, ambient: int, pts: EvalPoint) -> bool:
@@ -369,8 +389,14 @@ def _lemma10_identity(a: int, b: int, ambient: int, pts: EvalPoint) -> bool:
     e = (L - t) * t + t * (t - 1) // 2
     if border is sets.Q:
         e += (L - t) // 2
-    N = _n_matrix(pts, (a + b) // 2, ambient - b)
-    lhs = pfaffian(_skew_border(N, moment_matrix(border, pts)))
+    # row and column k of N, and row k of the border, scaled by
+    # d_k = q_k^(ambient+a), the largest power of x_k in either: the bordered
+    # matrix is integer and its Pfaffian is prod_k d_k times the unscaled one
+    s, shift = (a + b) // 2, ambient - b
+    N = [[_scaled_n_entry(x, y, s, shift) for y in pts] for x in pts]
+    d = [x.denominator ** (ambient + a) for x in pts]
+    M = _scale_rows(moment_matrix(border, pts), d)
+    lhs = pfaffian(_skew_border(N, M)) / prod(d)
     R, R2 = _rectangles(a, b)[L - ambient:L - ambient + 2]
     rhs = vandermonde_product(pts) * schur_eval(R, pts) * schur_eval(R2, pts)
     return lhs == (-rhs if e % 2 else rhs)

@@ -3,13 +3,18 @@
 Schur polynomials are evaluated two independent ways:
 
 * ``schur_nk`` — determinant of elementary symmetric functions over the
-  conjugate shape (the "dual" Jacobi-Trudi form).  Division-free, so it
-  accepts repeated evaluation points, in particular all-ones
-  specializations.
+  conjugate shape (the "dual" Jacobi-Trudi form), of size lambda_1.  With
+  x_j = p_j / q_j and Q = prod_j q_j, its entries come from the cached
+  integer table Q e_0, ..., Q e_n of the alphabet, so the determinant runs
+  over ``int`` and divides once, by Q^lambda_1.  It accepts repeated
+  points, in particular all-ones specializations, and it is the evaluator
+  behind ``schur_eval``.  Its cost grows with lambda_1, not with the
+  number of points.
 * ``schur_bidet`` — ratio of two alternants det(x_j^(lam_i+n-i)) /
   det(x_j^(n-i)), both cleared of denominators so the determinant and the
   Vandermonde product run over ``int`` and divide once.  Requires pairwise
-  distinct points.
+  distinct points.  Nothing in the package calls it: it is the independent
+  route the tests check ``schur_nk`` against.
 
 ``generate_rab`` produces the family R(a,b) of partition pairs (lambda, mu)
 indexed by (k; i_1..i_{a+1}) that the summation identities range over, and
@@ -36,7 +41,7 @@ EvalPoint = Tuple[Fraction, ...]
 
 
 def as_points(pts: Iterable) -> EvalPoint:
-    return tuple(Fraction(x) for x in pts)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in pts)
 
 
 def distinct(pts: Sequence) -> bool:
@@ -66,14 +71,20 @@ def seeded_points(count: int, seed: int) -> EvalPoint:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _elementary_all(pts: EvalPoint) -> Tuple[Fraction, ...]:
-    """(e_0, e_1, ..., e_n) at pts, by the one-variable-at-a-time recurrence."""
-    e = [Fraction(1)] + [Fraction(0)] * len(pts)
+def _elementary_all(pts: EvalPoint) -> Tuple[int, ...]:
+    """(Q e_0, Q e_1, ..., Q e_n) at pts, all integers, with Q = prod_j q_j.
+
+    With x_j = p_j / q_j these are the coefficients of prod_j (q_j + p_j t),
+    multiplied out one factor at a time; the first entry is Q itself.
+    """
+    e = [1] + [0] * len(pts)
     m = 0
     for x in pts:
+        p, q = x.numerator, x.denominator
         m += 1
         for s in range(m, 0, -1):
-            e[s] += x * e[s - 1]
+            e[s] = q * e[s] + p * e[s - 1]
+        e[0] *= q
     return tuple(e)
 
 
@@ -82,7 +93,8 @@ def elementary_sym(s: int, pts: Iterable) -> Fraction:
     p = as_points(pts)
     if s < 0 or s > len(p):
         return Fraction(0)
-    return _elementary_all(p)[s]
+    ev = _elementary_all(p)
+    return Fraction(ev[s], ev[0])
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +104,24 @@ def elementary_sym(s: int, pts: Iterable) -> Fraction:
 def schur_nk(p, pts: Iterable) -> Fraction:
     """Schur value via the dual Jacobi-Trudi determinant.
 
-    s_lambda = det( e_{lambda'_i - i + j} )_{1<=i,j<=m} with m = max(1, lambda_1).
-    Works at arbitrary (possibly repeated) points; a shape with more rows
-    than there are points correctly evaluates to 0.
+    s_lambda = det( e_{lambda'_i - i + j} )_{1<=i,j<=m} with m = lambda_1.
+    The entries are read from the integer table Q e_k of ``_elementary_all``,
+    so the determinant runs over ``int`` and equals Q^m s_lambda; one
+    division at the end.  Works at arbitrary (possibly repeated) points; a
+    shape with more rows than there are points correctly evaluates to 0.
+    The cost grows with lambda_1, the size of the determinant, and not with
+    the number of points: a wide shape at few points (lambda = (200,) at
+    two points is a 200 x 200 determinant) costs far more than its
+    n x n alternant would.
     """
     lam = p if isinstance(p, Partition) else Partition(p)
-    points = as_points(pts)
-    m = max(1, lam.part(1))
-    lam_c = conjugate(lam)
-    ev = _elementary_all(points)
-    nmax = len(points)
-
-    def e(s: int) -> Fraction:
-        return ev[s] if 0 <= s <= nmax else Fraction(0)
-
-    mat = [[e(lam_c.part(i) - i + j) for j in range(1, m + 1)] for i in range(1, m + 1)]
-    return determinant(mat)
+    ev = _elementary_all(as_points(pts))
+    n = len(ev) - 1
+    conj = conjugate(lam).parts
+    m = len(conj)
+    mat = [[ev[s] if 0 <= (s := c - i + j) <= n else 0 for j in range(m)]
+           for i, c in enumerate(conj)]
+    return determinant(mat) / ev[0] ** m
 
 
 def schur_bidet(p, pts: Iterable) -> Fraction:
@@ -139,17 +153,13 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _schur_cached(parts: Tuple[int, ...], pts: EvalPoint) -> Fraction:
-    lam = Partition(parts)
-    if len(lam) > len(pts):
-        return Fraction(0)
-    if distinct(pts):
-        return schur_bidet(lam, pts)
-    return schur_nk(lam, pts)
+    return schur_nk(parts, pts)
 
 
 def schur_eval(p, pts: Iterable) -> Fraction:
-    """Memoized Schur evaluation: alternant ratio at distinct points,
-    e-determinant otherwise (repeated points, e.g. all-ones)."""
+    """Memoized Schur evaluation by the integer dual Jacobi-Trudi
+    determinant (``schur_nk``), at any points, repeated ones included.
+    Its cost grows with lambda_1, not with the number of points."""
     lam = p if isinstance(p, Partition) else Partition(p)
     return _schur_cached(lam.parts, as_points(pts))
 

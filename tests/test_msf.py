@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from punchex import msf
 from punchex.core import determinant, pfaffian, pfaffian_minor
 from punchex.msf import (
     IndexSets,
@@ -307,6 +308,48 @@ def test_lemma10_seeded_sweep():
                     assert lemma10_check(a, b, n, pts), (a, b, n, pts)
                     cases += 1
     assert cases == 13 * 4 * 2
+
+
+def test_chain53_and_both_lemma10_alphabets_at_zero_and_negative_points():
+    # the per-point scaled Pfaffians at points that include 0 and a
+    # negative value: chain53 on (X_{n+1}, X_n), and Lemma 10 on X_{n+1} at
+    # ambient n+1 and n and on X_n at ambient n
+    rng = random.Random(53)
+    cases = 0
+    for a in range(1, 6):
+        for b in range(1, 6):
+            if a % 2 != b % 2:
+                continue
+            for n in (b, b + 1):
+                pts = _mixed_points(n + 1, rng)
+                assert F(0) in pts and min(pts) < 0
+                assert chain_5_3_check(a, b, n, pts, pts[:n]), (a, b, n, pts)
+                assert lemma10_check(a, b, n + 1, pts), (a, b, n + 1, pts)
+                assert lemma10_check(a, b, n, pts[:n]), (a, b, n, pts)
+                cases += 1
+    assert cases == 13 * 2
+
+
+def test_moment_pfaffians_run_on_integer_matrices(monkeypatch):
+    # chain53 and Lemma 10 scale row k by q_k^E, E the largest power of x_k
+    # in the row, so every entry handed to the Pfaffian is an integer
+    seen = []
+
+    def recording_pfaffian(m):
+        seen.append(all(x.denominator == 1 for row in m for x in row))
+        return pfaffian(m)
+
+    monkeypatch.setattr(msf, "pfaffian", recording_pfaffian)
+    pts = (F(-3, 2), F(0), F(5, 3), F(7, 4), F(-2, 5), F(9, 7), F(4), F(-11, 6))
+    for a in range(1, 6):
+        for b in range(1, 6):
+            if a % 2 != b % 2:
+                continue
+            for n in (b, b + 1):
+                assert chain_5_3_check(a, b, n, pts[:n + 1], pts[:n]), (a, b, n)
+                assert lemma10_check(a, b, n + 1, pts[:n + 1]), (a, b, n + 1)
+                assert lemma10_check(a, b, n, pts[:n]), (a, b, n)
+    assert len(seen) > 50 and all(seen)
 
 
 def test_lemma10_validation():

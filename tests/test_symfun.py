@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
-from punchex.core import Partition, binomial
+from punchex.core import Partition, binomial, conjugate, determinant
 from punchex.symfun import (
     RabIndex,
     RabPair,
+    _elementary_all,
+    as_points,
     elementary_sym,
     generate_rab,
     lemma8_check,
@@ -78,6 +80,79 @@ def test_schur_two_routes_agree():
                        reverse=True)
         p = Partition(parts)
         assert schur_nk(p, pts) == schur_bidet(p, pts), (trial, p, pts)
+
+
+def _oracle_elementary_all(pts):
+    """(e_0, ..., e_n) over Fraction, one variable at a time."""
+    e = [F(1)] + [F(0)] * len(pts)
+    for m, x in enumerate(pts, 1):
+        for s in range(m, 0, -1):
+            e[s] += x * e[s - 1]
+    return tuple(e)
+
+
+def _oracle_schur_nk(p, pts):
+    """Dual Jacobi-Trudi determinant over Fraction, of size max(1, lambda_1)."""
+    pts = as_points(pts)
+    m = max(1, p.part(1))
+    lam_c = conjugate(p)
+    ev = _oracle_elementary_all(pts)
+
+    def e(s):
+        return ev[s] if 0 <= s <= len(pts) else F(0)
+
+    return determinant([[e(lam_c.part(i) - i + j) for j in range(1, m + 1)]
+                        for i in range(1, m + 1)])
+
+
+def test_elementary_table_is_denominator_cleared():
+    rng = random.Random(41)
+    for _ in range(60):
+        pts = as_points(rng.choices(MIXED_POINTS, k=rng.randint(0, 7)))
+        table = _elementary_all(pts)
+        Q = 1
+        for x in pts:
+            Q *= x.denominator
+        assert all(type(c) is int for c in table), pts
+        assert table == tuple(Q * e for e in _oracle_elementary_all(pts)), pts
+        assert [elementary_sym(s, pts) for s in range(len(pts) + 1)] == list(
+            _oracle_elementary_all(pts)), pts
+
+
+def test_schur_integer_jacobi_trudi_matches_fraction_oracle():
+    # 0, negatives, ints, unreduced fractions, repeated points, the empty
+    # shape, shapes longer than the alphabet and lambda_1 > n
+    rng = random.Random(53)
+    seen = dict.fromkeys(("repeated", "empty", "too_long", "wide", "bidet"), 0)
+    for trial in range(300):
+        npts = rng.randint(0, 6)
+        if trial % 3 == 0:
+            pts = tuple(rng.choices(MIXED_POINTS[:6], k=npts))
+        else:
+            pts = tuple(rng.sample(MIXED_POINTS, npts))
+        kind = trial % 4
+        if kind == 0:
+            parts = []
+        elif kind == 1:
+            parts = [rng.randint(1, 3) for _ in range(npts + rng.randint(1, 2))]
+        elif kind == 2:
+            parts = [npts + rng.randint(1, 3)] + [rng.randint(0, 3) for _ in range(2)]
+        else:
+            parts = [rng.randint(0, 5) for _ in range(rng.randint(0, npts))]
+        p = Partition(sorted(parts, reverse=True))
+        expected = _oracle_schur_nk(p, pts)
+        assert schur_nk(p, pts) == expected, (trial, p, pts)
+        assert schur_eval(p, pts) == expected, (trial, p, pts)
+        if len(p) > npts:
+            assert expected == 0
+        seen["repeated"] += len(set(as_points(pts))) < npts
+        seen["empty"] += not p.parts
+        seen["too_long"] += len(p) > npts
+        seen["wide"] += p.part(1) > npts
+        if len(set(as_points(pts))) == npts and len(p) <= npts:
+            assert schur_bidet(p, pts) == expected, (trial, p, pts)
+            seen["bidet"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_schur_bidet_validation():
