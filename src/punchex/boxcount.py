@@ -12,7 +12,7 @@ or just off-center (mixed-parity case).  Both are products of box counts.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import perm
 
 # backtracking guard: the brute-force oracle refuses boxes beyond this size
 MAX_PLANE_CELLS = 16
@@ -23,22 +23,23 @@ def macmahon_box(alpha: int, beta: int, gamma: int) -> int:
     """Number of plane partitions in the alpha x beta x gamma box.
 
     Computed as the exact product over the base of (i+j+gamma-1)/(i+j-1),
-    the telescoped form of prod over the box of (i+j+k-1)/(i+j+k-2),
-    accumulated as a single fraction and verified to reduce to an integer.
-    A box with any zero dimension holds exactly the empty plane partition.
+    the telescoped form of prod over the box of (i+j+k-1)/(i+j+k-2).  Row i
+    of the base contributes perm(i+beta+gamma-1, beta) to the numerator and
+    perm(i+beta-1, beta) to the denominator; one division at the end, checked
+    to be exact.  A box with any zero dimension holds exactly the empty plane
+    partition.
     """
     if alpha < 0 or beta < 0 or gamma < 0:
         raise ValueError("box dimensions must be nonnegative")
     num = 1
     den = 1
     for i in range(1, alpha + 1):
-        for j in range(1, beta + 1):
-            num *= i + j + gamma - 1
-            den *= i + j - 1
-    value = Fraction(num, den)
-    if value.denominator != 1:
+        num *= perm(i + beta + gamma - 1, beta)
+        den *= perm(i + beta - 1, beta)
+    value, rest = divmod(num, den)
+    if rest:
         raise ArithmeticError("box product did not reduce to an integer")
-    return int(value)
+    return value
 
 
 def enumerate_plane_partitions(alpha: int, beta: int, gamma: int) -> int:

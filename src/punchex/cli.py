@@ -50,10 +50,13 @@ RAB_TARGETS = ("theorem3", "conjecture5", "chain53", "lemma8")
 
 # ``verify`` refuses up front any input whose estimated run time is longer.
 VERIFY_BUDGET_S = 5
-# Picoseconds per unit of work, fitted to one-trial timings with cold caches
-# (one core of a 2-core x86 host, Python 3.11); see ``_estimated_ps``.
-PS_PER = {"step": 250_000, "schur_digit": 30, "pfaffian_digit": 46,
-          "entry_digit": 10_600, "minor-summation": 360_000_000, "lemma9": 125_000_000}
+# Femtoseconds per unit of work, fitted to timings with cold caches (one
+# core of a 2-core x86 host, Python 3.11) and then raised by 60%, so that
+# few admitted inputs run much past the budget; see ``_estimated_fs``.
+FS_PER = {"schur_value": 93_000_000_000, "schur_step": 78_000_000, "schur_digit": 13_000,
+          "rectangle_step": 32_000_000, "rectangle_digit": 10_000,
+          "pfaffian_step": 150_000_000, "chain53_digit": 460, "lemma10_digit": 1_100,
+          "minor-summation": 360_000_000_000, "lemma9": 125_000_000_000}
 
 # The targets checked at seeded points: how many points beyond n each draws,
 # and its check on (a, b, n, points).  The lambdas look the checks up at call
@@ -150,52 +153,55 @@ def _build_parser() -> argparse.ArgumentParser:
 # verify targets
 # ---------------------------------------------------------------------------
 
-def _estimated_ps(target: str, a: int, b: int, n: int, trials: int) -> int:
-    """Estimated run time of ``verify target`` in picoseconds, in integers so
-    that huge inputs cannot overflow.
+def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
+    """Estimated run time of ``verify target`` in femtoseconds, in integers
+    so that huge inputs cannot overflow.
 
     ``minor-summation`` and ``lemma9`` cost a fixed time per trial.  A trial
-    of the other targets is a few exact eliminations; one of size k over
-    entries of about D digits takes about k^3 interpreter steps and k^4 D^2
-    digit operations (schoolbook products of numbers grown to k D digits).
-    The R(a,b) targets evaluate 2 C(a+b, a) Schur alternants, plus four
-    rectangles for theorem3 and conjecture5, of size k = n+1 (n+2 for
-    conjecture5) with parts at most a, so D = k + a.  The moment Pfaffians
-    have entries of degree about D = 2n+a-b+2: chain53 adds one of size
-    4n-2b+2 whose (2n+1)^2 entries are sums of a+b products, and lemma10
-    builds two of size k = 2n-b+2 whose entries are sums of s = (a+b)/2
-    products.  Measured times above 0.5 s on a grid of 149 inputs were
-    0.62x..1.69x the estimate.  lemma8 is bounded by MAX_RAB_PAIRS alone.
-
-    The weights were fitted to n x n Schur alternants and to moment
-    Pfaffians over Fraction entries.  The Schur values are integer
-    Jacobi-Trudi determinants of size at most a+1 over one e-table per
-    alphabet, and the moment matrices are scaled to integers point by
-    point, so the Schur and Pfaffian terms overestimate: the slowest input
-    found near the budget takes about half of it (see the README).
+    of the other targets evaluates Schur values, each an integer
+    Jacobi-Trudi determinant of size k over the e-table of an alphabet of
+    L points: a fixed cost, about k^3 elimination steps, and about
+    k^4 L^2 digit operations as the entries grow.  An R(a,b) target
+    evaluates m = 2 C(a+b, a) values, plus four rectangles for theorem3
+    and conjecture5, with k <= a+1 (lambda_1 <= a+1 over R(a,b)) and
+    L = n+1 (n+2 for conjecture5).  Few of them reach that bound when b is
+    small (the mean of lambda_1^3 / (a+1)^3 is about 0.27 at b = 1, 0.48 at
+    b = 3 and 0.62 at b = 7), so both terms carry the factor b/(b+2).
+    lemma10 evaluates two rectangles per alphabet, with k <= (a+2)/2,
+    L = n and at most r = b/2+1 rows; they are priced apart, since k is
+    nearly exact for them, and their digit work grows with r as well.
+    The moment Pfaffians are integer: chain53 takes one of size
+    K = 4n-2b+2, and lemma10 one of size K = 2n-b+2 per alphabet (two when
+    n-1 >= b).  Each costs about K^3 elimination steps and
+    K^5 (n+a) (s+1) digit operations, s = (a+b)/2.  The digit terms and
+    the factor b/(b+2) are forms fitted to timings, not derived.  Measured
+    times of 440 inputs that took 0.2 s or more were 0.38x..1.21x the
+    estimate.  lemma8 is bounded by MAX_RAB_PAIRS alone.
     """
     if target in ("minor-summation", "lemma9"):
-        return trials * PS_PER[target]
+        return trials * FS_PER[target]
     if target == "lemma8":
         return 0
     n, s = max(n, 0), (a + b) // 2
-    work = dict.fromkeys(("step", "schur_digit", "pfaffian_digit", "entry_digit"), 0)
+    work = dict.fromkeys(FS_PER, 0)
     if target in RAB_TARGETS:
-        k = n + (2 if target == "conjecture5" else 1)
         m = 2 * binomial(a + b, a) + (0 if target == "chain53" else 4)
-        work["step"] += m * k ** 3
-        work["schur_digit"] += m * k ** 4 * (k + a) ** 2
+        k, L, b0 = a + 1, n + (2 if target == "conjecture5" else 1), max(b, 0)
+        work["schur_value"] += m
+        work["schur_step"] += m * k ** 3 * b0 // (b0 + 2)
+        work["schur_digit"] += m * k ** 4 * L ** 2 * b0 // (b0 + 2)
     if target == "chain53":
-        k, D = 4 * n - 2 * b + 2, 2 * n + a - b + 2
-        work["step"] += k ** 3
-        work["pfaffian_digit"] += k ** 4 * D ** 2
-        work["entry_digit"] += (2 * n + 1) ** 2 * (a + b) * D ** 2
+        K = 4 * n - 2 * b + 2
+        work["pfaffian_step"] += K ** 3
+        work["chain53_digit"] += K ** 5 * (n + a) * (s + 1)
     if target == "lemma10":
-        k, D = 2 * n - b + 2, 2 * n + a - b + 2
-        work["step"] += 2 * k ** 3
-        work["pfaffian_digit"] += 2 * k ** 4 * D ** 2
-        work["entry_digit"] += 2 * k ** 2 * (s + 1) * D ** 2
-    return trials * sum(PS_PER[unit] * w for unit, w in work.items())
+        alphabets, K = (2 if n - 1 >= b else 1), 2 * n - b + 2
+        work["pfaffian_step"] += alphabets * K ** 3
+        work["lemma10_digit"] += alphabets * K ** 5 * (n + a) * (s + 1)
+        k = (a + 2) // 2
+        work["rectangle_step"] += 2 * alphabets * k ** 3
+        work["rectangle_digit"] += 2 * alphabets * k ** 4 * n ** 2 * (b // 2 + 1)
+    return trials * sum(FS_PER[unit] * w for unit, w in work.items())
 
 
 def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
@@ -218,11 +224,11 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
             f"R({a},{b}) has C(a+b, a) > {MAX_RAB_PAIRS} pairs, "
             f"more than verify {target} admits"
         )
-    estimate = _estimated_ps(target, a, b, nn, t)
-    if estimate > VERIFY_BUDGET_S * 10 ** 12:
+    estimate = _estimated_fs(target, a, b, nn, t)
+    if estimate > VERIFY_BUDGET_S * 10 ** 15:
         raise ValueError(
             f"verify {target} at a={a}, b={b}, n={nn}, trials={t} would take about "
-            f"{Decimal(estimate) / 10 ** 12:.2g} s, more than the {VERIFY_BUDGET_S} s "
+            f"{Decimal(estimate) / 10 ** 15:.2g} s, more than the {VERIFY_BUDGET_S} s "
             "verify admits"
         )
     if target == "lemma8":

@@ -37,7 +37,7 @@ class Partition:
 
     Trailing zeros are stripped on construction, so two partitions are
     equal iff their nonzero parts agree.  Instances are immutable and
-    hashable (they are used as cache keys by the Schur evaluators).
+    hashable.
     """
 
     __slots__ = ("parts",)
@@ -89,13 +89,12 @@ def conjugate(p: Partition) -> Partition:
     """Transpose the Young diagram of ``p``.
 
     The j-th part of the conjugate is the number of parts of ``p`` that
-    are >= j.  conjugate(conjugate(p)) == p.
+    are >= j, so i occurs p_i - p_(i+1) times.  conjugate(conjugate(p)) == p.
     """
-    if not isinstance(p, Partition):
-        p = Partition(p)
-    if not p.parts:
-        return Partition()
-    return Partition(sum(1 for x in p.parts if x >= j) for j in range(1, p.parts[0] + 1))
+    parts = (p if isinstance(p, Partition) else Partition(p)).parts
+    below = parts[1:] + (0,)
+    return Partition(i for i in range(len(parts), 0, -1)
+                     for _ in range(parts[i - 1] - below[i - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,9 @@ from .core import (
 )
 from .symfun import (
     EvalPoint,
+    _rab_sum,
     as_points,
     distinct,
-    generate_rab,
     schur_eval,
     vandermonde_product,
 )
@@ -271,12 +271,6 @@ def _rectangles(a: int, b: int) -> Tuple[Partition, Partition, Partition]:
         Partition([(a + 1) // 2] * ((b + 1) // 2)),
         Partition([a // 2] * ((b + 2) // 2)),
     )
-
-
-def _rab_sum(a: int, b: int, big: EvalPoint, small: EvalPoint) -> Fraction:
-    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small)."""
-    return sum((schur_eval(pair.lam, big) * schur_eval(pair.mu, small)
-                for pair in generate_rab(a, b)), Fraction(0))
 
 
 def _rect_product(a: int, b: int, xa, xb1, xb2, xc) -> Fraction:

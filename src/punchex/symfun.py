@@ -4,12 +4,12 @@ Schur polynomials are evaluated two independent ways:
 
 * ``schur_nk`` — determinant of elementary symmetric functions over the
   conjugate shape (the "dual" Jacobi-Trudi form), of size lambda_1.  With
-  x_j = p_j / q_j and Q = prod_j q_j, its entries come from the cached
-  integer table Q e_0, ..., Q e_n of the alphabet, so the determinant runs
-  over ``int`` and divides once, by Q^lambda_1.  It accepts repeated
-  points, in particular all-ones specializations, and it is the evaluator
-  behind ``schur_eval``.  Its cost grows with lambda_1, not with the
-  number of points.
+  x_j = p_j / q_j and Q = prod_j q_j, its entries come from the integer
+  table Q e_0, ..., Q e_n of the alphabet (``_elementary_all``, the
+  module's one cache), so the determinant runs over ``int`` and divides
+  once, by Q^lambda_1.  ``schur_eval`` calls it, and an R(a,b) sum reads
+  each alphabet's table once.  It accepts repeated points (all-ones
+  specializations); its cost grows with lambda_1, not with the points.
 * ``schur_bidet`` — ratio of two alternants det(x_j^(lam_i+n-i)) /
   det(x_j^(n-i)), both cleared of denominators so the determinant and the
   Vandermonde product run over ``int`` and divide once.  Requires pairwise
@@ -48,18 +48,29 @@ def distinct(pts: Sequence) -> bool:
     return len(set(pts)) == len(pts)
 
 
+# ``seeded_points`` draws p/q with 1 <= p, q <= _DRAW_MAX: _SEEDED_VALUES
+# (115) distinct values
+_DRAW_MAX = 13
+_SEEDED_VALUES = len({Fraction(p, q) for p in range(1, _DRAW_MAX + 1)
+                      for q in range(1, _DRAW_MAX + 1)})
+
+
 def seeded_points(count: int, seed: int) -> EvalPoint:
     """Deterministic pseudo-random pairwise-distinct positive rationals.
 
-    Numerators and denominators are drawn from 1..13 with
+    Numerators and denominators are drawn from 1.._DRAW_MAX with
     ``random.Random(seed)``; duplicates are re-drawn.  Fixed seeds make
-    every randomized identity check reproducible.
+    every randomized identity check reproducible.  A count above the
+    _SEEDED_VALUES distinct values p/q is refused rather than drawn forever.
     """
+    if count > _SEEDED_VALUES:
+        raise ValueError(f"seeded points are the {_SEEDED_VALUES} distinct values p/q "
+                         f"with 1 <= p, q <= {_DRAW_MAX}; {count} were asked for")
     rng = random.Random(seed)
     out: List[Fraction] = []
     seen = set()
     while len(out) < count:
-        x = Fraction(rng.randint(1, 13), rng.randint(1, 13))
+        x = Fraction(rng.randint(1, _DRAW_MAX), rng.randint(1, _DRAW_MAX))
         if x not in seen:
             seen.add(x)
             out.append(x)
@@ -101,6 +112,17 @@ def elementary_sym(s: int, pts: Iterable) -> Fraction:
 # Schur evaluation
 # ---------------------------------------------------------------------------
 
+def _schur_from_table(lam, ev: Tuple[int, ...]) -> Fraction:
+    """s_lambda as det(Q e_{lambda'_i - i + j}) of size lambda_1 over the
+    integer table ev of ``_elementary_all``, divided once by Q^lambda_1;
+    ``conjugate`` validates lam when it is not a ``Partition``."""
+    n = len(ev) - 1
+    conj = conjugate(lam).parts
+    mat = [[ev[s] if 0 <= (s := c - i + j) <= n else 0 for j in range(len(conj))]
+           for i, c in enumerate(conj)]
+    return determinant(mat) / ev[0] ** len(conj)
+
+
 def schur_nk(p, pts: Iterable) -> Fraction:
     """Schur value via the dual Jacobi-Trudi determinant.
 
@@ -114,14 +136,7 @@ def schur_nk(p, pts: Iterable) -> Fraction:
     two points is a 200 x 200 determinant) costs far more than its
     n x n alternant would.
     """
-    lam = p if isinstance(p, Partition) else Partition(p)
-    ev = _elementary_all(as_points(pts))
-    n = len(ev) - 1
-    conj = conjugate(lam).parts
-    m = len(conj)
-    mat = [[ev[s] if 0 <= (s := c - i + j) <= n else 0 for j in range(m)]
-           for i, c in enumerate(conj)]
-    return determinant(mat) / ev[0] ** m
+    return _schur_from_table(p, _elementary_all(as_points(pts)))
 
 
 def schur_bidet(p, pts: Iterable) -> Fraction:
@@ -151,17 +166,9 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
     return determinant(num) / ((-1) ** (n * (n - 1) // 2) * den)
 
 
-@lru_cache(maxsize=None)
-def _schur_cached(parts: Tuple[int, ...], pts: EvalPoint) -> Fraction:
-    return schur_nk(parts, pts)
-
-
 def schur_eval(p, pts: Iterable) -> Fraction:
-    """Memoized Schur evaluation by the integer dual Jacobi-Trudi
-    determinant (``schur_nk``), at any points, repeated ones included.
-    Its cost grows with lambda_1, not with the number of points."""
-    lam = p if isinstance(p, Partition) else Partition(p)
-    return _schur_cached(lam.parts, as_points(pts))
+    """Schur value at any points, repeated ones included (``schur_nk``)."""
+    return schur_nk(p, pts)
 
 
 def _vandermonde_numerator(points: EvalPoint) -> int:
@@ -275,6 +282,14 @@ def generate_rab(a: int, b: int) -> List[RabPair]:
                 i = tuple(negs) + (0,) + tuple(poss)
                 out.append(_pair_from_index(RabIndex(a, b, k, i)))
     return out
+
+
+def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
+    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small), every
+    value read from the two alphabets' e-tables, each looked up once."""
+    eb, es = _elementary_all(as_points(big)), _elementary_all(as_points(small))
+    return sum((_schur_from_table(pair.lam, eb) * _schur_from_table(pair.mu, es)
+                for pair in generate_rab(a, b)), Fraction(0))
 
 
 def lemma8_check(pair: RabPair) -> bool:

@@ -1,5 +1,7 @@
 """Tests for box counts and the two closed-form product formulas."""
 
+from fractions import Fraction
+
 from punchex.boxcount import (
     enumerate_plane_partitions,
     macmahon_box,
@@ -32,6 +34,27 @@ def test_macmahon_box_values():
     assert macmahon_box(2, 0, 3) == 1
     assert macmahon_box(0, 0, 0) == 1
     _expect_value_error(macmahon_box, -1, 2, 2)
+
+
+def _oracle_macmahon_box(alpha, beta, gamma):
+    """The double product over the base of (i+j+gamma-1)/(i+j-1), one
+    factor per cell, accumulated as a Fraction."""
+    num = den = 1
+    for i in range(1, alpha + 1):
+        for j in range(1, beta + 1):
+            num *= i + j + gamma - 1
+            den *= i + j - 1
+    value = Fraction(num, den)
+    assert value.denominator == 1
+    return int(value)
+
+
+def test_macmahon_box_matches_cellwise_product():
+    for x in range(9):
+        for y in range(9):
+            for z in range(9):
+                assert macmahon_box(x, y, z) == _oracle_macmahon_box(x, y, z), (x, y, z)
+    assert macmahon_box(51, 51, 51) == _oracle_macmahon_box(51, 51, 51)
 
 
 def test_macmahon_box_symmetry():

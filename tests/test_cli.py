@@ -168,10 +168,16 @@ def test_verify_rejects_bad_parameters():
         ("lemma9", "--trials", "0"),
         ("theorem3", "--trials", "-5"),
         ("minor-summation", "--trials", "0"),
+    ) + tuple(
+        # non-positive sides: the cost estimate runs first and must not fail
+        (target, "--a", a, "--b", b)
+        for target in ("theorem3", "conjecture5", "chain53", "lemma10", "lemma8")
+        for a, b in (("2", "-2"), ("0", "0"))
     ):
         proc = _run("verify", *args)
         assert proc.returncode == 2, args
         assert proc.stdout.strip() == "", args
+        assert proc.stderr.startswith("error: "), args
 
 
 def test_verify_refuses_unequal_parity_up_front():
@@ -198,14 +204,16 @@ def test_verify_refuses_large_rab_up_front():
 
 
 def test_verify_refuses_costly_inputs_up_front():
-    # from about 10 s to far beyond 100 s each; refused before any work,
+    # each measured above 5 s, most far beyond; refused before any work,
     # huge n and --trials included
-    for args in (("lemma10", "--a", "2", "--b", "2", "--n", "30"),
+    for args in (("lemma10", "--a", "11", "--b", "11", "--n", "50"),
                  ("lemma10", "--a", "2", "--b", "2", "--n", "60"),
-                 ("lemma10", "--a", "41", "--b", "41", "--n", "41"),
+                 ("lemma10", "--a", "41", "--b", "41", "--n", "51"),
                  ("lemma10", "--a", "101", "--b", "101", "--n", "101"),
-                 ("theorem3", "--a", "1", "--b", "1", "--n", "60"),
-                 ("chain53", "--a", "1", "--b", "1", "--n", "21"),
+                 ("lemma10", "--a", "401", "--b", "1", "--n", "10"),
+                 ("theorem3", "--a", "7", "--b", "7", "--n", "100", "--trials", "5"),
+                 ("theorem3", "--a", "40", "--b", "2", "--n", "10", "--trials", "1"),
+                 ("chain53", "--a", "1", "--b", "1", "--n", "46"),
                  ("conjecture5", "--a", "1", "--b", "1", "--n", "10" * 200),
                  ("lemma9", "--trials", "1000000"),
                  ("minor-summation", "--trials", "100000")):
@@ -213,6 +221,16 @@ def test_verify_refuses_costly_inputs_up_front():
         assert proc.returncode == 2, args
         assert proc.stdout.strip() == "", args
         assert f"more than the {VERIFY_BUDGET_S} s verify admits" in proc.stderr, args
+
+
+def test_verify_refuses_more_points_than_seeded_points_has():
+    # the 115 distinct values p/q with 1 <= p, q <= 13 are the most that
+    # can be drawn: n + 1 = 115 runs, n + 1 = 116 is a usage error
+    rep = _report(_run("verify", "theorem3", "--a", "1", "--b", "1", "--n", "114"))
+    assert rep["result"] is True
+    proc = _run("verify", "theorem3", "--a", "1", "--b", "1", "--n", "115")
+    assert proc.returncode == 2
+    assert proc.stdout.strip() == "" and "115 distinct values" in proc.stderr
 
 
 def test_unknown_target_is_usage_error():

@@ -8,6 +8,7 @@ from punchex.symfun import (
     RabIndex,
     RabPair,
     _elementary_all,
+    _rab_sum,
     as_points,
     elementary_sym,
     generate_rab,
@@ -188,6 +189,9 @@ def test_seeded_points():
     assert len(pts) == 4 == len(set(pts))
     assert all(1 <= x.numerator <= 13 and 1 <= x.denominator <= 13 for x in pts)
     assert seeded_points(4, 10) != pts
+    # every distinct p/q with 1 <= p, q <= 13 can be drawn; one more cannot
+    assert len(set(seeded_points(115, 3))) == 115
+    _expect_value_error(seeded_points, 116, 3)
 
 
 def test_vandermonde_product():
@@ -241,6 +245,31 @@ def test_generate_rab_deterministic():
     once = [(p.lam.parts, p.mu.parts) for p in generate_rab(2, 4)]
     again = [(p.lam.parts, p.mu.parts) for p in generate_rab(2, 4)]
     assert once == again
+
+
+def test_rab_sum_matches_alternants_and_fraction_oracle():
+    # two independent distinct alphabets, each with 0 and a negative point,
+    # against schur_bidet; all-ones alphabets against the Fraction oracle
+    rng = random.Random(61)
+    cases = 0
+    for a in range(1, 5):
+        for b in range(1, 5):
+            if a % 2 != b % 2:
+                continue
+            pairs = generate_rab(a, b)
+            for n in (b, b + 1, b + 2):
+                rest = [x for x in MIXED_POINTS if x not in (0, -3, -1)]
+                big = as_points([0, -3] + rng.sample(rest, n - 1))
+                small = as_points(([-1, 0] + rng.sample(rest, n))[:n])
+                expected = sum(schur_bidet(pr.lam, big) * schur_bidet(pr.mu, small)
+                               for pr in pairs)
+                assert _rab_sum(a, b, big, small) == expected, (a, b, n, big, small)
+                ones_big, ones_small = (F(1),) * (n + 1), (F(1),) * n
+                expected = sum(_oracle_schur_nk(pr.lam, ones_big)
+                               * _oracle_schur_nk(pr.mu, ones_small) for pr in pairs)
+                assert _rab_sum(a, b, ones_big, ones_small) == expected, (a, b, n)
+                cases += 1
+    assert cases == 24
 
 
 def test_lemma8_holds_on_generated_pairs():
