@@ -7,7 +7,8 @@ Every invocation prints a single-line JSON report on stdout:
 ``result`` is the exact decimal count (as a string) for count commands, a
 boolean for verify commands, and the output path for render.  Exit codes:
 0 success / verified, 1 verification found a counterexample (reported in
-params), 2 usage error (diagnostic on stderr, no JSON).
+params), 2 usage error or an output file that cannot be written (diagnostic
+on stderr, no JSON).
 """
 
 from __future__ import annotations
@@ -70,42 +71,21 @@ POINT_TARGETS = {
 }
 
 
-class Report:
-    """Machine-readable invocation report (single-line JSON)."""
-
-    def __init__(self, command, params, result, elapsed_ms, seed=None):
-        self.command = command
-        self.params = params
-        self.result = result
-        self.elapsed_ms = elapsed_ms
-        self.seed = seed
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "result": self.result,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return json.dumps(payload, separators=(",", ":"))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="punchex",
         description="Exact counts and identity checks for rhombus tilings of punctured hexagons",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the hexagon's sides; argparse lists a parent's arguments first
+    sides = argparse.ArgumentParser(add_help=False)
+    for side in ("--a", "--b", "--c"):
+        sides.add_argument(side, type=int, required=True)
 
     count = sub.add_parser("count", help="compute a tiling or box count")
     cmodes = count.add_subparsers(dest="mode", required=True)
 
-    closed = cmodes.add_parser("closed", help="closed-form product count")
-    closed.add_argument("--a", type=int, required=True)
-    closed.add_argument("--b", type=int, required=True)
-    closed.add_argument("--c", type=int, required=True)
+    closed = cmodes.add_parser("closed", parents=[sides], help="closed-form product count")
     closed.add_argument("--theorem", type=int, choices=(1, 4), default=None,
                         help="force the same-parity (1) or mixed-parity (4) formula")
 
@@ -114,18 +94,13 @@ def _build_parser() -> argparse.ArgumentParser:
     box.add_argument("--y", type=int, required=True)
     box.add_argument("--z", type=int, required=True)
 
-    brute = cmodes.add_parser("brute", help="exact diagonal sweep over path families")
-    brute.add_argument("--a", type=int, required=True)
-    brute.add_argument("--b", type=int, required=True)
-    brute.add_argument("--c", type=int, required=True)
+    brute = cmodes.add_parser("brute", parents=[sides],
+                              help="exact diagonal sweep over path families")
     brute.add_argument("--puncture", type=int, nargs=2, default=(0, 0),
                        metavar=("DX", "DY"),
                        help="offset of the removed triangle from its default position")
 
-    lgv = cmodes.add_parser("lgv", help="lattice-path determinant count")
-    lgv.add_argument("--a", type=int, required=True)
-    lgv.add_argument("--b", type=int, required=True)
-    lgv.add_argument("--c", type=int, required=True)
+    cmodes.add_parser("lgv", parents=[sides], help="lattice-path determinant count")
 
     verify = sub.add_parser("verify", help="check an identity exactly")
     verify.add_argument("target", choices=(
@@ -138,10 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--trials", type=int, default=None)
 
-    render = sub.add_parser("render", help="write one tiling as SVG")
-    render.add_argument("--a", type=int, required=True)
-    render.add_argument("--b", type=int, required=True)
-    render.add_argument("--c", type=int, required=True)
+    render = sub.add_parser("render", parents=[sides], help="write one tiling as SVG")
     render.add_argument("--index", type=int, required=True,
                         help="0-based index into the deterministic enumeration order")
     render.add_argument("-o", "--output", required=True)
@@ -295,48 +267,51 @@ def _random_skew(rng: random.Random, size: int):
 # dispatch
 # ---------------------------------------------------------------------------
 
+def _count(args):
+    """Run one ``count`` mode; returns (params, value)."""
+    if args.mode == "box":
+        return {"x": args.x, "y": args.y, "z": args.z}, macmahon_box(args.x, args.y, args.z)
+    params = {"a": args.a, "b": args.b, "c": args.c}
+    if args.mode == "closed":
+        theorem = args.theorem
+        if theorem is None:
+            if args.a % 2 == args.b % 2 == args.c % 2:
+                theorem = 1
+            elif args.a % 2 == args.b % 2:
+                theorem = 4
+            else:
+                raise ValueError("no closed formula: a and b must have equal parity")
+        params["theorem"] = theorem
+        fn = theorem1_count if theorem == 1 else theorem4_count
+        return params, fn(args.a, args.b, args.c)
+    if args.mode == "brute":
+        params["puncture"] = list(args.puncture)
+        hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(args.puncture))
+        return params, enumerate_tilings(hexagon)
+    return params, count_via_path_determinants(PuncturedHexagon(args.a, args.b, args.c))
+
+
+def _report(command: str, params, result, t0: float, seed=None) -> str:
+    """The single-line JSON report, timed from ``t0``; ``seed`` only if given."""
+    payload = {"command": command, "params": params, "result": result,
+               "elapsed_ms": int((time.monotonic() - t0) * 1000)}
+    if seed is not None:
+        payload["seed"] = seed
+    return json.dumps(payload, separators=(",", ":"))
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
+        return 0 if exc.code in (0, None) else 2
 
     t0 = time.monotonic()
     try:
         if args.command == "count":
-            if args.mode == "closed":
-                theorem = args.theorem
-                if theorem is None:
-                    if args.a % 2 == args.b % 2 == args.c % 2:
-                        theorem = 1
-                    elif args.a % 2 == args.b % 2:
-                        theorem = 4
-                    else:
-                        raise ValueError(
-                            "no closed formula: a and b must have equal parity"
-                        )
-                fn = theorem1_count if theorem == 1 else theorem4_count
-                value = fn(args.a, args.b, args.c)
-                params = {"a": args.a, "b": args.b, "c": args.c, "theorem": theorem}
-                report = Report("count closed", params, _digits(value), _ms(t0))
-            elif args.mode == "box":
-                value = macmahon_box(args.x, args.y, args.z)
-                params = {"x": args.x, "y": args.y, "z": args.z}
-                report = Report("count box", params, _digits(value), _ms(t0))
-            elif args.mode == "brute":
-                hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(args.puncture))
-                value = enumerate_tilings(hexagon)
-                params = {"a": args.a, "b": args.b, "c": args.c,
-                          "puncture": list(args.puncture)}
-                report = Report("count brute", params, _digits(value), _ms(t0))
-            else:
-                hexagon = PuncturedHexagon(args.a, args.b, args.c)
-                value = count_via_path_determinants(hexagon)
-                params = {"a": args.a, "b": args.b, "c": args.c}
-                report = Report("count lgv", params, _digits(value), _ms(t0))
-            print(report.to_json())
+            params, value = _count(args)
+            print(_report(f"count {args.mode}", params, _digits(value), t0))
             return 0
 
         if args.command == "verify":
@@ -344,11 +319,8 @@ def run(argv) -> int:
                 args.target, args.a, args.b, args.n, args.seed, args.trials
             )
             if counterexample is not None:
-                params = dict(params)
-                params["counterexample"] = counterexample
-            report = Report(f"verify {args.target}", params, verdict, _ms(t0),
-                            seed=args.seed)
-            print(report.to_json())
+                params = dict(params, counterexample=counterexample)
+            print(_report(f"verify {args.target}", params, verdict, t0, seed=args.seed))
             return 0 if verdict else 1
 
         # render
@@ -358,10 +330,10 @@ def run(argv) -> int:
             fh.write(svg)
         params = {"a": args.a, "b": args.b, "c": args.c, "index": args.index,
                   "output": args.output}
-        report = Report("render", params, args.output, _ms(t0))
-        print(report.to_json())
+        print(_report("render", params, args.output, t0))
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -371,10 +343,6 @@ def _digits(value: int) -> str:
     ``sys.get_int_max_str_digits()`` digits (4300 by default); ``Decimal``
     converts any int exactly and prints it in full."""
     return str(Decimal(value))
-
-
-def _ms(t0: float) -> int:
-    return int((time.monotonic() - t0) * 1000)
 
 
 def main() -> None:

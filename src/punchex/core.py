@@ -32,17 +32,17 @@ SkewMatrix = ExactMatrix
 # partitions
 # ---------------------------------------------------------------------------
 
-class Partition:
+class Partition(tuple):
     """An integer partition: weakly decreasing nonnegative parts.
 
-    Trailing zeros are stripped on construction, so two partitions are
-    equal iff their nonzero parts agree.  Instances are immutable and
-    hashable.
+    A tuple of its nonzero parts: trailing zeros are stripped on
+    construction, so two partitions are equal iff their nonzero parts
+    agree, and a partition equals the plain tuple of those parts.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         ps = tuple(int(p) for p in parts)
         while ps and ps[-1] == 0:
             ps = ps[:-1]
@@ -51,29 +51,11 @@ class Partition:
                 raise ValueError("partition parts must be nonnegative")
             if i > 0 and ps[i - 1] < p:
                 raise ValueError("partition parts must be weakly decreasing")
-        object.__setattr__(self, "parts", ps)
+        return super().__new__(cls, ps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
+    @property
+    def parts(self) -> Tuple[int, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
@@ -82,7 +64,7 @@ class Partition:
         """1-based part access with implicit zeros beyond the length."""
         if h < 1:
             raise IndexError("part index is 1-based")
-        return self.parts[h - 1] if h <= len(self.parts) else 0
+        return self[h - 1] if h <= len(self) else 0
 
 
 def conjugate(p: Partition) -> Partition:

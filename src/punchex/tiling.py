@@ -315,14 +315,17 @@ _FILL_THIRD = "#bfd9a8"
 _FILL_HOLE = "#000000"
 
 
-def _fig(x: int, y: int) -> Tuple[float, float]:
-    return (_SQ3H * x, y - 0.5 * x)
+def _figure_points(p, corners) -> List[Tuple[str, str]]:
+    """SVG coordinates of lattice point ``p`` moved to each corner.
 
-
-def _poly(points, fill: str) -> Tuple[str, str]:
-    # svg y axis points down: flip
-    coords = " ".join(f"{px:.4f},{-py:.4f}" for px, py in points)
-    return (coords, fill)
+    A corner is a (path step, half-diagonal) pair, added to p's figure
+    point in that order, (m + step) + half, since a reordered float sum can
+    change a printed digit.  SVG's y axis points down, so y is negated.
+    Each coordinate is formatted once, to four places.
+    """
+    mx, my = _SQ3H * p[0], p[1] - 0.5 * p[0]
+    return [(f"{mx + sx + hx:.4f}", f"{-(my + sy + hy):.4f}")
+            for (sx, sy), (hx, hy) in corners]
 
 
 def render_tiling_svg(h: PuncturedHexagon, family: PathFamily) -> str:
@@ -335,67 +338,32 @@ def render_tiling_svg(h: PuncturedHexagon, family: PathFamily) -> str:
     """
     validate_family(h, family)
     a, b, c = h.a, h.b, h.c
-    polys: List[Tuple[str, str]] = []
-
-    def add(points, fill):
-        polys.append(_poly(points, fill))
-
+    # every corner is a lattice point, or one path step from it, moved by
+    # one of the half-diagonals +-W/2 and +-(U+V)/2
+    wx, wy = _W
+    sx, sy = _U[0] + _V[0], _U[1] + _V[1]
+    stay = (0.0, 0.0)
+    w, w_ = (wx / 2, wy / 2), (-wx / 2, -wy / 2)
+    s, s_ = (sx / 2, sy / 2), (-sx / 2, -sy / 2)
+    polys = []  # (points, fill)
     used = set()
     for path in family:
         used.update(path)
         for p, q in zip(path, path[1:]):
-            mx, my = _fig(p.x, p.y)
-            if q.x == p.x + 1:
-                dx, dy = _U
-                fill = _FILL_EAST
-            else:
-                dx, dy = _V
-                fill = _FILL_SOUTH
-            wx, wy = _W
-            add(
-                [
-                    (mx - wx / 2, my - wy / 2),
-                    (mx + wx / 2, my + wy / 2),
-                    (mx + dx + wx / 2, my + dy + wy / 2),
-                    (mx + dx - wx / 2, my + dy - wy / 2),
-                ],
-                fill,
-            )
+            step, fill = (_U, _FILL_EAST) if q.x == p.x + 1 else (_V, _FILL_SOUTH)
+            polys.append((_figure_points(p, [(stay, w_), (stay, w), (step, w), (step, w_)]), fill))
     # interior points off every path carry the third orientation
-    for x in range(0, a + b + 1):
-        for y in range(0, a + c + 1):
-            if not 1 <= x - y + c + 1 <= b + c:
-                continue
-            if (x, y) in used:
-                continue
-            mx, my = _fig(x, y)
-            wx, wy = _W
-            sx, sy = _U[0] + _V[0], _U[1] + _V[1]
-            add(
-                [
-                    (mx + wx / 2, my + wy / 2),
-                    (mx + sx / 2, my + sy / 2),
-                    (mx - wx / 2, my - wy / 2),
-                    (mx - sx / 2, my - sy / 2),
-                ],
-                _FILL_THIRD,
-            )
+    third = [(stay, w), (stay, s), (stay, w_), (stay, s_)]
+    for x in range(a + b + 1):
+        for y in range(a + c + 1):
+            if 1 <= x - y + c + 1 <= b + c and (x, y) not in used:
+                polys.append((_figure_points((x, y), third), _FILL_THIRD))
     # the removed triangle
-    px, py = h.puncture_point()
-    mx, my = _fig(px, py)
-    wx, wy = _W
-    sx, sy = _U[0] + _V[0], _U[1] + _V[1]
-    add(
-        [
-            (mx + wx / 2, my + wy / 2),
-            (mx - wx / 2, my - wy / 2),
-            (mx - sx / 2, my - sy / 2),
-        ],
-        _FILL_HOLE,
-    )
+    polys.append((_figure_points(h.puncture_point(), [(stay, w), (stay, w_), (stay, s_)]),
+                  _FILL_HOLE))
 
-    xs = [float(t.split(",")[0]) for coords, _f in polys for t in coords.split(" ")]
-    ys = [float(t.split(",")[1]) for coords, _f in polys for t in coords.split(" ")]
+    xs = [float(x) for points, _fill in polys for x, _y in points]
+    ys = [float(y) for points, _fill in polys for _x, y in points]
     pad = 0.3
     x0, y0 = min(xs) - pad, min(ys) - pad
     x1, y1 = max(xs) + pad, max(ys) + pad
@@ -405,7 +373,8 @@ def render_tiling_svg(h: PuncturedHexagon, family: PathFamily) -> str:
         f'viewBox="{x0:.4f} {y0:.4f} {x1 - x0:.4f} {y1 - y0:.4f}" '
         f'width="{(x1 - x0) * 60:.0f}" height="{(y1 - y0) * 60:.0f}">',
     ]
-    for coords, fill in polys:
+    for points, fill in polys:
+        coords = " ".join(f"{x},{y}" for x, y in points)
         lines.append(
             f'<polygon points="{coords}" fill="{fill}" stroke="#333333" stroke-width="0.02"/>'
         )

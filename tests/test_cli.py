@@ -1,17 +1,20 @@
 """End-to-end tests of the command-line interface.
 
 Each invocation goes through a real subprocess and must print exactly one
-JSON object on stdout.
+JSON object on stdout; the byte-level report tests call ``cli.run`` in
+process.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from decimal import Decimal
 
 import punchex
+from punchex import cli
 from punchex.boxcount import macmahon_box, theorem1_count
 from punchex.cli import MAX_RAB_PAIRS, VERIFY_BUDGET_S
 
@@ -253,6 +256,75 @@ def test_reports_are_deterministic():
         assert first == second, args
 
 
+# exact report lines, keys in order and no spaces, with elapsed_ms zeroed
+GOLDEN_REPORTS = (
+    (("count", "closed", "--a", "3", "--b", "3", "--c", "3"),
+     '{"command":"count closed","params":{"a":3,"b":3,"c":3,"theorem":1},'
+     '"result":"4320","elapsed_ms":0}'),
+    (("count", "closed", "--a", "1", "--b", "1", "--c", "2"),
+     '{"command":"count closed","params":{"a":1,"b":1,"c":2,"theorem":4},'
+     '"result":"4","elapsed_ms":0}'),
+    (("count", "closed", "--a", "2", "--b", "2", "--c", "3", "--theorem", "4"),
+     '{"command":"count closed","params":{"a":2,"b":2,"c":3,"theorem":4},'
+     '"result":"162","elapsed_ms":0}'),
+    (("count", "box", "--x", "2", "--y", "3", "--z", "4"),
+     '{"command":"count box","params":{"x":2,"y":3,"z":4},"result":"490","elapsed_ms":0}'),
+    (("count", "brute", "--a", "1", "--b", "1", "--c", "1", "--puncture", "0", "1"),
+     '{"command":"count brute","params":{"a":1,"b":1,"c":1,"puncture":[0,1]},'
+     '"result":"3","elapsed_ms":0}'),
+    (("count", "lgv", "--a", "2", "--b", "2", "--c", "2"),
+     '{"command":"count lgv","params":{"a":2,"b":2,"c":2},"result":"54","elapsed_ms":0}'),
+    (("render", "--a", "1", "--b", "1", "--c", "1", "--index", "1", "-o", "t.svg"),
+     '{"command":"render","params":{"a":1,"b":1,"c":1,"index":1,"output":"t.svg"},'
+     '"result":"t.svg","elapsed_ms":0}'),
+    (("verify", "theorem3", "--a", "1", "--b", "1", "--n", "2", "--trials", "2"),
+     '{"command":"verify theorem3","params":{"a":1,"b":1,"n":2,"trials":2},'
+     '"result":true,"elapsed_ms":0,"seed":0}'),
+    (("verify", "conjecture5", "--a", "1", "--b", "1", "--n", "1", "--trials", "1"),
+     '{"command":"verify conjecture5","params":{"a":1,"b":1,"n":1,"trials":1},'
+     '"result":true,"elapsed_ms":0,"seed":0}'),
+    (("verify", "chain53", "--a", "1", "--b", "1", "--n", "2", "--trials", "1"),
+     '{"command":"verify chain53","params":{"a":1,"b":1,"n":2,"trials":1},'
+     '"result":true,"elapsed_ms":0,"seed":0}'),
+    (("verify", "lemma10", "--a", "2", "--b", "2", "--trials", "1"),
+     '{"command":"verify lemma10","params":{"a":2,"b":2,"n":2,"trials":1},'
+     '"result":true,"elapsed_ms":0,"seed":0}'),
+    (("verify", "lemma8", "--a", "2", "--b", "2"),
+     '{"command":"verify lemma8","params":{"a":2,"b":2,"pairs":6},'
+     '"result":true,"elapsed_ms":0,"seed":0}'),
+    (("verify", "minor-summation", "--seed", "1", "--trials", "5"),
+     '{"command":"verify minor-summation","params":{"trials":5},'
+     '"result":true,"elapsed_ms":0,"seed":1}'),
+    (("verify", "lemma9", "--seed", "7", "--trials", "5"),
+     '{"command":"verify lemma9","params":{"trials":5},"result":true,"elapsed_ms":0,"seed":7}'),
+)
+
+
+def _run_in_process(capsys, *args):
+    code = cli.run(list(args))
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out), err
+
+
+def test_report_bytes_are_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for args, line in GOLDEN_REPORTS:
+        assert _run_in_process(capsys, *args) == (0, line + "\n", ""), args
+
+
+def test_counterexample_report_bytes_are_pinned(capsys, monkeypatch):
+    # POINT_TARGETS looks theorem3_rhs up at call time, so this forces exit 1
+    monkeypatch.setattr(cli, "theorem3_rhs", lambda *args: 0)
+    assert _run_in_process(capsys, "verify", "theorem3", "--a", "1", "--b", "1", "--n", "1",
+                           "--trials", "2", "--seed", "4") == (
+        1,
+        '{"command":"verify theorem3","params":{"a":1,"b":1,"n":1,"trials":2,'
+        '"counterexample":{"trial":0,"seed":4,"points":["4/5","1/6"]}},'
+        '"result":false,"elapsed_ms":0,"seed":4}\n',
+        "",
+    )
+
+
 def test_render_writes_svg():
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "tiling.svg")
@@ -293,3 +365,14 @@ def test_render_index_out_of_range():
                         "--index", index, "-o", out)
             assert proc.returncode == 2, (a, b, c, index)
             assert not os.path.exists(out)
+
+
+def test_render_unwritable_output_is_usage_error():
+    with tempfile.TemporaryDirectory() as tmp:
+        # a missing directory, and a directory where the file should go
+        for out in (os.path.join(tmp, "missing", "x.svg"), tmp):
+            proc = _run("render", "--a", "1", "--b", "1", "--c", "1",
+                        "--index", "0", "-o", out)
+            assert proc.returncode == 2, out
+            assert proc.stdout.strip() == "", out
+            assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, out

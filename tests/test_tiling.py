@@ -1,6 +1,7 @@
 """Tests for the lattice-path model: the diagonal sweep and its unranking,
 the lattice-path determinant count, and SVG rendering."""
 
+import hashlib
 from typing import List
 
 from punchex.boxcount import theorem1_count, theorem4_count
@@ -281,6 +282,21 @@ def test_render_svg_polygon_count_scales():
     svg = render_tiling_svg(h, fam)
     # area (a+b+c+1)^2 - a^2 - b^2 - c^2 = 19 triangles -> 9 rhombi + 1 hole
     assert svg.count("<polygon") == 10
+
+
+def test_render_svg_bytes_are_pinned():
+    # SHA-256 of the SVG text; coordinates print to four places, so a
+    # reordered float sum can change a digit and the digest
+    for (a, b, c, index), digest in (
+        ((1, 1, 1, 1), "4a2c573e997b43d8b5fa705ff3188e09104641a33e04e103eecea5054cd0c684"),
+        ((2, 2, 1, 0), "016930c8c4a4994a7565604acd6afed2332517b1d58ca0e6a9d7954d0034a5f7"),
+        ((3, 5, 5, 2000000), "29bb2e608703a2879b71c1c6fa14467963a774602c93eef5cfd5a2732dcebf4c"),
+        ((4, 6, 6, 41177149999),
+         "5933e2cb0037f87c2d06b2cf0aafa677b558e572320e64e28c202e7ef748a46c"),
+    ):
+        h = PuncturedHexagon(a, b, c)
+        svg = render_tiling_svg(h, tiling_family(h, index))
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest, (a, b, c, index)
 
 
 def test_render_rejects_foreign_family():
