@@ -17,6 +17,7 @@ from .core import (
     binomial,
     conjugate,
     determinant,
+    integer_determinant,
     pfaffian,
     pfaffian_minor,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "binomial",
     "conjugate",
     "determinant",
+    "integer_determinant",
     "pfaffian",
     "pfaffian_minor",
     "macmahon_box",

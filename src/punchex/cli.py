@@ -149,6 +149,15 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     the factor b/(b+2) are forms fitted to timings, not derived.  Measured
     times of 440 inputs that took 0.2 s or more were 0.38x..1.21x the
     estimate.  lemma8 is bounded by MAX_RAB_PAIRS alone.
+
+    The weights were fitted when each R(a,b) term was its own Fraction.
+    An R(a,b) sum now reads each pair's two minors from its index vector,
+    adds the terms over ``int`` and divides once per sum; no admitted
+    input got slower, so ``FS_PER`` still bounds them all and is left as
+    it was, but it now overstates the R(a,b) targets at a ~ b by about
+    2.4x more than before (theorem3 at a = b = 7, n = 8: 0.75 s -> 0.32 s
+    on a 2-core x86 host, Python 3.11) and at a << b by about 3.7x more
+    (a = 4, b = 14, n = 14: 0.44 s -> 0.12 s).
     """
     if target in ("minor-summation", "lemma9"):
         return trials * FS_PER[target]

@@ -10,7 +10,9 @@ The matrix kernels (``determinant``, ``pfaffian``, ``matmul``) clear the
 denominators of their input first and then work over ``int`` only, with
 exact integer divisions (Bareiss elimination and its Pfaffian analogue);
 each result is a ``Fraction`` built once, at the end.  Rational
-elimination would instead reduce a gcd after every operation.
+elimination would instead reduce a gcd after every operation.  A caller
+whose matrix is already all ``int`` calls ``integer_determinant``, the one
+elimination loop under ``determinant``, directly.
 """
 
 from __future__ import annotations
@@ -127,34 +129,29 @@ def _check_rectangular(m: ExactMatrix) -> None:
         raise ValueError("matrix rows have unequal lengths")
 
 
-def determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def integer_determinant(rows: List[List[int]]) -> int:
+    """Determinant of a square ``int`` matrix by fraction-free (Bareiss)
+    elimination, run in place: ``rows`` is overwritten.
 
-    Row i is scaled by the lcm d_i of its denominators, so the elimination
-    runs over ``int``: each step replaces a_ij by
-    (a_kk a_ij - a_ik a_kj) / p with p the previous pivot, a division that
-    is exact by Sylvester's identity (every entry is then a minor of the
-    scaled matrix).  A zero pivot is replaced by a nonzero entry below it,
-    flipping the sign; if there is none the determinant is 0.  The result
-    is det / prod d_i, one division at the end.
-
-    Entries are ``int`` or ``Fraction``.  The empty 0x0 matrix has
-    determinant 1 (empty product).  Non-square input is rejected.
+    Each step replaces a_ij by (a_kk a_ij - a_ik a_kj) / p with p the
+    previous pivot, a division that is exact by Sylvester's identity (every
+    entry is then a minor of the input), so the elimination never leaves
+    ``int`` and the last pivot is the determinant.  A zero pivot is replaced
+    by a nonzero entry below it, flipping the sign; if there is none the
+    determinant is 0.  The empty 0x0 matrix has determinant 1 (empty
+    product).  The rows are not checked: ``determinant`` is the validating
+    entry point for any exact matrix.
     """
-    _check_rectangular(m)
-    n = len(m)
+    n = len(rows)
     if n == 0:
-        return Fraction(1)
-    if len(m[0]) != n:
-        raise ValueError("determinant requires a square matrix")
-    rows = [_cleared(row) for row in m]
-    a = [ints for _, ints in rows]
+        return 1
+    a = rows
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
             r = next((r for r in range(k + 1, n) if a[r][k]), None)
             if r is None:
-                return Fraction(0)
+                return 0
             a[k], a[r] = a[r], a[k]
             sign = -sign
         rk = a[k]
@@ -165,7 +162,24 @@ def determinant(m: ExactMatrix) -> Fraction:
             for j in range(k + 1, n):
                 ri[j] = (p * ri[j] - f * rk[j]) // prev
         prev = p
-    return Fraction(sign * a[n - 1][n - 1], prod(d for d, _ in rows))
+    return sign * a[n - 1][n - 1]
+
+
+def determinant(m: ExactMatrix) -> Fraction:
+    """Exact determinant of a square matrix of ``int`` or ``Fraction``
+    entries.
+
+    Row i is scaled by the lcm d_i of its denominators, so
+    ``integer_determinant`` runs over ``int``; the result is
+    det / prod d_i, one division at the end.  The empty 0x0 matrix has
+    determinant 1.  Non-square input is rejected.
+    """
+    _check_rectangular(m)
+    if m and len(m[0]) != len(m):
+        raise ValueError("determinant requires a square matrix")
+    rows = [_cleared(row) for row in m]
+    return Fraction(integer_determinant([ints for _, ints in rows]),
+                    prod(d for d, _ in rows))
 
 
 def _check_skew(m: ExactMatrix) -> None:

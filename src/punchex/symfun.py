@@ -7,8 +7,10 @@ Schur polynomials are evaluated two independent ways:
   x_j = p_j / q_j and Q = prod_j q_j, its entries come from the integer
   table Q e_0, ..., Q e_n of the alphabet (``_elementary_all``, the
   module's one cache), so the determinant runs over ``int`` and divides
-  once, by Q^lambda_1.  ``schur_eval`` calls it, and an R(a,b) sum reads
-  each alphabet's table once.  It accepts repeated points (all-ones
+  once, by Q^lambda_1.  ``schur_eval`` calls it.  An R(a,b) sum reads each
+  alphabet's table once and each pair's two minors straight from its index
+  vector, which gives the conjugate shapes; it adds the products over
+  ``int`` and divides once per sum.  It accepts repeated points (all-ones
   specializations); its cost grows with lambda_1, not with the points.
 * ``schur_bidet`` — ratio of two alternants det(x_j^(lam_i+n-i)) /
   det(x_j^(n-i)), both cleared of denominators so the determinant and the
@@ -31,7 +33,7 @@ from itertools import combinations, combinations_with_replacement
 from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import Partition, conjugate, determinant
+from .core import Partition, conjugate, integer_determinant
 
 # EvalPoint: a tuple of evaluation values x_1..x_n (ints or Fractions).
 # Identity checks need pairwise-distinct points only where an alternant
@@ -112,15 +114,25 @@ def elementary_sym(s: int, pts: Iterable) -> Fraction:
 # Schur evaluation
 # ---------------------------------------------------------------------------
 
-def _schur_from_table(lam, ev: Tuple[int, ...]) -> Fraction:
-    """s_lambda as det(Q e_{lambda'_i - i + j}) of size lambda_1 over the
-    integer table ev of ``_elementary_all``, divided once by Q^lambda_1;
-    ``conjugate`` validates lam when it is not a ``Partition``."""
+def _jt_minor(conj: Sequence[int], ev: Tuple[int, ...]) -> int:
+    """det(ev[c_i - i + j]) over the nonzero parts c_1 >= ... >= c_l of the
+    conjugate shape ``conj`` (weakly decreasing, zero parts last), reading
+    0 outside the table.  With ev the integer table Q e_0..Q e_n of
+    ``_elementary_all`` this is Q^l s_lambda, l = lambda_1: a zero part
+    would add a row and column that contribute only the factor Q."""
     n = len(ev) - 1
-    conj = conjugate(lam).parts
-    mat = [[ev[s] if 0 <= (s := c - i + j) <= n else 0 for j in range(len(conj))]
-           for i, c in enumerate(conj)]
-    return determinant(mat) / ev[0] ** len(conj)
+    conj = [c for c in conj if c]
+    return integer_determinant(
+        [[ev[s] if 0 <= (s := c - i + j) <= n else 0 for j in range(len(conj))]
+         for i, c in enumerate(conj)])
+
+
+def _schur_from_table(lam, ev: Tuple[int, ...]) -> Fraction:
+    """s_lambda from the integer table ev of ``_elementary_all``: the
+    Jacobi-Trudi minor of size lambda_1, divided once by Q^lambda_1;
+    ``conjugate`` validates lam when it is not a ``Partition``."""
+    conj = conjugate(lam)
+    return Fraction(_jt_minor(conj, ev), ev[0] ** len(conj))
 
 
 def schur_nk(p, pts: Iterable) -> Fraction:
@@ -163,7 +175,7 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
     exps = [lam.part(i + 1) + n - (i + 1) for i in range(n)]
     num = [[x.numerator ** e * x.denominator ** (top - e) for x in points] for e in exps]
     den = _vandermonde_numerator(points) * prod(x.denominator for x in points) ** lam.part(1)
-    return determinant(num) / ((-1) ** (n * (n - 1) // 2) * den)
+    return Fraction(integer_determinant(num), (-1) ** (n * (n - 1) // 2) * den)
 
 
 def schur_eval(p, pts: Iterable) -> Fraction:
@@ -243,19 +255,30 @@ def _colex_subsets(pool: Sequence[int], k: int):
     return sorted(combinations(sorted(pool), k), key=lambda s: s[::-1])
 
 
-def _pair_from_index(idx: RabIndex) -> RabPair:
-    a, b, k, i = idx.a, idx.b, idx.k, idx.i
+def _index_vectors(a: int, b: int):
+    """Yield every index (k, i) of R(a,b) in ``generate_rab``'s order."""
+    if a < 1 or b < 1:
+        raise ValueError("a and b must be positive")
+    if a % 2 != b % 2:
+        raise ValueError("generate_rab requires a and b of equal parity")
+    half = (a + b) // 2
+    for k in range(max(0, a - half), min(a, half) + 1):
+        positives = _colex_subsets(range(1, half + 1), a - k)
+        for negs in _colex_subsets(range(-half, 0), k):
+            for poss in positives:
+                yield k, negs + (0,) + poss
+
+
+def _conjugate_shapes(a: int, b: int, k: int, i: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(lambda', mu') of the pair at index (k; i), weakly decreasing lists of
+    a and a+1 parts, zero parts included: lambda'_h = (b-a)/2 + j_{a+1-h} + h
+    over the a entries j of i other than its 0, and
+    mu'_h = (b-a)/2 - i_h + h - 1."""
     half_diff = (b - a) // 2
-    lam_conj = []
-    for h in range(1, a + 1):
-        t = a + 1 - h
-        if t >= k + 1:
-            t += 1
-        lam_conj.append(half_diff + i[t - 1] + h)
-    mu_conj = [half_diff - i[h - 1] + h - 1 for h in range(1, a + 2)]
-    lam = conjugate(Partition(lam_conj))
-    mu = conjugate(Partition(mu_conj))
-    return RabPair(lam, mu, idx)
+    rest = i[:k] + i[k + 1:]
+    lam_conj = [half_diff + x + h for h, x in enumerate(reversed(rest), 1)]
+    mu_conj = [half_diff - x + h for h, x in enumerate(i)]
+    return lam_conj, mu_conj
 
 
 def generate_rab(a: int, b: int) -> List[RabPair]:
@@ -266,30 +289,32 @@ def generate_rab(a: int, b: int) -> List[RabPair]:
     entries over (a-k)-subsets of {1..(a+b)/2} in colex order.  The number
     of pairs is sum_k C((a+b)/2, k) * C((a+b)/2, a-k) = C(a+b, a).
     """
-    if a < 1 or b < 1:
-        raise ValueError("a and b must be positive")
-    if a % 2 != b % 2:
-        raise ValueError("generate_rab requires a and b of equal parity")
-    half = (a + b) // 2
-    negatives_pool = list(range(-half, 0))
-    positives_pool = list(range(1, half + 1))
     out: List[RabPair] = []
-    for k in range(0, a + 1):
-        if k > half or a - k > half:
-            continue
-        for negs in _colex_subsets(negatives_pool, k):
-            for poss in _colex_subsets(positives_pool, a - k):
-                i = tuple(negs) + (0,) + tuple(poss)
-                out.append(_pair_from_index(RabIndex(a, b, k, i)))
+    for k, i in _index_vectors(a, b):
+        lam_conj, mu_conj = _conjugate_shapes(a, b, k, i)
+        out.append(RabPair(conjugate(Partition(lam_conj)), conjugate(Partition(mu_conj)),
+                           RabIndex(a, b, k, i)))
     return out
 
 
 def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
-    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small), every
-    value read from the two alphabets' e-tables, each looked up once."""
-    eb, es = _elementary_all(as_points(big)), _elementary_all(as_points(small))
-    return sum((_schur_from_table(pair.lam, eb) * _schur_from_table(pair.mu, es)
-                for pair in generate_rab(a, b)), Fraction(0))
+    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small).
+
+    Each pair's two Jacobi-Trudi minors are read from its index vector and
+    the two alphabets' integer e-tables (Q_X, Q_Y their first entries).
+    lambda' has a parts and mu' a+1, so padding each minor with a factor Q
+    per zero part puts every term over Q_X^a Q_Y^(a+1): the sum runs over
+    ``int`` and divides once.
+    """
+    ex, ey = _elementary_all(as_points(big)), _elementary_all(as_points(small))
+    pad_x = [ex[0] ** z for z in range(a + 1)]
+    pad_y = [ey[0] ** z for z in range(a + 2)]
+    total = 0
+    for k, i in _index_vectors(a, b):
+        lam_conj, mu_conj = _conjugate_shapes(a, b, k, i)
+        total += (_jt_minor(lam_conj, ex) * pad_x[lam_conj.count(0)]
+                  * _jt_minor(mu_conj, ey) * pad_y[mu_conj.count(0)])
+    return Fraction(total, pad_x[a] * pad_y[a + 1])
 
 
 def lemma8_check(pair: RabPair) -> bool:

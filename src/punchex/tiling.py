@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .core import binomial, determinant
+from .core import binomial, integer_determinant
 
 # size guard for enumerate_tilings and tiling_family
 MAX_A = 4
@@ -98,34 +98,27 @@ class PuncturedHexagon:
         )
 
 
-class PathFamily:
+class PathFamily(tuple):
     """A family of a+1 pairwise vertex-disjoint monotone lattice paths.
 
-    ``paths[i]`` is the vertex sequence of the (i+1)-st path; consecutive
-    vertices differ by a unit east or south step.  Path i starts at A_i
-    for i <= a, the last path starts at the puncture, and every path ends
-    at one of the E points.
+    A tuple of paths: ``family[i]`` is the vertex sequence of the (i+1)-st
+    path, each vertex a ``LatticePoint``; consecutive vertices differ by a
+    unit east or south step.  Path i starts at A_i for i <= a, the last
+    path starts at the puncture, and every path ends at one of the E
+    points.
     """
 
-    __slots__ = ("paths",)
+    __slots__ = ()
 
-    def __init__(self, paths: Sequence[Sequence[LatticePoint]]):
-        self.paths = tuple(tuple(LatticePoint(*v) for v in p) for p in paths)
+    def __new__(cls, paths: Sequence[Sequence[LatticePoint]]):
+        return super().__new__(cls, (tuple(LatticePoint(*v) for v in p) for p in paths))
 
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __getitem__(self, i):
-        return self.paths[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PathFamily) and self.paths == other.paths
+    @property
+    def paths(self) -> Tuple[Tuple[LatticePoint, ...], ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"PathFamily({len(self.paths)} paths)"
+        return f"PathFamily({len(self)} paths)"
 
 
 def start_end_points(h: PuncturedHexagon) -> Tuple[List[LatticePoint], List[LatticePoint]]:
@@ -293,9 +286,7 @@ def count_via_path_determinants(h: PuncturedHexagon) -> int:
         for s in starts[:-1]
     ]
     rows.append([count_paths(p, e) for e in ends])
-    total = determinant(rows)
-    assert total.denominator == 1
-    return int(total)
+    return integer_determinant(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from punchex.core import (
     binomial,
     conjugate,
     determinant,
+    integer_determinant,
     matmul,
     pfaffian,
     pfaffian_minor,
@@ -190,13 +191,22 @@ def test_determinant_matches_rational_elimination():
         # sparse, so that zero pivots turn up deep in the elimination
         cases.append([[rng.choice([0, 0, 0, 1, -2, Fraction(1, 3)]) for _ in range(n)]
                       for _ in range(n)])
-    singular = 0
+    # integer_determinant (on the all-int cases, the 0x0 one included)
+    # eliminates in place, so it gets a copy; this one has a zero pivot at
+    # step 1 that only the row below can replace
+    cases.append([[1, 2, 3], [2, 4, 5], [1, 3, 3]])
+    singular = integer = 0
     for m in cases:
         expected = _gauss_determinant(m)
         got = determinant(m)
         assert type(got) is Fraction and got == expected, m
         singular += expected == 0
+        if all(type(x) is int for row in m for x in row):
+            got = integer_determinant([list(row) for row in m])
+            assert type(got) is int and got == expected, m
+            integer += 1
     assert singular >= 40
+    assert integer >= 100
 
 
 def test_determinant_multiplicative():

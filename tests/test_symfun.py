@@ -249,27 +249,28 @@ def test_generate_rab_deterministic():
 
 def test_rab_sum_matches_alternants_and_fraction_oracle():
     # two independent distinct alphabets, each with 0 and a negative point,
-    # against schur_bidet; all-ones alphabets against the Fraction oracle
+    # against schur_bidet; all-ones alphabets against the Fraction oracle.
+    # The skewed shapes (a >> b or a << b) give conjugate shapes with many
+    # zero parts, which the sum pads with powers of Q.
     rng = random.Random(61)
+    shapes = [(a, b) for a in range(1, 5) for b in range(1, 5) if a % 2 == b % 2]
+    shapes += [(5, 1), (7, 1), (1, 5), (6, 2), (2, 6)]
     cases = 0
-    for a in range(1, 5):
-        for b in range(1, 5):
-            if a % 2 != b % 2:
-                continue
-            pairs = generate_rab(a, b)
-            for n in (b, b + 1, b + 2):
-                rest = [x for x in MIXED_POINTS if x not in (0, -3, -1)]
-                big = as_points([0, -3] + rng.sample(rest, n - 1))
-                small = as_points(([-1, 0] + rng.sample(rest, n))[:n])
-                expected = sum(schur_bidet(pr.lam, big) * schur_bidet(pr.mu, small)
-                               for pr in pairs)
-                assert _rab_sum(a, b, big, small) == expected, (a, b, n, big, small)
-                ones_big, ones_small = (F(1),) * (n + 1), (F(1),) * n
-                expected = sum(_oracle_schur_nk(pr.lam, ones_big)
-                               * _oracle_schur_nk(pr.mu, ones_small) for pr in pairs)
-                assert _rab_sum(a, b, ones_big, ones_small) == expected, (a, b, n)
-                cases += 1
-    assert cases == 24
+    for a, b in shapes:
+        pairs = generate_rab(a, b)
+        for n in (b, b + 1, b + 2):
+            rest = [x for x in MIXED_POINTS if x not in (0, -3, -1)]
+            big = as_points([0, -3] + rng.sample(rest, n - 1))
+            small = as_points(([-1, 0] + rng.sample(rest, n))[:n])
+            expected = sum(schur_bidet(pr.lam, big) * schur_bidet(pr.mu, small)
+                           for pr in pairs)
+            assert _rab_sum(a, b, big, small) == expected, (a, b, n, big, small)
+            ones_big, ones_small = (F(1),) * (n + 1), (F(1),) * n
+            expected = sum(_oracle_schur_nk(pr.lam, ones_big)
+                           * _oracle_schur_nk(pr.mu, ones_small) for pr in pairs)
+            assert _rab_sum(a, b, ones_big, ones_small) == expected, (a, b, n)
+            cases += 1
+    assert cases == 39
 
 
 def test_lemma8_holds_on_generated_pairs():
