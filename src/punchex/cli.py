@@ -43,20 +43,25 @@ from .tiling import (
 )
 
 
-# Largest R(a,b) that ``verify theorem3|conjecture5|chain53|lemma8`` walk,
-# C(14, 7) pairs.  It is lemma8's only bound (about 0.1 s at this size), and
-# it keeps the cost estimate below from computing C(a+b, a) for huge sides.
+# Largest R(a,b) that ``verify theorem3|conjecture5|chain53|lemma8`` admit,
+# C(14, 7) pairs.  Only lemma8 walks the pairs, and this is its only bound
+# (about 0.1 s at this size).  The other three evaluate the whole sum as one
+# determinant of size a+1, which the cost estimate below prices; the cap
+# still refuses them past C(14, 7) pairs.
 MAX_RAB_PAIRS = 3432
 RAB_TARGETS = ("theorem3", "conjecture5", "chain53", "lemma8")
 
 # ``verify`` refuses up front any input whose estimated run time is longer.
 VERIFY_BUDGET_S = 5
 # Femtoseconds per unit of work, fitted to timings with cold caches (one
-# core of a 2-core x86 host, Python 3.11) and then raised by 60%, so that
-# few admitted inputs run much past the budget; see ``_estimated_fs``.
-FS_PER = {"schur_value": 93_000_000_000, "schur_step": 78_000_000, "schur_digit": 13_000,
+# core of a 2-core x86 host, Python 3.11) and then raised by 60% (the
+# ``schur_*`` weights by 100%; ``chain53_entry`` is set apart), so that few
+# admitted inputs run much past the budget; see ``_estimated_fs``.
+FS_PER = {"schur_sum": 400_000_000_000, "schur_point": 1_300_000_000, "schur_row": 13_000_000_000,
+          "schur_step": 470_000_000, "schur_digit": 140_000,
           "rectangle_step": 32_000_000, "rectangle_digit": 10_000,
-          "pfaffian_step": 150_000_000, "chain53_digit": 460, "lemma10_digit": 1_100,
+          "pfaffian_step": 150_000_000, "chain53_entry": 30_000_000_000, "chain53_digit": 460,
+          "lemma10_digit": 1_100,
           "minor-summation": 360_000_000_000, "lemma9": 125_000_000_000}
 
 # The targets checked at seeded points: how many points beyond n each draws,
@@ -130,34 +135,36 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     so that huge inputs cannot overflow.
 
     ``minor-summation`` and ``lemma9`` cost a fixed time per trial.  A trial
-    of the other targets evaluates Schur values, each an integer
-    Jacobi-Trudi determinant of size k over the e-table of an alphabet of
-    L points: a fixed cost, about k^3 elimination steps, and about
-    k^4 L^2 digit operations as the entries grow.  An R(a,b) target
-    evaluates m = 2 C(a+b, a) values, plus four rectangles for theorem3
-    and conjecture5, with k <= a+1 (lambda_1 <= a+1 over R(a,b)) and
-    L = n+1 (n+2 for conjecture5).  Few of them reach that bound when b is
-    small (the mean of lambda_1^3 / (a+1)^3 is about 0.27 at b = 1, 0.48 at
-    b = 3 and 0.62 at b = 7), so both terms carry the factor b/(b+2).
-    lemma10 evaluates two rectangles per alphabet, with k <= (a+2)/2,
-    L = n and at most r = b/2+1 rows; they are priced apart, since k is
-    nearly exact for them, and their digit work grows with r as well.
-    The moment Pfaffians are integer: chain53 takes one of size
-    K = 4n-2b+2, and lemma10 one of size K = 2n-b+2 per alphabet (two when
-    n-1 >= b).  Each costs about K^3 elimination steps and
-    K^5 (n+a) (s+1) digit operations, s = (a+b)/2.  The digit terms and
-    the factor b/(b+2) are forms fitted to timings, not derived.  Measured
-    times of 440 inputs that took 0.2 s or more were 0.38x..1.21x the
-    estimate.  lemma8 is bounded by MAX_RAB_PAIRS alone.
+    of an R(a,b) target draws L points (n+1, n+2 for conjecture5), builds
+    their e-tables and evaluates the sum over R(a,b) as one integer
+    determinant of size k = a+1; theorem3 and conjecture5 add four
+    rectangles of at most half that size and up to (b+2)/2 rows.  So a
+    trial costs a fixed time, about L^2 operations for the points and
+    tables, a+b for the a+b+1 rows of the sum's two matrices and the
+    rectangles' parts, k^3 elimination steps and k^4 L^2
+    digit operations as the entries grow.  lemma10 evaluates two
+    rectangles per alphabet, with k <= (a+2)/2, L = n and at most
+    r = b/2+1 rows, for about k^3 steps and k^4 L^2 r digit operations.
+    chain53 builds G, (2n+1) x 2(a+b), and the product G A G^T, priced per
+    entry of G.  The moment Pfaffians are integer: chain53 takes one of
+    size K = 4n-2b+2, and lemma10 one of size K = 2n-b+2 per alphabet (two
+    when n-1 >= b).  Each costs about K^3 elimination steps and
+    K^5 (n+a) (s+1) digit operations, s = (a+b)/2.  The digit terms are
+    forms fitted to timings, not derived.
 
-    The weights were fitted when each R(a,b) term was its own Fraction.
-    An R(a,b) sum now reads each pair's two minors from its index vector,
-    adds the terms over ``int`` and divides once per sum; no admitted
-    input got slower, so ``FS_PER`` still bounds them all and is left as
-    it was, but it now overstates the R(a,b) targets at a ~ b by about
-    2.4x more than before (theorem3 at a = b = 7, n = 8: 0.75 s -> 0.32 s
-    on a 2-core x86 host, Python 3.11) and at a << b by about 3.7x more
-    (a = 4, b = 14, n = 14: 0.44 s -> 0.12 s).
+    The ``schur_*`` weights were fitted to 662 theorem3 and conjecture5
+    inputs (k up to 122, L up to 113, b up to 3431) timed on the
+    benchmark's reference clock (``bench/calibrate.py``, the host's slow
+    phase), so that the measured times spread evenly, 0.6x..1.66x, about
+    the fit.  Raised by 60%, the slowest newly admitted conjecture5 inputs
+    measured 5.0-5.1 s; raised by 100%, the fitting inputs are
+    0.30x..0.83x the estimate.  ``chain53_digit`` keeps its earlier value;
+    ``chain53_entry`` alone was fitted to 158 chain53 inputs on the same
+    clock, so that those whose Pfaffian terms are under half the estimate
+    measure at most 0.88x it.  All 158 measured 0.39x..1.12x the estimate,
+    the largest ratios where the Pfaffian dominates.  The other weights were
+    fitted to inputs of which 440 took 0.2 s or more and measured
+    0.38x..1.21x.  lemma8 is bounded by MAX_RAB_PAIRS alone.
     """
     if target in ("minor-summation", "lemma9"):
         return trials * FS_PER[target]
@@ -166,14 +173,16 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     n, s = max(n, 0), (a + b) // 2
     work = dict.fromkeys(FS_PER, 0)
     if target in RAB_TARGETS:
-        m = 2 * binomial(a + b, a) + (0 if target == "chain53" else 4)
-        k, L, b0 = a + 1, n + (2 if target == "conjecture5" else 1), max(b, 0)
-        work["schur_value"] += m
-        work["schur_step"] += m * k ** 3 * b0 // (b0 + 2)
-        work["schur_digit"] += m * k ** 4 * L ** 2 * b0 // (b0 + 2)
+        k, L = max(a, 0) + 1, n + (2 if target == "conjecture5" else 1)
+        work["schur_sum"] += 1
+        work["schur_point"] += L ** 2
+        work["schur_row"] += max(a + b, 0)
+        work["schur_step"] += k ** 3
+        work["schur_digit"] += k ** 4 * L ** 2
     if target == "chain53":
         K = 4 * n - 2 * b + 2
         work["pfaffian_step"] += K ** 3
+        work["chain53_entry"] += (2 * n + 1) * 2 * max(a + b, 0)
         work["chain53_digit"] += K ** 5 * (n + a) * (s + 1)
     if target == "lemma10":
         alphabets, K = (2 if n - 1 >= b else 1), 2 * n - b + 2

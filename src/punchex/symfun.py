@@ -8,9 +8,10 @@ Schur polynomials are evaluated two independent ways:
   table Q e_0, ..., Q e_n of the alphabet (``_elementary_all``, the
   module's one cache), so the determinant runs over ``int`` and divides
   once, by Q^lambda_1.  ``schur_eval`` calls it.  An R(a,b) sum reads each
-  alphabet's table once and each pair's two minors straight from its index
-  vector, which gives the conjugate shapes; it adds the products over
-  ``int`` and divides once per sum.  It accepts repeated points (all-ones
+  alphabet's table once and never visits the C(a+b, a) pairs: each pair's
+  two minors are maximal minors of two fixed matrices on the same index
+  rows, so by Cauchy-Binet the sum is one integer determinant of size a+1
+  (``_rab_sum``), divided once.  It accepts repeated points (all-ones
   specializations); its cost grows with lambda_1, not with the points.
 * ``schur_bidet`` — ratio of two alternants det(x_j^(lam_i+n-i)) /
   det(x_j^(n-i)), both cleared of denominators so the determinant and the
@@ -255,12 +256,17 @@ def _colex_subsets(pool: Sequence[int], k: int):
     return sorted(combinations(sorted(pool), k), key=lambda s: s[::-1])
 
 
-def _index_vectors(a: int, b: int):
-    """Yield every index (k, i) of R(a,b) in ``generate_rab``'s order."""
+def _check_rab(a: int, b: int) -> None:
+    """Refuse (a, b) for which R(a,b) is not defined."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
     if a % 2 != b % 2:
         raise ValueError("generate_rab requires a and b of equal parity")
+
+
+def _index_vectors(a: int, b: int):
+    """Yield every index (k, i) of R(a,b) in ``generate_rab``'s order."""
+    _check_rab(a, b)
     half = (a + b) // 2
     for k in range(max(0, a - half), min(a, half) + 1):
         positives = _colex_subsets(range(1, half + 1), a - k)
@@ -298,23 +304,44 @@ def generate_rab(a: int, b: int) -> List[RabPair]:
 
 
 def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
-    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small).
+    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small), as
+    one integer determinant of size a+1 (Cauchy-Binet).
 
-    Each pair's two Jacobi-Trudi minors are read from its index vector and
-    the two alphabets' integer e-tables (Q_X, Q_Y their first entries).
-    lambda' has a parts and mu' a+1, so padding each minor with a factor Q
-    per zero part puts every term over Q_X^a Q_Y^(a+1): the sum runs over
-    ``int`` and divides once.
+    Let h = (a+b)/2, hd = (b-a)/2, and read the integer e-tables ex, ey of
+    the two alphabets (Q_X, Q_Y their first entries) as 0 outside their
+    range.  The pair of index vector S + {0}, S an a-subset of the nonzero
+    x in [-h, h], has Q_X^a s_lambda = det(ex[hd+1+x+j]) over x in S
+    descending, j < a, and Q_Y^(a+1) s_mu = det(ey[hd-x+j]) over x in
+    S + {0} ascending, j <= a (the Jacobi-Trudi minors of lambda' and mu';
+    a zero part adds only the factor Q).  Take the (2h+1) x (a+1) matrices
+    with rows x = -h..h
+
+      G[x][j] = ey[hd-x+j],   F[0] = (1, 0, ..., 0),
+      F[x] = (0, sigma_x ex[hd+1+x], ..., sigma_x ex[hd+x+a])  for x != 0,
+
+    sigma_x = -1 for x < 0 and +1 for x > 0.  A row set T without 0 has
+    det F_T = 0; expanding det F_{S+{0}} along row 0, at position k = the
+    number of negatives in S, gives (-1)^k, which the k signs sigma_x
+    cancel, and reversing the rows of the lambda minor gives
+    (-1)^(a(a-1)/2).  So by Cauchy-Binet
+    det(F^T G) = (-1)^(a(a-1)/2) Q_X^a Q_Y^(a+1) times the sum.
     """
+    _check_rab(a, b)
     ex, ey = _elementary_all(as_points(big)), _elementary_all(as_points(small))
-    pad_x = [ex[0] ** z for z in range(a + 1)]
-    pad_y = [ey[0] ** z for z in range(a + 2)]
-    total = 0
-    for k, i in _index_vectors(a, b):
-        lam_conj, mu_conj = _conjugate_shapes(a, b, k, i)
-        total += (_jt_minor(lam_conj, ex) * pad_x[lam_conj.count(0)]
-                  * _jt_minor(mu_conj, ey) * pad_y[mu_conj.count(0)])
-    return Fraction(total, pad_x[a] * pad_y[a + 1])
+    h, hd = (a + b) // 2, (b - a) // 2
+
+    def at(table: Tuple[int, ...], s: int) -> int:
+        return table[s] if 0 <= s < len(table) else 0
+
+    # rows x != 0 of F (columns 1..a) and G
+    fg = [([(1 if x > 0 else -1) * at(ex, hd + x + i) for i in range(1, a + 1)],
+           [at(ey, hd - x + j) for j in range(a + 1)])
+          for x in range(-h, h + 1) if x]
+    # column 0 of F is 1 at x = 0 and 0 elsewhere: row 0 of F^T G is G[0]
+    ftg = [[at(ey, hd + j) for j in range(a + 1)]]
+    ftg += [[sum(f[i] * g[j] for f, g in fg) for j in range(a + 1)] for i in range(a)]
+    sign = -1 if a * (a - 1) // 2 % 2 else 1
+    return Fraction(sign * integer_determinant(ftg), ex[0] ** a * ey[0] ** (a + 1))
 
 
 def lemma8_check(pair: RabPair) -> bool:

@@ -183,6 +183,15 @@ def test_verify_rejects_bad_parameters():
         assert proc.stderr.startswith("error: "), args
 
 
+def test_verify_rab_targets_refuse_a_zero_side():
+    # a = 0 passes the CLI's own parity and size checks; the library refuses it
+    for target in ("theorem3", "conjecture5", "chain53"):
+        proc = _run("verify", target, "--a", "0", "--b", "2")
+        assert proc.returncode == 2, target
+        assert proc.stdout.strip() == "", target
+        assert proc.stderr == "error: a and b must be positive\n", target
+
+
 def test_verify_refuses_unequal_parity_up_front():
     for target in ("theorem3", "conjecture5", "chain53", "lemma10", "lemma8"):
         for a, b in (("1", "2"), ("4", "1")):
@@ -214,8 +223,8 @@ def test_verify_refuses_costly_inputs_up_front():
                  ("lemma10", "--a", "41", "--b", "41", "--n", "51"),
                  ("lemma10", "--a", "101", "--b", "101", "--n", "101"),
                  ("lemma10", "--a", "401", "--b", "1", "--n", "10"),
-                 ("theorem3", "--a", "7", "--b", "7", "--n", "100", "--trials", "5"),
-                 ("theorem3", "--a", "40", "--b", "2", "--n", "10", "--trials", "1"),
+                 ("theorem3", "--a", "7", "--b", "7", "--n", "100", "--trials", "5000"),
+                 ("theorem3", "--a", "40", "--b", "2", "--n", "10", "--trials", "1000"),
                  ("chain53", "--a", "1", "--b", "1", "--n", "46"),
                  ("conjecture5", "--a", "1", "--b", "1", "--n", "10" * 200),
                  ("lemma9", "--trials", "1000000"),

@@ -2,8 +2,11 @@
 on it."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from punchex import msf
 from punchex.core import determinant, pfaffian, pfaffian_minor
@@ -234,6 +237,27 @@ def test_theorem3_validation():
     _expect_value_error(theorem3_lhs, 1, 1, 1, pts1, (F(5),))  # not a prefix
     _expect_value_error(theorem3_lhs, 1, 1, 2, pts1, (F(2),))  # wrong sizes
     _expect_value_error(theorem3_rhs, 1, 2, 1, pts1, (F(2),))  # parity
+
+
+def test_rab_checks_refuse_undefined_families():
+    # R(a,b) is defined only for positive a, b of equal parity; each check
+    # refuses the rest with the message it has always given
+    p1 = (F(2), F(3), F(5))
+    checks = (
+        (lambda a, b: theorem3_lhs(a, b, 2, p1, p1[:2]),
+         "generate_rab requires a and b of equal parity"),
+        (lambda a, b: conjecture5_check(a, b, 2, p1 + (F(7),)),
+         "generate_rab requires a and b of equal parity"),
+        (lambda a, b: chain_5_3_check(a, b, 2, p1, p1[:2]),
+         "index sets require a and b of equal parity"),
+    )
+    for check, parity_message in checks:
+        for a, b in ((0, 2), (2, 0), (0, 0), (-1, 1), (1, -1)):
+            with pytest.raises(ValueError, match="^a and b must be positive$"):
+                check(a, b)
+        for a, b in ((1, 2), (2, 1), (4, 1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(parity_message)}$"):
+                check(a, b)
 
 
 def test_conjecture5_hand_instance():

@@ -247,11 +247,16 @@ def test_generate_rab_deterministic():
     assert once == again
 
 
+def _per_pair_sum(pairs, big, small, schur=schur_bidet):
+    """The R(a,b) sum pair by pair, each Schur value from ``schur``."""
+    return sum(schur(pr.lam, big) * schur(pr.mu, small) for pr in pairs)
+
+
 def test_rab_sum_matches_alternants_and_fraction_oracle():
     # two independent distinct alphabets, each with 0 and a negative point,
     # against schur_bidet; all-ones alphabets against the Fraction oracle.
-    # The skewed shapes (a >> b or a << b) give conjugate shapes with many
-    # zero parts, which the sum pads with powers of Q.
+    # The skewed shapes (a >> b or a << b) read many entries past the ends
+    # of the e-tables, which the sum takes as 0.
     rng = random.Random(61)
     shapes = [(a, b) for a in range(1, 5) for b in range(1, 5) if a % 2 == b % 2]
     shapes += [(5, 1), (7, 1), (1, 5), (6, 2), (2, 6)]
@@ -262,15 +267,33 @@ def test_rab_sum_matches_alternants_and_fraction_oracle():
             rest = [x for x in MIXED_POINTS if x not in (0, -3, -1)]
             big = as_points([0, -3] + rng.sample(rest, n - 1))
             small = as_points(([-1, 0] + rng.sample(rest, n))[:n])
-            expected = sum(schur_bidet(pr.lam, big) * schur_bidet(pr.mu, small)
-                           for pr in pairs)
+            expected = _per_pair_sum(pairs, big, small)
             assert _rab_sum(a, b, big, small) == expected, (a, b, n, big, small)
             ones_big, ones_small = (F(1),) * (n + 1), (F(1),) * n
-            expected = sum(_oracle_schur_nk(pr.lam, ones_big)
-                           * _oracle_schur_nk(pr.mu, ones_small) for pr in pairs)
+            expected = _per_pair_sum(pairs, ones_big, ones_small, _oracle_schur_nk)
             assert _rab_sum(a, b, ones_big, ones_small) == expected, (a, b, n)
             cases += 1
     assert cases == 39
+
+
+def test_rab_sum_determinant_matches_per_pair_sum():
+    # the single Cauchy-Binet determinant against the per-pair sum over
+    # generate_rab; a(a-1)/2 is even at a = 5 and odd at a = 3, 6 and 7,
+    # so both signs of the global factor are exercised.  Swapping the
+    # alphabets must give the swapped sum and not the same value, which a
+    # determinant that read F and G the wrong way round would not.
+    rng = random.Random(83)
+    for a, b in ((5, 5), (6, 6), (3, 7), (7, 3)):
+        pairs = generate_rab(a, b)
+        for n in (b, b + 1):
+            rest = [x for x in MIXED_POINTS if x not in (0, -3)]
+            big = as_points([0, -3] + rng.sample(rest, n - 1))
+            small = as_points(rng.sample(MIXED_POINTS, n))
+            assert any(x < 0 for x in small), (a, b, n, small)
+            expected = _per_pair_sum(pairs, big, small)
+            assert _rab_sum(a, b, big, small) == expected, (a, b, n, big, small)
+            swapped = _per_pair_sum(pairs, small, big, schur_nk)
+            assert _rab_sum(a, b, small, big) == swapped != expected, (a, b, n)
 
 
 def test_lemma8_holds_on_generated_pairs():
