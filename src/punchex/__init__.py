@@ -18,6 +18,7 @@ from .core import (
     conjugate,
     determinant,
     integer_determinant,
+    integer_pfaffian,
     pfaffian,
     pfaffian_minor,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "conjugate",
     "determinant",
     "integer_determinant",
+    "integer_pfaffian",
     "pfaffian",
     "pfaffian_minor",
     "macmahon_box",

@@ -19,7 +19,6 @@ import random
 import sys
 import time
 from decimal import Decimal
-from fractions import Fraction
 from typing import Optional
 
 from .boxcount import macmahon_box, theorem1_count, theorem4_count
@@ -60,7 +59,7 @@ VERIFY_BUDGET_S = 5
 FS_PER = {"schur_sum": 400_000_000_000, "schur_point": 1_300_000_000, "schur_row": 13_000_000_000,
           "schur_step": 470_000_000, "schur_digit": 140_000,
           "rectangle_step": 32_000_000, "rectangle_digit": 10_000,
-          "pfaffian_step": 150_000_000, "chain53_entry": 30_000_000_000, "chain53_digit": 460,
+          "pfaffian_step": 150_000_000, "chain53_entry": 2_000_000_000, "chain53_digit": 460,
           "lemma10_digit": 1_100,
           "minor-summation": 360_000_000_000, "lemma9": 125_000_000_000}
 
@@ -144,13 +143,14 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     rectangles' parts, k^3 elimination steps and k^4 L^2
     digit operations as the entries grow.  lemma10 evaluates two
     rectangles per alphabet, with k <= (a+2)/2, L = n and at most
-    r = b/2+1 rows, for about k^3 steps and k^4 L^2 r digit operations.
-    chain53 builds G, (2n+1) x 2(a+b), and the product G A G^T, priced per
-    entry of G.  The moment Pfaffians are integer: chain53 takes one of
-    size K = 4n-2b+2, and lemma10 one of size K = 2n-b+2 per alphabet (two
-    when n-1 >= b).  Each costs about K^3 elimination steps and
-    K^5 (n+a) (s+1) digit operations, s = (a+b)/2.  The digit terms are
-    forms fitted to timings, not derived.
+    r = b/2+1 rows, for about k^3 steps and k^4 L^2 r digit operations (an
+    upper bound: a rectangle with r^2 < k is a determinant of size r).
+    chain53 computes only the (n+1) x n block N of G A G^T, a+b products
+    an entry, priced per product.  The moment Pfaffians are integer:
+    chain53 takes one of size K = 4n-2b+2, and lemma10 one of size
+    K = 2n-b+2 per alphabet (two when n-1 >= b).  Each costs about K^3
+    elimination steps and K^5 (n+a) (s+1) digit operations, s = (a+b)/2.
+    The digit terms are forms fitted to timings, not derived.
 
     The ``schur_*`` weights were fitted to 662 theorem3 and conjecture5
     inputs (k up to 122, L up to 113, b up to 3431) timed on the
@@ -158,13 +158,15 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     phase), so that the measured times spread evenly, 0.6x..1.66x, about
     the fit.  Raised by 60%, the slowest newly admitted conjecture5 inputs
     measured 5.0-5.1 s; raised by 100%, the fitting inputs are
-    0.30x..0.83x the estimate.  ``chain53_digit`` keeps its earlier value;
-    ``chain53_entry`` alone was fitted to 158 chain53 inputs on the same
-    clock, so that those whose Pfaffian terms are under half the estimate
-    measure at most 0.88x it.  All 158 measured 0.39x..1.12x the estimate,
-    the largest ratios where the Pfaffian dominates.  The other weights were
-    fitted to inputs of which 440 took 0.2 s or more and measured
-    0.38x..1.21x.  lemma8 is bounded by MAX_RAB_PAIRS alone.
+    0.30x..0.83x the estimate.  On the same clock, the block product and
+    the moment rows took 0.3-1.8 us per product of N over nine shapes, so
+    ``chain53_entry`` is 2 us.  The other weights keep their earlier fits,
+    on inputs of which 440 took 0.2 s or more and measured 0.38x..1.21x.
+    With each point paired with a border column in the Pfaffians and wide
+    rectangles taken by rows, 97 one-trial chain53 inputs measured
+    0.22x..0.84x the estimate and 137 lemma10 inputs at 3 trials at most
+    0.96x, that one ``lemma10 --a 1 --b 1 --n 45`` at 4.1-4.3 s.  lemma8
+    is bounded by MAX_RAB_PAIRS alone.
     """
     if target in ("minor-summation", "lemma9"):
         return trials * FS_PER[target]
@@ -182,7 +184,7 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     if target == "chain53":
         K = 4 * n - 2 * b + 2
         work["pfaffian_step"] += K ** 3
-        work["chain53_entry"] += (2 * n + 1) * 2 * max(a + b, 0)
+        work["chain53_entry"] += (n + 1) * n * max(a + b, 0)
         work["chain53_digit"] += K ** 5 * (n + a) * (s + 1)
     if target == "lemma10":
         alphabets, K = (2 if n - 1 >= b else 1), 2 * n - b + 2
@@ -239,8 +241,8 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
             size = rng.randint(1, 4)
             q = rng.choice([x for x in (0, 1, 2) if (size + x) % 2 == 0 and x <= size])
             p = rng.randint(max(1, size - q), 6)
-            G = [[Fraction(rng.randint(-3, 3)) for _ in range(p)] for _ in range(size)]
-            H = [[Fraction(rng.randint(-3, 3)) for _ in range(q)] for _ in range(size)]
+            G = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(size)]
+            H = [[rng.randint(-3, 3) for _ in range(q)] for _ in range(size)]
             lhs, rhs = minor_summation(G, H, _random_skew(rng, p))
             if lhs != rhs:
                 return params, False, {"trial": trial, "n": size, "p": p, "q": q,
@@ -273,10 +275,10 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
 
 def _random_skew(rng: random.Random, size: int):
     """A size x size skew matrix, its upper triangle drawn row by row from -3..3."""
-    A = [[Fraction(0)] * size for _ in range(size)]
+    A = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            A[i][j] = Fraction(rng.randint(-3, 3))
+            A[i][j] = rng.randint(-3, 3)
             A[j][i] = -A[i][j]
     return A
 

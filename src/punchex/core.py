@@ -11,8 +11,9 @@ denominators of their input first and then work over ``int`` only, with
 exact integer divisions (Bareiss elimination and its Pfaffian analogue);
 each result is a ``Fraction`` built once, at the end.  Rational
 elimination would instead reduce a gcd after every operation.  A caller
-whose matrix is already all ``int`` calls ``integer_determinant``, the one
-elimination loop under ``determinant``, directly.
+whose matrix is already all ``int`` calls the elimination loop under
+``determinant`` or ``pfaffian`` directly: ``integer_determinant`` or
+``integer_pfaffian``, which skip the checks and the scaling.
 """
 
 from __future__ import annotations
@@ -45,14 +46,13 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = list(map(int, parts))
         while ps and ps[-1] == 0:
-            ps = ps[:-1]
-        for i, p in enumerate(ps):
-            if p < 0:
-                raise ValueError("partition parts must be nonnegative")
-            if i > 0 and ps[i - 1] < p:
-                raise ValueError("partition parts must be weakly decreasing")
+            ps.pop()
+        if any(map(int.__lt__, ps, ps[1:])):
+            raise ValueError("partition parts must be weakly decreasing")
+        if ps and ps[-1] < 0:
+            raise ValueError("partition parts must be nonnegative")
         return super().__new__(cls, ps)
 
     @property
@@ -75,10 +75,11 @@ def conjugate(p: Partition) -> Partition:
     The j-th part of the conjugate is the number of parts of ``p`` that
     are >= j, so i occurs p_i - p_(i+1) times.  conjugate(conjugate(p)) == p.
     """
-    parts = (p if isinstance(p, Partition) else Partition(p)).parts
+    parts = p if isinstance(p, Partition) else Partition(p)
     below = parts[1:] + (0,)
-    return Partition(i for i in range(len(parts), 0, -1)
-                     for _ in range(parts[i - 1] - below[i - 1]))
+    # weakly decreasing and positive by construction: no second validation
+    return tuple.__new__(Partition, (i for i in range(len(parts), 0, -1)
+                                     for _ in range(parts[i - 1] - below[i - 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -195,46 +196,35 @@ def _check_skew(m: ExactMatrix) -> None:
                 raise ValueError("matrix is not skew-symmetric")
 
 
-def pfaffian(m: SkewMatrix) -> Fraction:
-    """Exact Pfaffian of a skew-symmetric matrix, by fraction-free
-    elimination.
+def integer_pfaffian(rows: List[List[int]]) -> int:
+    """Pfaffian of a skew-symmetric ``int`` matrix by fraction-free
+    elimination, run in place: ``rows`` is overwritten.
 
-    The matrix is scaled to D A D with D = diag(d_i), d_i the lcm of the
-    denominators of row i; D A D is a skew integer matrix and
-    Pf(D A D) = Pf(A) * prod d_i.  Step k takes the pivot p = a_{k,k+1}
-    and replaces a_ij (i, j > k+1) by
+    Step k takes the pivot p = a_{k,k+1} and replaces a_ij (i, j > k+1) by
 
         (p a_ij - a_ki a_{k+1,j} + a_kj a_{k+1,i}) / prev,
 
     prev being the previous step's pivot.  The division is exact by the
     Pfaffian form of Sylvester's identity (Knuth, "Overlapping Pfaffians"):
     each entry becomes the Pfaffian of the leading k+2 indices together
-    with i and j, so the last pivot is Pf(D A D).  A zero pivot is replaced
-    by swapping row and column k+1 with a later j that has a_kj != 0,
-    which flips the sign; if there is none the Pfaffian is 0.
-
-    Entries are ``int`` or ``Fraction``.  Conventions: empty matrix -> 1;
-    odd dimension -> 0 (its determinant vanishes identically).  Non-skew
-    input is rejected.
+    with i and j, so the last pivot is the Pfaffian.  A zero pivot is
+    replaced by swapping row and column k+1 with a later j that has
+    a_kj != 0, which flips the sign; if there is none the Pfaffian is 0.
+    Conventions: empty matrix -> 1; odd dimension -> 0 (its determinant
+    vanishes identically).  The rows are not checked: ``pfaffian`` is the
+    validating entry point for any exact matrix.
     """
-    _check_skew(m)
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
+    n = len(rows)
     if n % 2 == 1:
-        return Fraction(0)
-    ds = [lcm(*(x.denominator for x in row)) for row in m]
-    a = [
-        [x.numerator * (di // x.denominator) * dj for x, dj in zip(row, ds)]
-        for row, di in zip(m, ds)
-    ]
+        return 0
+    a = rows
     sign, prev = 1, 1
     for k in range(0, n - 1, 2):
         rk = a[k]
         if rk[k + 1] == 0:
             j = next((j for j in range(k + 2, n) if rk[j]), None)
             if j is None:
-                return Fraction(0)
+                return 0
             a[k + 1], a[j] = a[j], a[k + 1]
             for row in a:
                 row[k + 1], row[j] = row[j], row[k + 1]
@@ -249,7 +239,26 @@ def pfaffian(m: SkewMatrix) -> Fraction:
                 ri[j] = v
                 a[j][i] = -v  # a later pivot swap moves whole rows and columns
         prev = p
-    return Fraction(sign * prev, prod(ds))
+    return sign * prev
+
+
+def pfaffian(m: SkewMatrix) -> Fraction:
+    """Exact Pfaffian of a skew-symmetric matrix of ``int`` or ``Fraction``
+    entries.
+
+    The matrix is scaled to D A D with D = diag(d_i), d_i the lcm of the
+    denominators of row i; D A D is a skew integer matrix and
+    Pf(D A D) = Pf(A) * prod d_i, so ``integer_pfaffian`` runs over ``int``
+    and the result is one division at the end.  Conventions: empty
+    matrix -> 1; odd dimension -> 0.  Non-skew input is rejected.
+    """
+    _check_skew(m)
+    ds = [lcm(*(x.denominator for x in row)) for row in m]
+    a = [
+        [x.numerator * (di // x.denominator) * dj for x, dj in zip(row, ds)]
+        for row, di in zip(m, ds)
+    ]
+    return Fraction(integer_pfaffian(a), prod(ds))
 
 
 def pfaffian_minor(m: SkewMatrix, K: Sequence[int]) -> Fraction:

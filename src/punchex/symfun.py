@@ -7,7 +7,10 @@ Schur polynomials are evaluated two independent ways:
   x_j = p_j / q_j and Q = prod_j q_j, its entries come from the integer
   table Q e_0, ..., Q e_n of the alphabet (``_elementary_all``, the
   module's one cache), so the determinant runs over ``int`` and divides
-  once, by Q^lambda_1.  ``schur_eval`` calls it.  An R(a,b) sum reads each
+  once, by Q^lambda_1.  A shape with l(lambda)^2 < lambda_1 takes the
+  Jacobi-Trudi determinant det(h_{lambda_i - i + j}) of size l(lambda)
+  instead, its entries Q^k h_k computed from the same table.
+  ``schur_eval`` calls it.  An R(a,b) sum reads each
   alphabet's table once and never visits the C(a+b, a) pairs: each pair's
   two minors are maximal minors of two fixed matrices on the same index
   rows, so by Cauchy-Binet the sum is one integer determinant of size a+1
@@ -32,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import prod
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import Partition, conjugate, integer_determinant
@@ -115,29 +119,54 @@ def elementary_sym(s: int, pts: Iterable) -> Fraction:
 # Schur evaluation
 # ---------------------------------------------------------------------------
 
-def _jt_minor(conj: Sequence[int], ev: Tuple[int, ...]) -> int:
-    """det(ev[c_i - i + j]) over the nonzero parts c_1 >= ... >= c_l of the
-    conjugate shape ``conj`` (weakly decreasing, zero parts last), reading
-    0 outside the table.  With ev the integer table Q e_0..Q e_n of
+def _jt_minor(parts: Sequence[int], table: Sequence[int]) -> int:
+    """det(table[c_i - i + j]) over the nonzero parts c_1 >= ... >= c_l of
+    ``parts`` (weakly decreasing, zero parts last), reading 0 outside the
+    table.  With the conjugate shape and the integer table Q e_0..Q e_n of
     ``_elementary_all`` this is Q^l s_lambda, l = lambda_1: a zero part
-    would add a row and column that contribute only the factor Q."""
-    n = len(ev) - 1
-    conj = [c for c in conj if c]
+    would add a row and column that contribute only the factor Q.  With
+    lambda and the table of ``_complete_table`` it is Q^|lambda| s_lambda."""
+    n = len(table) - 1
+    parts = [c for c in parts if c]
     return integer_determinant(
-        [[ev[s] if 0 <= (s := c - i + j) <= n else 0 for j in range(len(conj))]
-         for i, c in enumerate(conj)])
+        [[table[s] if 0 <= (s := c - i + j) <= n else 0 for j in range(len(parts))]
+         for i, c in enumerate(parts)])
+
+
+def _complete_table(ev: Tuple[int, ...], m: int) -> List[int]:
+    """(Q^0 h_0, Q^1 h_1, ..., Q^m h_m) from the table ev of
+    ``_elementary_all``: h_k = sum_{i>=1} (-1)^(i-1) e_i h_(k-i) with
+    e_i = ev[i] / Q reads H_k = sum_i (-1)^(i-1) ev[i] Q^(i-1) H_(k-i) for
+    H_k = Q^k h_k, all integers."""
+    Q = ev[0]
+    c = [(-1) ** i * e * Q ** i for i, e in enumerate(ev[1:m + 1])]
+    H = [1]
+    for _ in range(m):
+        H.append(sum(map(mul, c, reversed(H))))
+    return H
 
 
 def _schur_from_table(lam, ev: Tuple[int, ...]) -> Fraction:
-    """s_lambda from the integer table ev of ``_elementary_all``: the
-    Jacobi-Trudi minor of size lambda_1, divided once by Q^lambda_1;
-    ``conjugate`` validates lam when it is not a ``Partition``."""
+    """s_lambda from the integer table ev of ``_elementary_all``, by the
+    smaller Jacobi-Trudi minor.  The dual one, det(e_{lambda'_i - i + j}),
+    has size lambda_1 and is divided once by Q^lambda_1.  When lambda has
+    fewer rows than columns, det(h_{lambda_i - i + j}) of size l(lambda)
+    is smaller: row i scaled by Q^(lambda_i - i) and column j by Q^j, its
+    entries are H_k = Q^k h_k of ``_complete_table``, and it is divided
+    once by Q^|lambda|.  Its entries are larger, so it is taken only when
+    l(lambda)^2 < lambda_1, where it was the faster in timings of
+    rectangles at 2 to 115 points."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if len(lam) ** 2 < lam.part(1):
+        return Fraction(_jt_minor(lam, _complete_table(ev, lam[0] + len(lam) - 1)),
+                        ev[0] ** sum(lam))
     conj = conjugate(lam)
     return Fraction(_jt_minor(conj, ev), ev[0] ** len(conj))
 
 
 def schur_nk(p, pts: Iterable) -> Fraction:
-    """Schur value via the dual Jacobi-Trudi determinant.
+    """Schur value via the dual Jacobi-Trudi determinant (or, for a shape
+    much wider than long, the one in h).
 
     s_lambda = det( e_{lambda'_i - i + j} )_{1<=i,j<=m} with m = lambda_1.
     The entries are read from the integer table Q e_k of ``_elementary_all``,
@@ -145,9 +174,9 @@ def schur_nk(p, pts: Iterable) -> Fraction:
     division at the end.  Works at arbitrary (possibly repeated) points; a
     shape with more rows than there are points correctly evaluates to 0.
     The cost grows with lambda_1, the size of the determinant, and not with
-    the number of points: a wide shape at few points (lambda = (200,) at
-    two points is a 200 x 200 determinant) costs far more than its
-    n x n alternant would.
+    the number of points, so a shape much wider than long (l(lambda)^2 <
+    lambda_1, such as lambda = (200,)) takes the Jacobi-Trudi determinant
+    in h instead, of size l(lambda), read from the same table.
     """
     return _schur_from_table(p, _elementary_all(as_points(pts)))
 

@@ -334,6 +334,29 @@ def test_counterexample_report_bytes_are_pinned(capsys, monkeypatch):
     )
 
 
+def test_minor_summation_counterexample_bytes_are_pinned(capsys, monkeypatch):
+    # the drawn instances, through both sides of the identity: a right side
+    # off by one forces exit 1 and reports the true left side
+    real = cli.minor_summation
+
+    def off_by_one(G, H, A):
+        lhs, rhs = real(G, H, A)
+        return lhs, rhs + 1
+
+    monkeypatch.setattr(cli, "minor_summation", off_by_one)
+    for seed, ce in (
+        (5, '{"trial":0,"n":3,"p":6,"q":1,"lhs":"102","rhs":"103"}'),
+        (11, '{"trial":0,"n":4,"p":5,"q":2,"lhs":"103","rhs":"104"}'),
+    ):
+        assert _run_in_process(capsys, "verify", "minor-summation", "--seed", str(seed),
+                               "--trials", "1") == (
+            1,
+            '{"command":"verify minor-summation","params":{"trials":1,'
+            f'"counterexample":{ce}}},"result":false,"elapsed_ms":0,"seed":{seed}}}\n',
+            "",
+        )
+
+
 def test_render_writes_svg():
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "tiling.svg")

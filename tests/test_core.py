@@ -14,6 +14,7 @@ from punchex.core import (
     conjugate,
     determinant,
     integer_determinant,
+    integer_pfaffian,
     matmul,
     pfaffian,
     pfaffian_minor,
@@ -242,6 +243,7 @@ def test_pfaffian_rejects_non_skew():
     _expect_value_error(pfaffian, [[1, 2], [-2, 0]])  # nonzero diagonal
     _expect_value_error(pfaffian, [[0, 2], [2, 0]])  # not antisymmetric
     _expect_value_error(pfaffian, [[0, 1, 0], [-1, 0, 0]])  # not square
+    _expect_value_error(pfaffian, [[0, 1], [-1]])  # ragged
 
 
 def test_pfaffian_squares_to_determinant():
@@ -276,6 +278,27 @@ def test_pfaffian_matches_recursive_expansion():
             assert pfaffian(m) == expected, m
             zero += expected == 0
     assert zero >= 5
+
+
+def test_integer_pfaffian_matches_recursive_expansion():
+    assert integer_pfaffian([]) == 1
+    for n in (1, 3, 5):
+        assert integer_pfaffian([[0] * n for _ in range(n)]) == 0
+    rng = random.Random(23)
+    swaps = zero = 0
+    for n in (2, 4, 6, 8) * 12:
+        for m in (_random_skew(n, rng), _random_skew(n, rng, -1, 1),
+                  _with_zero_pivots(_random_skew(n, rng, -9, 9))):
+            rows = [[int(x) for x in row] for row in m]
+            expected = _pfaffian_expand(m)
+            swaps += rows[0][1] == 0
+            got = integer_pfaffian([list(row) for row in rows])
+            assert type(got) is int and got == expected, rows
+            zero += expected == 0
+        # odd sizes are 0 whatever the entries
+        assert integer_pfaffian([[int(x) for x in row]
+                                 for row in _random_skew(n + 1, rng)]) == 0
+    assert swaps >= 48 and zero >= 5
 
 
 def test_matmul_matches_naive_product():

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from punchex import msf
-from punchex.core import determinant, pfaffian, pfaffian_minor
+from punchex.core import determinant, integer_pfaffian, pfaffian, pfaffian_minor
 from punchex.msf import (
     IndexSets,
     build_msf_instance,
@@ -291,6 +291,48 @@ def test_chain53_instances():
     assert chain_5_3_check(1, 3, 3, pts1, pts1[:3])
 
 
+def test_chain53_reads_the_pairing_of_structured_skew(monkeypatch):
+    # flipping the sign of one +-1 pair of A (and of its mirror entry) must
+    # break the identity: the block G A G^T is computed from A, not assumed
+    real = msf.structured_skew
+
+    def flipped(a, b):
+        A = real(a, b)
+        p = len(A) // 2
+        j = next(j for j in range(p, 2 * p) if A[0][j])
+        A[0][j], A[j][0] = -A[0][j], -A[j][0]
+        return A
+
+    instances = [(a, b, n, seeded_points(n + 1, a + b + n))
+                 for a, b in ((1, 1), (1, 3), (3, 1), (3, 3), (2, 2)) for n in (b, b + 1)]
+    assert all(chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances)
+    monkeypatch.setattr(msf, "structured_skew", flipped)
+    verdicts = [chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances]
+    assert not any(verdicts), verdicts
+
+
+def test_paired_pfaffian_equals_the_pfaffian_in_the_given_order():
+    # two groups laid out as in chain53: points, points, border, border;
+    # the reordering's sign is applied
+    rng = random.Random(19)
+    nonzero = 0
+    for _ in range(120):
+        sizes = [rng.randint(0, 4) for _ in range(4)]
+        ends = [sum(sizes[:k]) for k in range(5)]
+        n = ends[4]
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = rng.randint(-3, 3)
+                m[j][i] = -m[i][j]
+        groups = [(range(ends[0], ends[1]), range(ends[2], ends[3])),
+                  (range(ends[1], ends[2]), range(ends[3], ends[4]))]
+        expected = integer_pfaffian([list(row) for row in m])
+        assert msf._paired_pfaffian(m, groups) == expected, (sizes, m)
+        nonzero += expected != 0
+    assert nonzero >= 40
+
+
 def test_chain53_validation():
     _expect_value_error(chain_5_3_check, 1, 1, 1, (F(2), F(2)), (F(2),))
     _expect_value_error(chain_5_3_check, 1, 1, 1, (F(2), F(3)), (F(5),))
@@ -356,14 +398,14 @@ def test_chain53_and_both_lemma10_alphabets_at_zero_and_negative_points():
 
 def test_moment_pfaffians_run_on_integer_matrices(monkeypatch):
     # chain53 and Lemma 10 scale row k by q_k^E, E the largest power of x_k
-    # in the row, so every entry handed to the Pfaffian is an integer
+    # in the row, so every entry handed to the Pfaffian is an int
     seen = []
 
-    def recording_pfaffian(m):
-        seen.append(all(x.denominator == 1 for row in m for x in row))
-        return pfaffian(m)
+    def recording_pfaffian(rows):
+        seen.append(all(type(x) is int for row in rows for x in row))
+        return integer_pfaffian(rows)
 
-    monkeypatch.setattr(msf, "pfaffian", recording_pfaffian)
+    monkeypatch.setattr(msf, "integer_pfaffian", recording_pfaffian)
     pts = (F(-3, 2), F(0), F(5, 3), F(7, 4), F(-2, 5), F(9, 7), F(4), F(-11, 6))
     for a in range(1, 6):
         for b in range(1, 6):
@@ -388,3 +430,15 @@ def test_n_matrix_entry_formula():
     assert n_matrix_entry_check(2, 2, (F(1), F(2), F(3)), (F(5), F(7), F(11)))
     assert n_matrix_entry_check(1, 3, (F(1, 2), F(3), F(4)), (F(5), F(7), F(9)))
     _expect_value_error(n_matrix_entry_check, 1, 1, (F(2),), (F(2),))
+
+
+def test_n_matrix_entry_check_detects_a_wrong_entry(monkeypatch):
+    # the block product and the closed entry are computed independently
+    xs, ys = (F(1), F(2), F(3)), (F(5), F(7), F(11))
+    real = msf._scaled_n_entry
+    monkeypatch.setattr(msf, "_scaled_n_entry", lambda x, y, s, shift: real(x, y, s, shift) + 1)
+    assert not n_matrix_entry_check(2, 2, xs, ys)
+    monkeypatch.setattr(msf, "_scaled_n_entry", real)
+    monkeypatch.setattr(msf, "structured_skew",
+                        lambda a, b: [[-x for x in row] for row in structured_skew(a, b)])
+    assert not n_matrix_entry_check(2, 2, xs, ys)

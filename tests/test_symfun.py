@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from punchex import symfun
 from punchex.core import Partition, binomial, conjugate, determinant
 from punchex.symfun import (
     RabIndex,
@@ -154,6 +155,35 @@ def test_schur_integer_jacobi_trudi_matches_fraction_oracle():
             assert schur_bidet(p, pts) == expected, (trial, p, pts)
             seen["bidet"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_wide_shapes_take_the_h_determinant(monkeypatch):
+    # l(lambda)^2 < lambda_1: the Jacobi-Trudi determinant in h of size
+    # l(lambda), read from the same table, agrees with the dual oracle at
+    # repeated, zero and negative points and for shapes longer than the
+    # alphabet; other shapes keep the dual route
+    real = symfun._complete_table
+    calls = []
+
+    def counted(ev, m):
+        calls.append(m)
+        return real(ev, m)
+
+    monkeypatch.setattr(symfun, "_complete_table", counted)
+    rng = random.Random(71)
+    wide = [(5,), (9, 2), (12, 3, 1), (10, 10, 10), (30,), (17, 4, 4, 1)]
+    zero = 0
+    for trial, parts in enumerate(wide * 10):
+        pts = tuple(rng.choices(MIXED_POINTS, k=rng.randint(0, 6)))
+        p = Partition(parts)
+        expected = _oracle_schur_nk(p, pts)
+        assert schur_eval(p, pts) == expected, (trial, p, pts)
+        zero += expected == 0
+    assert len(calls) == 60 and 0 < zero < 40, (len(calls), zero)
+    for parts in ((4, 4), (9, 9, 9), (2, 1), (1,)):
+        assert schur_eval(Partition(parts), MIXED_POINTS[:5]) == _oracle_schur_nk(
+            Partition(parts), MIXED_POINTS[:5])
+    assert len(calls) == 60
 
 
 def test_schur_bidet_validation():
