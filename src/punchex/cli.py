@@ -54,14 +54,16 @@ RAB_TARGETS = ("theorem3", "conjecture5", "chain53", "lemma8")
 VERIFY_BUDGET_S = 5
 # Femtoseconds per unit of work, fitted to timings with cold caches (one
 # core of a 2-core x86 host, Python 3.11) and then raised by 60% (the
-# ``schur_*`` weights by 100%; ``chain53_entry`` is set apart), so that few
-# admitted inputs run much past the budget; see ``_estimated_fs``.
+# ``schur_*`` weights by 100%; ``chain53_entry`` is set apart; the
+# ``rectangle_h_*`` weights over the largest unit cost measured), so that
+# few admitted inputs run much past the budget; see ``_estimated_fs``.
 FS_PER = {"schur_sum": 400_000_000_000, "schur_point": 1_300_000_000, "schur_row": 13_000_000_000,
           "schur_step": 470_000_000, "schur_digit": 140_000,
           "rectangle_step": 32_000_000, "rectangle_digit": 10_000,
           "pfaffian_step": 150_000_000, "chain53_entry": 2_000_000_000, "chain53_digit": 460,
           "lemma10_digit": 1_100,
-          "minor-summation": 360_000_000_000, "lemma9": 125_000_000_000}
+          "rectangle_h_table": 100_000, "rectangle_h_digit": 1_800,
+          "minor-summation": 250_000_000_000, "lemma9": 100_000_000_000}
 
 # The targets checked at seeded points: how many points beyond n each draws,
 # and its check on (a, b, n, points).  The lambdas look the checks up at call
@@ -133,7 +135,8 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     """Estimated run time of ``verify target`` in femtoseconds, in integers
     so that huge inputs cannot overflow.
 
-    ``minor-summation`` and ``lemma9`` cost a fixed time per trial.  A trial
+    ``minor-summation`` and ``lemma9`` cost a fixed time per trial, all
+    of it integer elimination on matrices of size at most 7.  A trial
     of an R(a,b) target draws L points (n+1, n+2 for conjecture5), builds
     their e-tables and evaluates the sum over R(a,b) as one integer
     determinant of size k = a+1; theorem3 and conjecture5 add four
@@ -142,14 +145,20 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     tables, a+b for the a+b+1 rows of the sum's two matrices and the
     rectangles' parts, k^3 elimination steps and k^4 L^2
     digit operations as the entries grow.  lemma10 evaluates two
-    rectangles per alphabet, with k <= (a+2)/2, L = n and at most
-    r = b/2+1 rows, for about k^3 steps and k^4 L^2 r digit operations (an
-    upper bound: a rectangle with r^2 < k is a determinant of size r).
-    chain53 computes only the (n+1) x n block N of G A G^T, a+b products
-    an entry, priced per product.  The moment Pfaffians are integer:
-    chain53 takes one of size K = 4n-2b+2, and lemma10 one of size
-    K = 2n-b+2 per alphabet (two when n-1 >= b).  Each costs about K^3
-    elimination steps and K^5 (n+a) (s+1) digit operations, s = (a+b)/2.
+    rectangles per alphabet at L = n points, R_A and R_B on the first and
+    R_B and R_C on the second, each priced by the determinant
+    ``symfun._schur_from_table`` takes.  A rectangle of r rows and k
+    columns with r^2 < k is the determinant in h of size r: its table of
+    Q^j h_j, j < k+r, takes about k L products of entries of up to k L
+    digits, priced k^2 (L+1)^3, and its elimination r^5 (k L)^2.  Any
+    other rectangle is the dual determinant, priced by the bound
+    k = (a+2)/2 columns and r = b/2+1 rows at about k^3 steps and
+    k^4 L^2 r digit operations.  chain53 computes only the (n+1) x n
+    block N of G A G^T, a+b products an entry, priced per product.  The
+    moment Pfaffians are integer: chain53 takes one of size
+    K = 4n-2b+2, and lemma10 one of size K = 2n-b+2 per alphabet (two
+    when n-1 >= b).  Each costs about K^3 elimination steps and
+    K^5 (n+a) (s+1) digit operations, s = (a+b)/2.
     The digit terms are forms fitted to timings, not derived.
 
     The ``schur_*`` weights were fitted to 662 theorem3 and conjecture5
@@ -165,8 +174,17 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     With each point paired with a border column in the Pfaffians and wide
     rectangles taken by rows, 97 one-trial chain53 inputs measured
     0.22x..0.84x the estimate and 137 lemma10 inputs at 3 trials at most
-    0.96x, that one ``lemma10 --a 1 --b 1 --n 45`` at 4.1-4.3 s.  lemma8
-    is bounded by MAX_RAB_PAIRS alone.
+    0.96x, that one ``lemma10 --a 1 --b 1 --n 45`` at 4.1-4.3 s.  The
+    ``rectangle_h_*`` weights were fitted on the reference clock to
+    ``_schur_from_table`` on rectangles of 1 to 12 rows and up to 100,000
+    columns at 1 to 45 points: the table took 1.9e-11..6.2e-11 s a unit
+    and, on the 48 rectangles with L >= 2r-2 (lemma10 has n >= b), the
+    elimination 3.7e-13..1.1e-12 s; each weight is the largest raised by
+    60%.  Of 482 newly admitted lemma10 inputs measured, the slowest took
+    3.5 s and those of 0.2 s or more 0.05x..0.75x the estimate.
+    ``minor-summation`` and ``lemma9`` took 0.14-0.17 ms and
+    0.056-0.066 ms a trial (10,000 trials at six seeds), raised by 60%.
+    lemma8 is bounded by MAX_RAB_PAIRS alone.
     """
     if target in ("minor-summation", "lemma9"):
         return trials * FS_PER[target]
@@ -190,9 +208,20 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
         alphabets, K = (2 if n - 1 >= b else 1), 2 * n - b + 2
         work["pfaffian_step"] += alphabets * K ** 3
         work["lemma10_digit"] += alphabets * K ** 5 * (n + a) * (s + 1)
-        k = (a + 2) // 2
-        work["rectangle_step"] += 2 * alphabets * k ** 3
-        work["rectangle_digit"] += 2 * alphabets * k ** 4 * n ** 2 * (b // 2 + 1)
+        # (R_A, R_B) on the first alphabet and (R_B, R_C) on the second, as
+        # (columns, rows), each by the determinant _schur_from_table takes
+        widest = (a + 2) // 2
+        rects = [(widest, b // 2), ((a + 1) // 2, (b + 1) // 2)]
+        rects += [rects[1], (a // 2, (b + 2) // 2)]
+        for k, r in rects[:2 * alphabets]:
+            if k < 1 or r < 1:  # an empty shape: no determinant
+                continue
+            if r * r < k:
+                work["rectangle_h_table"] += k ** 2 * (n + 1) ** 3
+                work["rectangle_h_digit"] += r ** 5 * (k * n) ** 2
+            else:
+                work["rectangle_step"] += widest ** 3
+                work["rectangle_digit"] += widest ** 4 * n ** 2 * (b // 2 + 1)
     return trials * sum(FS_PER[unit] * w for unit, w in work.items())
 
 

@@ -11,9 +11,14 @@ denominators of their input first and then work over ``int`` only, with
 exact integer divisions (Bareiss elimination and its Pfaffian analogue);
 each result is a ``Fraction`` built once, at the end.  Rational
 elimination would instead reduce a gcd after every operation.  A caller
-whose matrix is already all ``int`` calls the elimination loop under
-``determinant`` or ``pfaffian`` directly: ``integer_determinant`` or
-``integer_pfaffian``, which skip the checks and the scaling.
+whose matrix is already all ``int``, or that clears the denominators
+itself, calls the elimination loop under ``determinant`` or ``pfaffian``
+directly: ``integer_determinant`` or ``integer_pfaffian``, which skip the
+checks and the scaling.  Every determinant and Pfaffian in ``tiling``,
+``symfun`` and ``msf`` is taken that way, so ``determinant``,
+``pfaffian``, ``pfaffian_minor`` and ``matmul`` have no caller in the
+package: they are the validating entry points of the public API and the
+tests' oracles.
 """
 
 from __future__ import annotations
@@ -76,10 +81,14 @@ def conjugate(p: Partition) -> Partition:
     are >= j, so i occurs p_i - p_(i+1) times.  conjugate(conjugate(p)) == p.
     """
     parts = p if isinstance(p, Partition) else Partition(p)
-    below = parts[1:] + (0,)
+    out: List[int] = []
+    below = 0
+    for i in range(len(parts), 0, -1):
+        x = parts[i - 1]
+        out += [i] * (x - below)
+        below = x
     # weakly decreasing and positive by construction: no second validation
-    return tuple.__new__(Partition, (i for i in range(len(parts), 0, -1)
-                                     for _ in range(parts[i - 1] - below[i - 1])))
+    return tuple.__new__(Partition, out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ n + q even and 0 <= n - q <= p, and any skew-symmetric A (p x p),
 
     sum_K Pf(A^K_K) det(G_K | H) = (-1)^(q(q-1)/2) Pf([[G A G^T, H], [-H^T, 0]]),
 
-K running over (n-q)-subsets of the columns of G.  Applied to block
+K running over (n-q)-subsets of the columns of G.  Both sides are
+computed over ``int``: each row of [G | H] and the whole of A are cleared
+of denominators, the sub-Pfaffians, the minors and the bordered Pfaffian
+go to ``core.integer_pfaffian`` and ``core.integer_determinant``, and each
+side is divided once by the common scale.  Applied to block
 moment matrices over two nested point sets and a fixed skew matrix of
 +-1 entries, it turns the sum over R(a,b) of products of Schur values
 into a single Pfaffian (``chain_5_3_check``).  There G A G^T is
@@ -23,26 +27,26 @@ R_B = (ceil(a/2))^(ceil(b/2)) and R_C = (floor(a/2))^(ceil((b+1)/2)).
 The Vandermonde products cancel and leave Theorem 3: the R(a,b) sum
 (``theorem3_lhs``) is s_{R_A}(X_n) s_{R_B}(X_n) s_{R_B}(X_{n+1})
 s_{R_C}(X_{n+1}) (``theorem3_rhs``).  ``lemma9_check`` verifies the
-bordered-determinant factorization of skew matrices.
+bordered-determinant factorization of skew matrices, on integers too: both
+of its sides are homogeneous, so one common denominator clears them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import (
     ExactMatrix,
     Partition,
-    determinant,
+    _check_rectangular,
+    _check_skew,
+    _cleared,
+    integer_determinant,
     integer_pfaffian,
-    matmul,
-    pfaffian,
-    pfaffian_minor,
-    transpose,
 )
 from .symfun import (
     EvalPoint,
@@ -216,8 +220,16 @@ def minor_summation(G: ExactMatrix, H: ExactMatrix, A: ExactMatrix) -> Tuple[Fra
 
     Left: sum over (n-q)-subsets K of columns of G of
     Pf(A^K_K) * det(G_K | H).  Right: (-1)^(q(q-1)/2) times the Pfaffian
-    of [[G A G^T, H], [-H^T, 0]].  Preconditions: n + q even and
-    0 <= n - q <= p.
+    of [[G A G^T, H], [-H^T, 0]].  Preconditions: A skew-symmetric and
+    p x p, n + q even and 0 <= n - q <= p.
+
+    Both sides run over ``int``.  Row r of [G | H] is scaled by the lcm
+    d_r of its denominators and A by the lcm L of all of its denominators,
+    so each term of the left side gains the factor prod d_r L^((n-q)/2).
+    The bordered matrix becomes [[L D G A G^T D, D H], [-(D H)^T, 0]]
+    with D = diag(d_r), whose Pfaffian gains the same factor (scale the
+    first n rows and columns by 1/sqrt(L) and the last q by sqrt(L)).
+    Each side is divided by it once.
     """
     n = len(G)
     p = len(G[0]) if n else 0
@@ -230,19 +242,29 @@ def minor_summation(G: ExactMatrix, H: ExactMatrix, A: ExactMatrix) -> Tuple[Fra
         raise ValueError("minor summation requires n + q even")
     if not 0 <= n - q <= p:
         raise ValueError("minor summation requires 0 <= n - q <= p")
+    _check_rectangular(G)
+    _check_rectangular(H)
+    # checked whole: when n = q no sub-Pfaffian of A is taken
+    _check_skew(A)
 
-    lhs = Fraction(0)
+    rows = [_cleared(list(g) + list(h)) for g, h in zip(G, H)]
+    gi = [ints[:p] for _, ints in rows]
+    hi = [ints[p:] for _, ints in rows]
+    L = lcm(*(x.denominator for row in A for x in row))
+    ai = [[x.numerator * (L // x.denominator) for x in row] for row in A]
+    scale = prod(d for d, _ in rows) * L ** ((n - q) // 2)
+
+    lhs = 0
     for K in combinations(range(p), n - q):
-        pf = pfaffian_minor(A, K)
-        if pf == 0:
-            continue
-        block = [[G[r][k] for k in K] + list(H[r]) for r in range(n)]
-        lhs += pf * determinant(block)
+        pf = integer_pfaffian([[ai[r][c] for c in K] for r in K])
+        if pf:
+            lhs += pf * integer_determinant([[g[k] for k in K] + h for g, h in zip(gi, hi)])
 
-    gag = matmul(matmul(G, A), transpose(G))
-    rhs_pf = pfaffian(_skew_border(gag, H))
+    ga = [[sum(map(mul, g, col)) for col in zip(*ai)] for g in gi]
+    gag = [[sum(map(mul, row, g)) for g in gi] for row in ga]
+    rhs = integer_pfaffian(_skew_border(gag, hi))
     sign = -1 if (q * (q - 1) // 2) % 2 else 1
-    return lhs, sign * rhs_pf
+    return Fraction(lhs, scale), Fraction(sign * rhs, scale)
 
 
 def sub_pfaffian_sign(K: Sequence[int], a: int, b: int) -> int:
@@ -280,23 +302,35 @@ def lemma9_check(A: ExactMatrix, bvec: Sequence, cvec: Sequence, d) -> bool:
     With A_tilde = [[A, b], [-c^T, d]]:
       n even:  det(A_tilde) = -Pf(A) * Pf([[A, b, c], [-b^T, 0, -d], [-c^T, d, 0]])
       n odd:   det(A_tilde) = Pf([[A, b], [-b^T, 0]]) * Pf([[A, c], [-c^T, 0]])
+
+    Both sides are homogeneous of degree n+1 in the entries of A, b, c and
+    d, so all four are scaled by one common denominator and the sides are
+    compared over ``int``.
     """
     n = len(A)
-    bcol = [Fraction(x) for x in bvec]
-    ccol = [Fraction(x) for x in cvec]
-    dval = Fraction(d)
+    bcol, ccol = ([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+                  for v in (bvec, cvec))
+    dval = d if isinstance(d, (int, Fraction)) else Fraction(d)
     if len(bcol) != n or len(ccol) != n:
         raise ValueError("border vectors must have length n")
-    tilde = [list(A[r]) + [bcol[r]] for r in range(n)]
-    tilde.append([-x for x in ccol] + [dval])
-    det_tilde = determinant(tilde)
+    _check_skew(A)
+    den = lcm(dval.denominator, *(x.denominator for x in bcol + ccol),
+              *(x.denominator for row in A for x in row))
+
+    def scaled(v):
+        return [x.numerator * (den // x.denominator) for x in v]
+
+    a, b, c = [scaled(row) for row in A], scaled(bcol), scaled(ccol)
+    dd = scaled([dval])[0]
+    det_tilde = integer_determinant([row + [x] for row, x in zip(a, b)]
+                                    + [[-x for x in c] + [dd]])
     if n % 2 == 0:
-        big = [list(A[r]) + [bcol[r], ccol[r]] for r in range(n)]
-        big.append([-x for x in bcol] + [Fraction(0), -dval])
-        big.append([-x for x in ccol] + [dval, Fraction(0)])
-        return det_tilde == -pfaffian(A) * pfaffian(big)
-    pf_b = pfaffian(_skew_border(A, [[x] for x in bcol]))
-    pf_c = pfaffian(_skew_border(A, [[x] for x in ccol]))
+        big = [row + [x, y] for row, x, y in zip(a, b, c)]
+        big.append([-x for x in b] + [0, -dd])
+        big.append([-x for x in c] + [dd, 0])
+        return det_tilde == -integer_pfaffian(big) * integer_pfaffian(a)
+    pf_b = integer_pfaffian(_skew_border(a, [[x] for x in b]))
+    pf_c = integer_pfaffian(_skew_border(a, [[x] for x in c]))
     return det_tilde == pf_b * pf_c
 
 
@@ -415,10 +449,12 @@ def _scaled_n_entry(x: Fraction, y: Fraction, s: int, shift: int) -> int:
     """The closed entry (x y)^shift (y^(s+1) - x^(s+1)) sum_{r<s} x^r y^(s-1-r)
     of N times (q v)^(shift+2s), for x = p/q and y = u/v: with A = p v and
     B = q u, the integer
-    (p u)^shift * (B^(s+1) - A^(s+1)) * sum_{r<s} A^r B^(s-1-r)."""
+    (p u)^shift * (B^(s+1) - A^(s+1)) * sum_{r<s} A^r B^(s-1-r).  The sum,
+    s >= 1, is the divided difference (B^s - A^s) / (B - A), an exact
+    division, or s A^(s-1) when A = B."""
     p, q, u, v = x.numerator, x.denominator, y.numerator, y.denominator
     A, B = p * v, q * u
-    acc = sum(A ** r * B ** (s - 1 - r) for r in range(s))
+    acc = (B ** s - A ** s) // (B - A) if A != B else s * A ** (s - 1)
     return (p * u) ** shift * (B ** (s + 1) - A ** (s + 1)) * acc
 
 

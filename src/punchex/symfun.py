@@ -384,8 +384,11 @@ def lemma8_check(pair: RabPair) -> bool:
     """
     a, b = pair.source.a, pair.source.b
     s = (a + b) // 2
-    J = [pair.lam.part(b + 2 - h) + h - 1 for h in range(1, b + 2)]
-    Jp = [pair.mu.part(b + 1 - h) + h - 1 for h in range(1, b + 1)]
+    # lambda_1..lambda_(b+1) and mu_1..mu_b, zero-padded, read last part first
+    lam = (pair.lam + (0,) * (b + 1))[:b + 1][::-1]
+    mu = (pair.mu + (0,) * b)[:b][::-1]
+    J = [x + h for h, x in enumerate(lam)]
+    Jp = [x + h for h, x in enumerate(mu)]
     if len(set(J)) != b + 1 or len(set(Jp)) != b:
         return False
     if s not in J:

@@ -222,7 +222,7 @@ def test_verify_refuses_costly_inputs_up_front():
                  ("lemma10", "--a", "2", "--b", "2", "--n", "60"),
                  ("lemma10", "--a", "41", "--b", "41", "--n", "51"),
                  ("lemma10", "--a", "101", "--b", "101", "--n", "101"),
-                 ("lemma10", "--a", "401", "--b", "1", "--n", "10"),
+                 ("lemma10", "--a", "200001", "--b", "1", "--n", "1"),
                  ("theorem3", "--a", "7", "--b", "7", "--n", "100", "--trials", "5000"),
                  ("theorem3", "--a", "40", "--b", "2", "--n", "10", "--trials", "1000"),
                  ("chain53", "--a", "1", "--b", "1", "--n", "46"),

@@ -152,6 +152,61 @@ def test_minor_summation_validation():
     _expect_value_error(minor_summation, G, [[F(1)]], [[F(1), F(0)], [F(0), F(1)]])
 
 
+def test_minor_summation_rejects_non_skew_a_when_n_equals_q():
+    # n = q takes no sub-Pfaffian of A, and G A G^T = [[0, 0], [0, 0]] is
+    # skew here: A itself must be checked
+    _expect_value_error(minor_summation, [[0, 0], [0, 0]], [[1, 0], [0, 1]],
+                        [[1, 0], [0, 0]])
+    _expect_value_error(minor_summation, [[1, 2]], [[3]], [[0, 1], [1, 0]])
+
+
+def _entry(rng, fractions):
+    v = rng.randint(-3, 3)
+    return F(v, rng.randint(1, 5)) if fractions and rng.random() < 0.5 else v
+
+
+def _definitional_minor_summation(G, H, A):
+    """Both sides from the validating Fraction kernels, term by term."""
+    n, p = len(G), len(A)
+    q = len(H[0]) if H and H[0] else 0
+    lhs = sum((pfaffian_minor(A, K) * determinant([[G[r][k] for k in K] + list(H[r])
+                                                   for r in range(n)])
+               for K in combinations(range(p), n - q)), F(0))
+    gag = [[sum(G[r][i] * A[i][j] * G[s][j] for i in range(p) for j in range(p))
+            for s in range(n)] for r in range(n)]
+    bordered = ([gag[r] + list(H[r]) for r in range(n)]
+                + [[-H[r][i] for r in range(n)] + [0] * q for i in range(q)])
+    return lhs, (-1) ** (q * (q - 1) // 2) * pfaffian(bordered)
+
+
+def test_minor_summation_equals_the_definitional_sum():
+    # the shapes ``verify minor-summation`` draws, then p = 0 and n = q, at
+    # int and at mixed int and Fraction entries
+    rng = random.Random(2024)
+    for fractions in (False, True):
+        for trial in range(300):
+            n = rng.randint(1, 4)
+            if trial % 5 == 0:
+                q = n
+                p = 0 if trial % 10 == 0 else rng.randint(0, 6)
+            else:
+                q = rng.choice([x for x in (0, 1, 2) if (n + x) % 2 == 0 and x <= n])
+                p = rng.randint(max(1, n - q), 6)
+            G = [[_entry(rng, fractions) for _ in range(p)] for _ in range(n)]
+            H = [[_entry(rng, fractions) for _ in range(q)] for _ in range(n)]
+            A = [[F(0)] * p for _ in range(p)]
+            for i in range(p):
+                for j in range(i + 1, p):
+                    A[i][j] = _entry(rng, fractions)
+                    A[j][i] = -A[i][j]
+            got = minor_summation(G, H, A)
+            assert all(type(x) is F for x in got)
+            assert got == _definitional_minor_summation(G, H, A), (fractions, G, H, A)
+            assert got[0] == got[1]
+            if p == 0:
+                assert got[0] == determinant(H)
+
+
 # ---------------------------------------------------------------------------
 # the structured instance behind the main identity
 # ---------------------------------------------------------------------------
@@ -211,6 +266,41 @@ def test_lemma9_random():
     # rational entries
     A = [[F(0), F(1, 2)], [F(-1, 2), F(0)]]
     assert lemma9_check(A, [F(1, 3), F(2)], [F(0), F(5, 7)], F(-2, 9))
+
+
+def test_lemma9_holds_and_sees_d(monkeypatch):
+    # the shapes ``verify lemma9`` draws, and n = 0, at int and mixed int
+    # and Fraction entries.  d + 1 on the determinant side alone changes it
+    # by det(A), so the check must fail exactly when det(A) != 0 (never
+    # at odd n)
+    rng = random.Random(9)
+    cases = []
+    for fractions in (False, True):
+        for _ in range(150):
+            n = rng.randint(0, 5)
+            A = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    A[i][j] = _entry(rng, fractions)
+                    A[j][i] = -A[i][j]
+            bvec = [_entry(rng, fractions) for _ in range(n)]
+            cvec = [_entry(rng, fractions) for _ in range(n)]
+            cases.append((A, bvec, cvec, _entry(rng, fractions)))
+    for case in cases:
+        assert lemma9_check(*case), case
+    real = msf.integer_determinant
+
+    def d_plus_one(rows):
+        rows[-1][-1] += 1
+        return real(rows)
+
+    monkeypatch.setattr(msf, "integer_determinant", d_plus_one)
+    refuted = 0
+    for case in cases:
+        sees_d = determinant(case[0]) != 0
+        assert lemma9_check(*case) is not sees_d, case
+        refuted += sees_d
+    assert refuted > 50
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from punchex.boxcount import theorem1_count, theorem4_count  # noqa: E402
+from punchex.core import Partition, conjugate  # noqa: E402
 from punchex.msf import (  # noqa: E402
     chain_5_3_check,
     lemma10_check,
@@ -87,3 +88,14 @@ def test_counting_routes_agree_and_unranking_is_ordered(h, draw):
         first, second = tiling_family(h, k), tiling_family(h, k + 1)
         validate_family(h, first)
         assert _steps(first) < _steps(second)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(0, 12), max_size=10))
+def test_conjugate_is_a_partition_and_an_involution(parts):
+    p = Partition(sorted(parts, reverse=True))
+    conj = conjugate(p)
+    assert type(conj) is Partition
+    assert conj == Partition(conj)  # weakly decreasing, positive parts
+    assert sum(conj) == sum(p) and len(conj) == (p[0] if p else 0)
+    assert conjugate(conj) == p
