@@ -38,32 +38,31 @@ from .tiling import (
     count_via_path_determinants,
     enumerate_tilings,
     render_tiling_svg,
+    sweep_updates,
     tiling_family,
 )
 
 
-# Largest R(a,b) that ``verify theorem3|conjecture5|chain53|lemma8`` admit,
-# C(14, 7) pairs.  Only lemma8 walks the pairs, and this is its only bound
-# (about 0.1 s at this size).  The other three evaluate the whole sum as one
-# determinant of size a+1, which the cost estimate below prices; the cap
-# still refuses them past C(14, 7) pairs.
+# Largest R(a,b) that ``verify lemma8`` admits, C(14, 7) pairs: it walks the
+# pairs, and this is its only bound (about 0.1 s at this size).  The other
+# R(a,b) targets are priced past it by two more terms (``_estimated_fs``).
 MAX_RAB_PAIRS = 3432
 RAB_TARGETS = ("theorem3", "conjecture5", "chain53", "lemma8")
 
-# ``verify`` refuses up front any input whose estimated run time is longer.
-VERIFY_BUDGET_S = 5
-# Femtoseconds per unit of work, fitted to timings with cold caches (one
-# core of a 2-core x86 host, Python 3.11) and then raised by 60% (the
-# ``schur_*`` weights by 100%; ``chain53_entry`` is set apart; the
-# ``rectangle_h_*`` weights over the largest unit cost measured), so that
-# few admitted inputs run much past the budget; see ``_estimated_fs``.
+# ``count brute``, ``render`` and ``verify`` refuse up front any input whose
+# estimated run time is longer (``_admit``).
+BUDGET_S = 5
+# Femtoseconds per unit of work, fitted to timings on one core of a 2-core
+# x86 host (Python 3.11) and raised, so that few admitted inputs run much
+# past the budget; see ``_estimated_fs`` and the README.
 FS_PER = {"schur_sum": 400_000_000_000, "schur_point": 1_300_000_000, "schur_row": 13_000_000_000,
-          "schur_step": 470_000_000, "schur_digit": 140_000,
-          "rectangle_step": 32_000_000, "rectangle_digit": 10_000,
+          "schur_cell": 200_000_000, "schur_step": 470_000_000, "schur_digit": 140_000,
+          "schur_dense": 8_000, "rectangle_step": 32_000_000, "rectangle_digit": 10_000,
           "pfaffian_step": 150_000_000, "chain53_entry": 2_000_000_000, "chain53_digit": 460,
-          "lemma10_digit": 1_100,
+          "lemma10_digit": 1_100, "lemma10_point": 240, "lemma10_tail": 880,
           "rectangle_h_table": 100_000, "rectangle_h_digit": 1_800,
-          "minor-summation": 250_000_000_000, "lemma9": 100_000_000_000}
+          "minor-summation": 250_000_000_000, "lemma9": 100_000_000_000,
+          "sweep": 2_400_000_000, "sweep_path": 18_000_000}
 
 # The targets checked at seeded points: how many points beyond n each draws,
 # and its check on (a, b, n, points).  The lambdas look the checks up at call
@@ -142,55 +141,35 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     determinant of size k = a+1; theorem3 and conjecture5 add four
     rectangles of at most half that size and up to (b+2)/2 rows.  So a
     trial costs a fixed time, about L^2 operations for the points and
-    tables, a+b for the a+b+1 rows of the sum's two matrices and the
-    rectangles' parts, k^3 elimination steps and k^4 L^2
-    digit operations as the entries grow.  lemma10 evaluates two
-    rectangles per alphabet at L = n points, R_A and R_B on the first and
-    R_B and R_C on the second, each priced by the determinant
-    ``symfun._schur_from_table`` takes.  A rectangle of r rows and k
-    columns with r^2 < k is the determinant in h of size r: its table of
-    Q^j h_j, j < k+r, takes about k L products of entries of up to k L
-    digits, priced k^2 (L+1)^3, and its elimination r^5 (k L)^2.  Any
-    other rectangle is the dual determinant, priced by the bound
-    k = (a+2)/2 columns and r = b/2+1 rows at about k^3 steps and
-    k^4 L^2 r digit operations.  chain53 computes only the (n+1) x n
-    block N of G A G^T, a+b products an entry, priced per product.  The
-    moment Pfaffians are integer: chain53 takes one of size
-    K = 4n-2b+2, and lemma10 one of size K = 2n-b+2 per alphabet (two
-    when n-1 >= b).  Each costs about K^3 elimination steps and
-    K^5 (n+a) (s+1) digit operations, s = (a+b)/2.
-    The digit terms are forms fitted to timings, not derived.
-
-    The ``schur_*`` weights were fitted to 662 theorem3 and conjecture5
-    inputs (k up to 122, L up to 113, b up to 3431) timed on the
-    benchmark's reference clock (``bench/calibrate.py``, the host's slow
-    phase), so that the measured times spread evenly, 0.6x..1.66x, about
-    the fit.  Raised by 60%, the slowest newly admitted conjecture5 inputs
-    measured 5.0-5.1 s; raised by 100%, the fitting inputs are
-    0.30x..0.83x the estimate.  On the same clock, the block product and
-    the moment rows took 0.3-1.8 us per product of N over nine shapes, so
-    ``chain53_entry`` is 2 us.  The other weights keep their earlier fits,
-    on inputs of which 440 took 0.2 s or more and measured 0.38x..1.21x.
-    With each point paired with a border column in the Pfaffians and wide
-    rectangles taken by rows, 97 one-trial chain53 inputs measured
-    0.22x..0.84x the estimate and 137 lemma10 inputs at 3 trials at most
-    0.96x, that one ``lemma10 --a 1 --b 1 --n 45`` at 4.1-4.3 s.  The
-    ``rectangle_h_*`` weights were fitted on the reference clock to
-    ``_schur_from_table`` on rectangles of 1 to 12 rows and up to 100,000
-    columns at 1 to 45 points: the table took 1.9e-11..6.2e-11 s a unit
-    and, on the 48 rectangles with L >= 2r-2 (lemma10 has n >= b), the
-    elimination 3.7e-13..1.1e-12 s; each weight is the largest raised by
-    60%.  Of 482 newly admitted lemma10 inputs measured, the slowest took
-    3.5 s and those of 0.2 s or more 0.05x..0.75x the estimate.
-    ``minor-summation`` and ``lemma9`` took 0.14-0.17 ms and
-    0.056-0.066 ms a trial (10,000 trials at six seeds), raised by 60%.
-    lemma8 is bounded by MAX_RAB_PAIRS alone.
+    tables, a+b for the a+b+1 rows of the sum's two matrices F and G and
+    the rectangles' parts, k^3 elimination steps and k^4 L^2 digit
+    operations as the entries grow.  Those weights were fitted up to
+    C(14, 7) pairs, where they also cover the product F^T G; past it, a
+    large b adds its (k-1) k (a+b) products, and b near a fills it in,
+    k^4 L^2 min(a, b) more digit operations.  lemma10 evaluates two rectangles per alphabet at
+    L = n points, R_A and R_B on the first and R_B and R_C on the second,
+    each priced by the determinant ``symfun._schur_from_table`` takes.  A
+    rectangle of r rows and k columns with r^2 < k is the determinant in
+    h of size r: its table of Q^j h_j, j < k+r, takes about k L products
+    of entries of up to k L digits, priced k^2 (L+1)^3, and its
+    elimination r^5 (k L)^2.  Any other rectangle is the dual determinant,
+    priced by the bound k = (a+2)/2 columns and r = b/2+1 rows at about
+    k^3 steps and k^4 L^2 r digit operations.  chain53 computes only the
+    (n+1) x n block N of G A G^T, a+b products an entry, priced per
+    product.  The moment Pfaffians are integer: chain53 takes one of size
+    K = 4n-2b+2, at about K^3 elimination steps and K^5 (n+a) (s+1) digit
+    operations, s = (a+b)/2.  lemma10 takes one of size K = 2n-b+2 per
+    alphabet (two when n-1 >= b), at K^3 steps and the smaller of two
+    digit bounds, K^5 (n+a) (s+1) and K^3 (n (n+a))^2 + b^5 (n+a)^2: its
+    n point rows carry entries of about n+a digits, and the b or so
+    points left without a border column cost the most.  The digit terms
+    are forms fitted to timings, not derived;
+    the weights, in ``FS_PER``, are the fits raised.  lemma8 is bounded by
+    MAX_RAB_PAIRS alone.
     """
-    if target in ("minor-summation", "lemma9"):
-        return trials * FS_PER[target]
-    if target == "lemma8":
-        return 0
-    n, s = max(n, 0), (a + b) // 2
+    if target in ("minor-summation", "lemma9", "lemma8"):  # lemma8 has no FS_PER weight
+        return trials * FS_PER.get(target, 0)
+    n, s, digit_fs = max(n, 0), (a + b) // 2, 0
     work = dict.fromkeys(FS_PER, 0)
     if target in RAB_TARGETS:
         k, L = max(a, 0) + 1, n + (2 if target == "conjecture5" else 1)
@@ -199,6 +178,10 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
         work["schur_row"] += max(a + b, 0)
         work["schur_step"] += k ** 3
         work["schur_digit"] += k ** 4 * L ** 2
+        # the weights above hold where they were fitted, up to C(14, 7) pairs
+        if a + b > MAX_RAB_PAIRS or binomial(a + b, a) > MAX_RAB_PAIRS:
+            work["schur_cell"] += (k - 1) * k * (a + b)
+            work["schur_dense"] += k ** 4 * L ** 2 * max(min(a, b), 0)
     if target == "chain53":
         K = 4 * n - 2 * b + 2
         work["pfaffian_step"] += K ** 3
@@ -207,7 +190,13 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
     if target == "lemma10":
         alphabets, K = (2 if n - 1 >= b else 1), 2 * n - b + 2
         work["pfaffian_step"] += alphabets * K ** 3
-        work["lemma10_digit"] += alphabets * K ** 5 * (n + a) * (s + 1)
+        # digit operations: the smaller of two fitted bounds, one growing as
+        # (n+a)(s+1), one following the n point rows and the b rows that the
+        # pairing leaves without a border column
+        digit_fs += alphabets * min(
+            FS_PER["lemma10_digit"] * K ** 5 * (n + a) * (s + 1),
+            FS_PER["lemma10_point"] * K ** 3 * (n * (n + a)) ** 2
+            + FS_PER["lemma10_tail"] * b ** 5 * (n + a) ** 2)
         # (R_A, R_B) on the first alphabet and (R_B, R_C) on the second, as
         # (columns, rows), each by the determinant _schur_from_table takes
         widest = (a + 2) // 2
@@ -222,7 +211,7 @@ def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
             else:
                 work["rectangle_step"] += widest ** 3
                 work["rectangle_digit"] += widest ** 4 * n ** 2 * (b // 2 + 1)
-    return trials * sum(FS_PER[unit] * w for unit, w in work.items())
+    return trials * (digit_fs + sum(FS_PER[unit] * w for unit, w in work.items()))
 
 
 def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
@@ -238,20 +227,10 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
                          f"(got --a {a}, --b {b})")
     # C(a+b, a) >= a+b once a, b >= 1, so the first test spares computing a
     # huge binomial for huge sides
-    if target in RAB_TARGETS and (
-        a + b > MAX_RAB_PAIRS or binomial(a + b, a) > MAX_RAB_PAIRS
-    ):
-        raise ValueError(
-            f"R({a},{b}) has C(a+b, a) > {MAX_RAB_PAIRS} pairs, "
-            f"more than verify {target} admits"
-        )
-    estimate = _estimated_fs(target, a, b, nn, t)
-    if estimate > VERIFY_BUDGET_S * 10 ** 15:
-        raise ValueError(
-            f"verify {target} at a={a}, b={b}, n={nn}, trials={t} would take about "
-            f"{Decimal(estimate) / 10 ** 15:.2g} s, more than the {VERIFY_BUDGET_S} s "
-            "verify admits"
-        )
+    if target == "lemma8" and (a + b > MAX_RAB_PAIRS or binomial(a + b, a) > MAX_RAB_PAIRS):
+        raise ValueError(f"R({a},{b}) has C(a+b, a) > {MAX_RAB_PAIRS} pairs, "
+                         "more than verify lemma8 admits")
+    _admit(f"verify {target}", _estimated_fs(target, a, b, nn, t), a=a, b=b, n=nn, trials=t)
     if target == "lemma8":
         pairs = generate_rab(a, b)
         params = {"a": a, "b": b, "pairs": len(pairs)}
@@ -302,6 +281,16 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
     return params, True, None
 
 
+def _admit(command: str, fs: int, **params) -> None:
+    """Refuse (ValueError, so exit 2) an input of ``command`` whose estimated
+    run time ``fs``, in femtoseconds, is over the budget; ``params`` name
+    the input in the message."""
+    if fs > BUDGET_S * 10 ** 15:
+        raise ValueError(f"{command} at {', '.join(f'{k}={v}' for k, v in params.items())} "
+                         f"would take about {Decimal(fs) / 10 ** 15:.2g} s, "
+                         f"more than the {BUDGET_S} s {command.split()[0]} admits")
+
+
 def _random_skew(rng: random.Random, size: int):
     """A size x size skew matrix, its upper triangle drawn row by row from -3..3."""
     A = [[0] * size for _ in range(size)]
@@ -336,8 +325,18 @@ def _count(args):
     if args.mode == "brute":
         params["puncture"] = list(args.puncture)
         hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(args.puncture))
+        _admit("count brute", _sweep_fs(hexagon, 1), **params)
         return params, enumerate_tilings(hexagon)
     return params, count_via_path_determinants(PuncturedHexagon(args.a, args.b, args.c))
+
+
+def _sweep_fs(hexagon: PuncturedHexagon, sweeps: int) -> int:
+    """Estimated run time, in femtoseconds, of ``sweeps`` full diagonal
+    sweeps over ``hexagon``: ``sweep_updates`` state updates each, an update
+    copying and hashing a tuple of up to a+1 positions.  Past the budget it
+    may be only ``sweep_updates``' lower bound."""
+    per = FS_PER["sweep"] + FS_PER["sweep_path"] * (hexagon.a + 1)
+    return sweeps * per * sweep_updates(hexagon, BUDGET_S * 10 ** 15 // (per * sweeps))
 
 
 def _report(command: str, params, result, t0: float, seed=None) -> str:
@@ -372,13 +371,17 @@ def run(argv) -> int:
             print(_report(f"verify {args.target}", params, verdict, t0, seed=args.seed))
             return 0 if verdict else 1
 
-        # render
+        # render: tiling_family runs one sweep, then one per path step, b+c+1
+        # for each path from A_i and b-d from the puncture on diagonal d
         hexagon = PuncturedHexagon(args.a, args.b, args.c)
+        p = hexagon.puncture_point()
+        sweeps = 1 + args.a * (args.b + args.c + 1) + args.b - (p.x - p.y)
+        params = {"a": args.a, "b": args.b, "c": args.c, "index": args.index,
+                  "output": args.output}
+        _admit("render", _sweep_fs(hexagon, sweeps), **params)
         svg = render_tiling_svg(hexagon, tiling_family(hexagon, args.index))
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)
-        params = {"a": args.a, "b": args.b, "c": args.c, "index": args.index,
-                  "output": args.output}
         print(_report("render", params, args.output, t0))
         return 0
     except (ValueError, OSError) as exc:

@@ -62,11 +62,6 @@ from .symfun import (
 # index sets and structured matrices
 # ---------------------------------------------------------------------------
 
-def _gamma(a: int, b: int) -> List[int]:
-    """{0..a+b} minus the midpoint (a+b)/2, in ascending order."""
-    return [g for g in range(a + b + 1) if g != (a + b) // 2]
-
-
 class IndexSets:
     """The four index sets attached to parameters (a, b, n), n >= b.
 
@@ -88,7 +83,7 @@ class IndexSets:
             raise ValueError("index sets require n >= b")
         s = (a + b) // 2
         self.a, self.b, self.n = a, b, n
-        self.Gamma = _gamma(a, b)
+        self.Gamma = [g for g in range(a + b + 1) if g != s]
         self.P = [n - b + g for g in self.Gamma]
         self.Q = list(range(0, n - b)) + [n - b + s]
         self.R = list(range(0, n - b))
@@ -112,26 +107,27 @@ def _moment_rows(I: Sequence[int], pts: EvalPoint, E: int) -> List[List[int]]:
     return [[x.numerator ** e * x.denominator ** (E - e) for e in I] for x in pts]
 
 
+def _pairing(a: int, b: int) -> List[int]:
+    """The +-1 pairing B of the structured skew matrix: row i of its
+    unbarred block pairs with barred column p-1-i, p = a+b (the values k
+    and a+b-k of Gamma), with entry +1 for i < p/2 and -1 for i >= p/2."""
+    return [1 if 2 * i < a + b else -1 for i in range(a + b)]
+
+
 def structured_skew(a: int, b: int) -> ExactMatrix:
     """The fixed skew matrix A on Gamma + barred-Gamma (unbarred block
     first, both blocks in ascending order).
 
     Its only nonzero entries pair k with bar(a+b-k): +1 for k <= (a+b)/2 - 1
-    and -1 for k >= (a+b)/2 + 1, making A = [[0, B], [B, 0]] with B skew.
+    and -1 for k >= (a+b)/2 + 1, making A = [[0, B], [B, 0]] with B skew
+    (``_pairing``).
     """
     if a < 1 or b < 1 or a % 2 != b % 2:
         raise ValueError("structured skew matrix requires positive same-parity a, b")
-    s = (a + b) // 2
-    gamma = _gamma(a, b)
-    pos = {g: i for i, g in enumerate(gamma)}
-    p = len(gamma)
+    p = a + b
     m = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-    for k in gamma:
-        val = Fraction(1) if k <= s - 1 else Fraction(-1)
-        i = pos[k]
-        j = p + pos[a + b - k]
-        m[i][j] = val
-        m[j][i] = -val
+    for i, v in enumerate(_pairing(a, b)):
+        m[i][2 * p - 1 - i], m[2 * p - 1 - i][i] = Fraction(v), Fraction(-v)
     return m
 
 
@@ -162,16 +158,13 @@ def _n_block(a: int, b: int, n: int, xs: EvalPoint, ys: EvalPoint) -> List[List[
     """N = M_P(xs) B M_P(ys)^T over ``int``, with P the index set of
     (a, b, n), B the off-diagonal block of ``structured_skew(a, b)`` and
     row k of each moment matrix scaled by q_k^(n+a), x_k = p_k / q_k, n+a
-    being the largest exponent in P.  B has one +-1 per row, read from
-    ``structured_skew``, so each entry is a sum of a+b products."""
+    being the largest exponent in P.  B has one +-1 per row (``_pairing``),
+    so each entry is a sum of a+b products."""
     P = IndexSets(a, b, n).P
-    E, p = n + a, len(P)
-    A = structured_skew(a, b)
-    # row i's one nonzero entry v_i of B sits in column j_i
-    pairs = [next((j, int(v)) for j, v in enumerate(row[p:]) if v) for row in A[:p]]
-    # N_rc = sum_i M_P(xs)_ri v_i M_P(ys)_{c j_i}
-    paired = [[v * row[j] for j, v in pairs] for row in _moment_rows(P, ys, E)]
-    return [[sum(map(mul, row, w)) for w in paired] for row in _moment_rows(P, xs, E)]
+    # N_rc = sum_i M_P(xs)_ri v_i M_P(ys)_{c, p-1-i}
+    paired = [[v * y for v, y in zip(_pairing(a, b), reversed(row))]
+              for row in _moment_rows(P, ys, n + a)]
+    return [[sum(map(mul, row, w)) for w in paired] for row in _moment_rows(P, xs, n + a)]
 
 
 def _paired_pfaffian(m: List[List[int]], groups: Sequence[Tuple[range, range]]) -> int:
@@ -271,29 +264,24 @@ def sub_pfaffian_sign(K: Sequence[int], a: int, b: int) -> int:
     """Pfaffian of the K x K principal submatrix of the structured skew
     matrix, evaluated by the pairing rule instead of elimination.
 
-    K holds 0-based positions into the Gamma + barred-Gamma ordering.  The
-    value is 0 unless K picks equally many unbarred values j_1 < ... < j_m
-    and barred values j'_1 < ... < j'_m with j_h + j'_{m+1-h} = a+b for
-    every h; in that case it is (-1)^(number of j_h >= (a+b)/2 + 1).
+    K holds 0-based positions into the Gamma + barred-Gamma ordering, p =
+    a+b in each block.  The value is 0 unless K picks equally many
+    unbarred positions i_1 < ... < i_m and barred positions p + i'_1 < ...
+    < p + i'_m with each i_h paired with i'_(m+1-h) = p-1-i_h; in that case
+    it is the product of the pairs' entries, -1 for each i_h >= p/2
+    (``_pairing``).
     """
-    s = (a + b) // 2
-    gamma = _gamma(a, b)
-    p = len(gamma)
+    p = a + b
     idx = tuple(sorted(K))
     for t, i in enumerate(idx):
         if not 0 <= i < 2 * p:
             raise ValueError(f"position {i} out of range")
         if t > 0 and idx[t - 1] == i:
             raise ValueError("positions must be distinct")
-    unbarred = [gamma[i] for i in idx if i < p]
-    barred = [gamma[i - p] for i in idx if i >= p]
-    m = len(unbarred)
-    if m != len(barred):
-        return 0
-    for h in range(m):
-        if unbarred[h] + barred[m - 1 - h] != a + b:
-            return 0
-    return -1 if sum(1 for j in unbarred if j >= s + 1) % 2 else 1
+    unbarred = [i for i in idx if i < p]
+    barred = [i - p for i in idx if i >= p]
+    paired = barred == [p - 1 - i for i in reversed(unbarred)]
+    return prod(_pairing(a, b)[i] for i in unbarred) if paired else 0
 
 
 def lemma9_check(A: ExactMatrix, bvec: Sequence, cvec: Sequence, d) -> bool:

@@ -29,10 +29,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .core import binomial, integer_determinant
 
-# size guard for enumerate_tilings and tiling_family
-MAX_A = 4
-MAX_BC = 6
-
 __all__ = [
     "LatticePoint",
     "PuncturedHexagon",
@@ -41,6 +37,7 @@ __all__ = [
     "count_paths",
     "enumerate_tilings",
     "tiling_family",
+    "sweep_updates",
     "count_via_path_determinants",
     "render_tiling_svg",
 ]
@@ -145,13 +142,6 @@ def count_paths(p: LatticePoint, q: LatticePoint) -> int:
 # combinatorial count and family unranking
 # ---------------------------------------------------------------------------
 
-def _check_guard(h: PuncturedHexagon) -> None:
-    if h.a > MAX_A or h.b > MAX_BC or h.c > MAX_BC:
-        raise ValueError(
-            f"region too large for the path-family sweep (need a <= {MAX_A}, b, c <= {MAX_BC})"
-        )
-
-
 def _sweep(h: PuncturedHexagon, starts: Sequence[LatticePoint], forbidden=frozenset()) -> int:
     """Number of families of vertex-disjoint monotone paths from ``starts``
     to the E points that avoid every vertex in ``forbidden``.
@@ -195,7 +185,6 @@ def enumerate_tilings(h: PuncturedHexagon) -> int:
     puncture, swept over the diagonals x - y = d (see ``_sweep``).  Purely
     combinatorial — shares nothing with the closed-form or determinant
     routes beyond start_end_points."""
-    _check_guard(h)
     return _sweep(h, start_end_points(h)[0])
 
 
@@ -228,6 +217,34 @@ def tiling_family(h: PuncturedHexagon, index: int) -> PathFamily:
         fixed.update(path)
         paths.append(path)
     return PathFamily(paths)
+
+
+def sweep_updates(h: PuncturedHexagon, limit: int) -> int:
+    """The work of one ``_sweep`` over h from every start: the sum over the
+    diagonals d it steps from, -c-1 <= d < b, of C(w_d, k_d) * k_d.  The
+    k_d paths present step one at a time, so a state met on the way holds
+    them in distinct x positions of d or d+1: w_d is the number of x
+    admissible on d, plus one.  Every diagonal holds at least a paths, so
+    a(b+c+1) is returned, as a lower bound, when it passes ``limit`` (a
+    cheap refusal for huge sides).
+
+    k_d changes only at the puncture's diagonal, and w_d is linear between
+    d = 0 and d = b-c, rising, falling or constant by one a diagonal, so
+    each run between those sums in closed form: sum_{w=m..M} C(w, k) =
+    C(M+1, k+1) - C(m, k+1).
+    """
+    a, b, c = h.a, h.b, h.c
+    p = h.puncture_point()
+    if a * (b + c + 1) > limit:
+        return a * (b + c + 1)
+    bounds = sorted({-c - 1, p.x - p.y, b} | {e for e in (0, b - c) if -c - 1 < e < b})
+    total = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        k = a + (lo >= p.x - p.y)
+        w0, w1 = (min(a + b, a + c + d) - max(d, 0) + 2 for d in (lo, hi - 1))
+        total += k * ((hi - lo) * binomial(w0, k) if w0 == w1
+                      else binomial(max(w0, w1) + 1, k + 1) - binomial(min(w0, w1), k + 1))
+    return total
 
 
 def validate_family(h: PuncturedHexagon, family: PathFamily) -> None:

@@ -11,12 +11,13 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from decimal import Decimal
 
 import punchex
 from punchex import cli
 from punchex.boxcount import macmahon_box, theorem1_count
-from punchex.cli import MAX_RAB_PAIRS, VERIFY_BUDGET_S
+from punchex.cli import MAX_RAB_PAIRS, BUDGET_S as VERIFY_BUDGET_S
 
 # the subprocess imports the same punchex as this test run, installed or not
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -99,7 +100,10 @@ def test_counts_beyond_int_string_limit_print_every_digit():
 
 
 def test_count_brute_and_lgv_agree():
-    for (a, b, c), expected in (((2, 2, 2), "54"), ((1, 1, 2), "4")):
+    # the last three lie outside the fixed box the sweep once refused
+    for (a, b, c), expected in (((2, 2, 2), "54"), ((1, 1, 2), "4"), ((5, 5, 1), "2000"),
+                                ((6, 6, 6), str(theorem1_count(6, 6, 6))),
+                                ((2, 20, 20), str(theorem1_count(2, 20, 20)))):
         sides = ("--a", str(a), "--b", str(b), "--c", str(c))
         brute = _report(_run("count", "brute", *sides))
         lgv = _report(_run("count", "lgv", *sides))
@@ -114,9 +118,25 @@ def test_count_brute_with_offset_puncture():
 
 
 def test_count_brute_guard_is_usage_error():
-    proc = _run("count", "brute", "--a", "5", "--b", "5", "--c", "1")
+    # measured above 5 s
+    proc = _run("count", "brute", "--a", "10", "--b", "10", "--c", "10")
     assert proc.returncode == 2
     assert proc.stdout.strip() == ""
+
+
+def test_huge_sides_are_refused_at_once(capsys, tmp_path):
+    # refused on a lower bound of the estimate, before any work
+    big = str(10 ** 9 - 1)
+    for args, verb in ((("count", "brute", "--a", big, "--b", big, "--c", big), "count"),
+                       (("render", "--a", big, "--b", big, "--c", "1", "--index", "0",
+                         "-o", str(tmp_path / "x.svg")), "render"),
+                       (("verify", "theorem3", "--a", big, "--b", big, "--n", "5"), "verify")):
+        t0 = time.monotonic()
+        code = cli.run(list(args))
+        out, err = capsys.readouterr()
+        assert time.monotonic() - t0 < 1, args
+        assert code == 2 and out == "", args
+        assert err.endswith(f"more than the {cli.BUDGET_S} s {verb} admits\n"), args
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +223,21 @@ def test_verify_refuses_unequal_parity_up_front():
 
 
 def test_verify_refuses_large_rab_up_front():
-    # C(28, 14) = 40,116,600 pairs, and sides too large for C(a+b, a) to be
-    # computed: refused before any pair is generated
-    for target, a, b in (("theorem3", "14", "14"), ("conjecture5", "14", "14"),
-                         ("chain53", "8", "8"), ("lemma8", "1", "10000001")):
-        proc = _run("verify", target, "--a", a, "--b", b, "--n", b)
-        assert proc.returncode == 2, target
+    # lemma8 walks the pairs: C(28, 14) = 40,116,600 of them, and sides too
+    # large for C(a+b, a) to be computed, are refused before any is generated
+    for a, b in (("14", "14"), ("1", "10000001")):
+        proc = _run("verify", "lemma8", "--a", a, "--b", b, "--n", b)
+        assert proc.returncode == 2, (a, b)
         assert proc.stdout.strip() == "" and f"> {MAX_RAB_PAIRS} pairs" in proc.stderr
     # the largest admitted family, C(14, 7)
     rep = _report(_run("verify", "lemma8", "--a", "7", "--b", "7"))
     assert rep["params"]["pairs"] == MAX_RAB_PAIRS and rep["result"] is True
+    # the other three evaluate the sum as one determinant of size a+1, so
+    # they have no pair cap
+    for target, a, b in (("theorem3", "14", "14"), ("conjecture5", "14", "14"),
+                         ("chain53", "8", "8")):
+        rep = _report(_run("verify", target, "--a", a, "--b", b, "--n", b))
+        assert rep["result"] is True, target
 
 
 def test_verify_refuses_costly_inputs_up_front():
@@ -378,7 +403,8 @@ def test_render_large_index_by_unranking():
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "tiling.svg")
         for a, b, c, index, polygons in ((3, 5, 5, 2000000, 69),
-                                         (4, 6, 6, 41177149999, 101)):
+                                         (4, 6, 6, 41177149999, 101),
+                                         (5, 5, 5, 5252187499, 91)):
             proc = _run("render", "--a", str(a), "--b", str(b), "--c", str(c),
                         "--index", str(index), "-o", out)
             assert proc.returncode == 0, proc.stderr

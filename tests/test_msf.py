@@ -383,20 +383,21 @@ def test_chain53_instances():
 
 def test_chain53_reads_the_pairing_of_structured_skew(monkeypatch):
     # flipping the sign of one +-1 pair of A (and of its mirror entry) must
-    # break the identity: the block G A G^T is computed from A, not assumed
-    real = msf.structured_skew
+    # break the identity: the block G A G^T is computed from the pairing
+    # that structured_skew reads, not assumed
+    real = msf._pairing
 
     def flipped(a, b):
-        A = real(a, b)
-        p = len(A) // 2
-        j = next(j for j in range(p, 2 * p) if A[0][j])
-        A[0][j], A[j][0] = -A[0][j], -A[j][0]
-        return A
+        signs = real(a, b)
+        signs[0] = -signs[0]
+        return signs
 
     instances = [(a, b, n, seeded_points(n + 1, a + b + n))
                  for a, b in ((1, 1), (1, 3), (3, 1), (3, 3), (2, 2)) for n in (b, b + 1)]
     assert all(chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances)
-    monkeypatch.setattr(msf, "structured_skew", flipped)
+    A = structured_skew(3, 1)
+    monkeypatch.setattr(msf, "_pairing", flipped)
+    assert structured_skew(3, 1)[0][7] == -A[0][7] == -1
     verdicts = [chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances]
     assert not any(verdicts), verdicts
 
@@ -529,6 +530,6 @@ def test_n_matrix_entry_check_detects_a_wrong_entry(monkeypatch):
     monkeypatch.setattr(msf, "_scaled_n_entry", lambda x, y, s, shift: real(x, y, s, shift) + 1)
     assert not n_matrix_entry_check(2, 2, xs, ys)
     monkeypatch.setattr(msf, "_scaled_n_entry", real)
-    monkeypatch.setattr(msf, "structured_skew",
-                        lambda a, b: [[-x for x in row] for row in structured_skew(a, b)])
+    pairing = msf._pairing
+    monkeypatch.setattr(msf, "_pairing", lambda a, b: [-v for v in pairing(a, b)])
     assert not n_matrix_entry_check(2, 2, xs, ys)
