@@ -56,7 +56,7 @@ BUDGET_S = 5
 # x86 host (Python 3.11) and raised, so that few admitted inputs run much
 # past the budget; see ``_estimated_fs`` and the README.
 FS_PER = {"schur_sum": 400_000_000_000, "schur_point": 1_300_000_000, "schur_row": 13_000_000_000,
-          "schur_cell": 200_000_000, "schur_step": 470_000_000, "schur_digit": 140_000,
+          "schur_cell": 400_000_000, "schur_step": 470_000_000, "schur_digit": 140_000,
           "schur_dense": 8_000, "rectangle_step": 32_000_000, "rectangle_digit": 10_000,
           "pfaffian_step": 150_000_000, "chain53_entry": 2_000_000_000, "chain53_digit": 460,
           "lemma10_digit": 1_100, "lemma10_point": 240, "lemma10_tail": 880,

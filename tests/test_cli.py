@@ -240,6 +240,24 @@ def test_verify_refuses_large_rab_up_front():
         assert rep["result"] is True, target
 
 
+def test_verify_prices_the_work_the_old_limits_hid(capsys):
+    # each measured above 5 s on the reference clock with the budget
+    # lifted.  The first four lie past C(14, 7) pairs, where the sum's
+    # matrix product and its fill-in are priced; the last three were
+    # admitted by Lemma 10's fitted digit bound at lower weights
+    for args in (("theorem3", "--a", "20", "--b", "355710", "--n", "113", "--trials", "1"),
+                 ("theorem3", "--a", "8", "--b", "384262", "--n", "40", "--trials", "1"),
+                 ("theorem3", "--a", "40", "--b", "50000", "--n", "5", "--trials", "1"),
+                 ("chain53", "--a", "79", "--b", "23", "--n", "23", "--trials", "1"),
+                 ("lemma10", "--a", "13", "--b", "67", "--n", "67"),
+                 ("lemma10", "--a", "8", "--b", "50", "--n", "58"),
+                 ("lemma10", "--a", "3", "--b", "15", "--n", "58", "--trials", "1")):
+        code = cli.run(["verify", *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", args
+        assert err.endswith(f"more than the {cli.BUDGET_S} s verify admits\n"), args
+
+
 def test_verify_refuses_costly_inputs_up_front():
     # each measured above 5 s, most far beyond; refused before any work,
     # huge n and --trials included
