@@ -20,30 +20,22 @@ from .core import (
     integer_determinant,
     integer_pfaffian,
     pfaffian,
-    pfaffian_minor,
 )
 from .msf import (
     IndexSets,
-    build_msf_instance,
     chain_5_3_check,
     conjecture5_check,
     lemma9_check,
     lemma10_check,
     minor_summation,
-    moment_matrix,
-    n_matrix_entry_check,
-    structured_skew,
-    sub_pfaffian_sign,
     theorem3_lhs,
     theorem3_rhs,
 )
 from .symfun import (
     RabIndex,
     RabPair,
-    elementary_sym,
     generate_rab,
     lemma8_check,
-    rect_product_decomposition_check,
     schur_bidet,
     schur_eval,
     schur_nk,
@@ -73,7 +65,6 @@ __all__ = [
     "integer_determinant",
     "integer_pfaffian",
     "pfaffian",
-    "pfaffian_minor",
     "macmahon_box",
     "enumerate_plane_partitions",
     "theorem1_count",
@@ -88,7 +79,6 @@ __all__ = [
     "validate_family",
     "count_via_path_determinants",
     "render_tiling_svg",
-    "elementary_sym",
     "schur_nk",
     "schur_bidet",
     "schur_eval",
@@ -98,18 +88,12 @@ __all__ = [
     "RabPair",
     "generate_rab",
     "lemma8_check",
-    "rect_product_decomposition_check",
     "IndexSets",
-    "moment_matrix",
-    "structured_skew",
-    "build_msf_instance",
     "minor_summation",
-    "sub_pfaffian_sign",
     "lemma9_check",
     "theorem3_lhs",
     "theorem3_rhs",
     "conjecture5_check",
     "chain_5_3_check",
     "lemma10_check",
-    "n_matrix_entry_check",
 ]

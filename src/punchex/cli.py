@@ -19,60 +19,39 @@ import random
 import sys
 import time
 from decimal import Decimal
-from typing import Optional
 
 from .boxcount import macmahon_box, theorem1_count, theorem4_count
-from .core import binomial
-from .msf import (
-    chain_5_3_check,
-    conjecture5_check,
-    lemma9_check,
-    lemma10_check,
-    minor_summation,
-    theorem3_lhs,
-    theorem3_rhs,
-)
-from .symfun import generate_rab, lemma8_check, seeded_points
-from .tiling import (
-    PuncturedHexagon,
-    count_via_path_determinants,
-    enumerate_tilings,
-    render_tiling_svg,
-    sweep_updates,
-    tiling_family,
-)
+from .core import Work, binomial, total
+from .msf import (chain53_work, chain_5_3_check, conjecture5_check, conjecture5_work,
+                  lemma9_check, lemma9_work, lemma10_check, lemma10_work, minor_summation,
+                  minor_summation_work, theorem3_lhs, theorem3_rhs, theorem3_work)
+from .symfun import generate_rab, lemma8_check, lemma8_work, seeded_points
+from .tiling import (PuncturedHexagon, count_via_path_determinants, enumerate_tilings,
+                     path_determinant_work, render_tiling_svg, sweep_work, tiling_family)
 
 
-# Largest R(a,b) that ``verify lemma8`` admits, C(14, 7) pairs: it walks the
-# pairs, and this is its only bound (about 0.1 s at this size).  The other
-# R(a,b) targets are priced past it by two more terms (``_estimated_fs``).
-MAX_RAB_PAIRS = 3432
-RAB_TARGETS = ("theorem3", "conjecture5", "chain53", "lemma8")
-
-# ``count brute``, ``render`` and ``verify`` refuse up front any input whose
-# estimated run time is longer (``_admit``).
+# ``count brute|lgv``, ``render`` and ``verify`` refuse up front any input
+# whose estimated run time is longer (``_admit``).
 BUDGET_S = 5
-# Femtoseconds per unit of work, fitted to timings on one core of a 2-core
-# x86 host (Python 3.11) and raised, so that few admitted inputs run much
-# past the budget; see ``_estimated_fs`` and the README.
-FS_PER = {"schur_sum": 400_000_000_000, "schur_point": 1_300_000_000, "schur_row": 13_000_000_000,
-          "schur_cell": 400_000_000, "schur_step": 470_000_000, "schur_digit": 140_000,
-          "schur_dense": 8_000, "rectangle_step": 32_000_000, "rectangle_digit": 10_000,
-          "pfaffian_step": 150_000_000, "chain53_entry": 2_000_000_000, "chain53_digit": 460,
-          "lemma10_digit": 1_100, "lemma10_point": 240, "lemma10_tail": 880,
-          "rectangle_h_table": 100_000, "rectangle_h_digit": 1_800,
-          "minor-summation": 250_000_000_000, "lemma9": 100_000_000_000,
-          "sweep": 2_400_000_000, "sweep_path": 18_000_000}
+# Femtoseconds per unit of the work that the function next to each kernel
+# counts: a call (or a row built), a product in an interpreted loop, an
+# elimination's operation and its operands' bits squared
+# (``core.elimination_work``), a sweep update and its positions
+# (``tiling.sweep_work``); fitted to ``bench/calibrate.py``'s reference
+# clock so that no recorded input runs past its estimate (README).
+FS_PER = {"call": 4_200_000_000, "product": 147_000_000, "step": 120_000_000, "digit": 2_330,
+          "pfaffian_digit": 600, "sweep": 2_390_000_000, "sweep_path": 18_000_000}
 
 # The targets checked at seeded points: how many points beyond n each draws,
-# and its check on (a, b, n, points).  The lambdas look the checks up at call
-# time, so a wrapper bound over a module global (a tracer's) sees every call.
+# its check on (a, b, n, points) and its work on (a, b, n).  The lambdas look
+# the checks up at call time, so a wrapper bound over a module global (a
+# tracer's) sees every call.
 POINT_TARGETS = {
     "theorem3": (1, lambda a, b, n, pts: theorem3_lhs(a, b, n, pts, pts[:n])
-                 == theorem3_rhs(a, b, n, pts, pts[:n])),
-    "conjecture5": (2, lambda a, b, n, pts: conjecture5_check(a, b, n, pts)),
-    "chain53": (1, lambda a, b, n, pts: chain_5_3_check(a, b, n, pts, pts[:n])),
-    "lemma10": (0, lambda a, b, n, pts: lemma10_check(a, b, n, pts)),
+                 == theorem3_rhs(a, b, n, pts, pts[:n]), theorem3_work),
+    "conjecture5": (2, lambda a, b, n, pts: conjecture5_check(a, b, n, pts), conjecture5_work),
+    "chain53": (1, lambda a, b, n, pts: chain_5_3_check(a, b, n, pts, pts[:n]), chain53_work),
+    "lemma10": (0, lambda a, b, n, pts: lemma10_check(a, b, n, pts), lemma10_work),
 }
 
 
@@ -130,107 +109,57 @@ def _build_parser() -> argparse.ArgumentParser:
 # verify targets
 # ---------------------------------------------------------------------------
 
-def _estimated_fs(target: str, a: int, b: int, n: int, trials: int) -> int:
-    """Estimated run time of ``verify target`` in femtoseconds, in integers
-    so that huge inputs cannot overflow.
-
-    ``minor-summation`` and ``lemma9`` cost a fixed time per trial, all
-    of it integer elimination on matrices of size at most 7.  A trial
-    of an R(a,b) target draws L points (n+1, n+2 for conjecture5), builds
-    their e-tables and evaluates the sum over R(a,b) as one integer
-    determinant of size k = a+1; theorem3 and conjecture5 add four
-    rectangles of at most half that size and up to (b+2)/2 rows.  So a
-    trial costs a fixed time, about L^2 operations for the points and
-    tables, a+b for the a+b+1 rows of the sum's two matrices F and G and
-    the rectangles' parts, k^3 elimination steps and k^4 L^2 digit
-    operations as the entries grow.  Those weights were fitted up to
-    C(14, 7) pairs, where they also cover the product F^T G; past it, a
-    large b adds its (k-1) k (a+b) products, and b near a fills it in,
-    k^4 L^2 min(a, b) more digit operations.  lemma10 evaluates two rectangles per alphabet at
-    L = n points, R_A and R_B on the first and R_B and R_C on the second,
-    each priced by the determinant ``symfun._schur_from_table`` takes.  A
-    rectangle of r rows and k columns with r^2 < k is the determinant in
-    h of size r: its table of Q^j h_j, j < k+r, takes about k L products
-    of entries of up to k L digits, priced k^2 (L+1)^3, and its
-    elimination r^5 (k L)^2.  Any other rectangle is the dual determinant,
-    priced by the bound k = (a+2)/2 columns and r = b/2+1 rows at about
-    k^3 steps and k^4 L^2 r digit operations.  chain53 computes only the
-    (n+1) x n block N of G A G^T, a+b products an entry, priced per
-    product.  The moment Pfaffians are integer: chain53 takes one of size
-    K = 4n-2b+2, at about K^3 elimination steps and K^5 (n+a) (s+1) digit
-    operations, s = (a+b)/2.  lemma10 takes one of size K = 2n-b+2 per
-    alphabet (two when n-1 >= b), at K^3 steps and the smaller of two
-    digit bounds, K^5 (n+a) (s+1) and K^3 (n (n+a))^2 + b^5 (n+a)^2: its
-    n point rows carry entries of about n+a digits, and the b or so
-    points left without a border column cost the most.  The digit terms
-    are forms fitted to timings, not derived;
-    the weights, in ``FS_PER``, are the fits raised.  lemma8 is bounded by
-    MAX_RAB_PAIRS alone.
-    """
-    if target in ("minor-summation", "lemma9", "lemma8"):  # lemma8 has no FS_PER weight
-        return trials * FS_PER.get(target, 0)
-    n, s, digit_fs = max(n, 0), (a + b) // 2, 0
-    work = dict.fromkeys(FS_PER, 0)
-    if target in RAB_TARGETS:
-        k, L = max(a, 0) + 1, n + (2 if target == "conjecture5" else 1)
-        work["schur_sum"] += 1
-        work["schur_point"] += L ** 2
-        work["schur_row"] += max(a + b, 0)
-        work["schur_step"] += k ** 3
-        work["schur_digit"] += k ** 4 * L ** 2
-        # the weights above hold where they were fitted, up to C(14, 7) pairs
-        if a + b > MAX_RAB_PAIRS or binomial(a + b, a) > MAX_RAB_PAIRS:
-            work["schur_cell"] += (k - 1) * k * (a + b)
-            work["schur_dense"] += k ** 4 * L ** 2 * max(min(a, b), 0)
-    if target == "chain53":
-        K = 4 * n - 2 * b + 2
-        work["pfaffian_step"] += K ** 3
-        work["chain53_entry"] += (n + 1) * n * max(a + b, 0)
-        work["chain53_digit"] += K ** 5 * (n + a) * (s + 1)
-    if target == "lemma10":
-        alphabets, K = (2 if n - 1 >= b else 1), 2 * n - b + 2
-        work["pfaffian_step"] += alphabets * K ** 3
-        # digit operations: the smaller of two fitted bounds, one growing as
-        # (n+a)(s+1), one following the n point rows and the b rows that the
-        # pairing leaves without a border column
-        digit_fs += alphabets * min(
-            FS_PER["lemma10_digit"] * K ** 5 * (n + a) * (s + 1),
-            FS_PER["lemma10_point"] * K ** 3 * (n * (n + a)) ** 2
-            + FS_PER["lemma10_tail"] * b ** 5 * (n + a) ** 2)
-        # (R_A, R_B) on the first alphabet and (R_B, R_C) on the second, as
-        # (columns, rows), each by the determinant _schur_from_table takes
-        widest = (a + 2) // 2
-        rects = [(widest, b // 2), ((a + 1) // 2, (b + 1) // 2)]
-        rects += [rects[1], (a // 2, (b + 2) // 2)]
-        for k, r in rects[:2 * alphabets]:
-            if k < 1 or r < 1:  # an empty shape: no determinant
-                continue
-            if r * r < k:
-                work["rectangle_h_table"] += k ** 2 * (n + 1) ** 3
-                work["rectangle_h_digit"] += r ** 5 * (k * n) ** 2
-            else:
-                work["rectangle_step"] += widest ** 3
-                work["rectangle_digit"] += widest ** 4 * n ** 2 * (b // 2 + 1)
-    return trials * (digit_fs + sum(FS_PER[unit] * w for unit, w in work.items()))
+def _sizes(args):
+    """(a, b, n, trials) of a ``verify``: n is b, trials 50 or 3 by default."""
+    trials = 50 if args.target in ("minor-summation", "lemma9") else 3
+    return (args.a, args.b, args.b if args.n is None else args.n,
+            trials if args.trials is None else args.trials)
 
 
-def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
-            trials: Optional[int]):
+def _work(args) -> Work:
+    """The work of the parsed command, as its modules count it in closed
+    form.  A count past the budget may be only a lower bound (``limit``)."""
+    def limit(unit: str) -> int:
+        return BUDGET_S * 10 ** 15 // FS_PER[unit]
+
+    if args.command != "verify":
+        hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
+        if getattr(args, "mode", "") == "lgv":
+            return path_determinant_work(hexagon)
+        return sweep_work(hexagon, limit("sweep"), unranking=args.command == "render")
+    a, b, n, trials = _sizes(args)
+    if args.target == "lemma8":
+        return lemma8_work(a, b, limit("call"))
+    if args.target in POINT_TARGETS:
+        # a trial draws its points (a call each) and checks them
+        extra, _, target_work = POINT_TARGETS[args.target]
+        work = total(target_work(*(max(x, 0) for x in (a, b, n))), {"call": max(n, 0) + extra})
+        return total(work, times=trials)
+    # a random instance, priced at the mean over the sizes it draws (the most
+    # columns, 2-bit entries); its 50 or so draws take some ten calls' time
+    sizes = range(1, 5) if args.target == "minor-summation" else range(1, 6)
+    work = total(*(minor_summation_work(size, 6, size % 2, 2) if args.target == "minor-summation"
+                   else lemma9_work(size, 2) for size in sizes), {"call": 10 * len(sizes)})
+    return {unit: trials * v // len(sizes) for unit, v in work.items()}
+
+
+def _estimated_fs(args) -> int:
+    """Estimated run time in femtoseconds, in integers: the command's ``_work``
+    and its own parsing and report (some 1500 calls' time) by ``FS_PER``."""
+    return sum(FS_PER[unit] * v for unit, v in total(_work(args), {"call": 1500}).items())
+
+
+def _verify(args):
     """Run one verification target; returns (params, verdict, counterexample)."""
-    t = (50 if target in ("minor-summation", "lemma9") else 3) if trials is None else trials
-    nn = b if n is None else n
+    target, seed = args.target, args.seed
+    a, b, nn, t = _sizes(args)
     if t < 1:
         # a verdict over zero instances would be vacuous
         raise ValueError("--trials must be at least 1")
-    if target in RAB_TARGETS + ("lemma10",) and a % 2 != b % 2:
+    if target in ("lemma8", *POINT_TARGETS) and a % 2 != b % 2:
         raise ValueError(f"verify {target} needs --a and --b of equal parity "
                          f"(got --a {a}, --b {b})")
-    # C(a+b, a) >= a+b once a, b >= 1, so the first test spares computing a
-    # huge binomial for huge sides
-    if target == "lemma8" and (a + b > MAX_RAB_PAIRS or binomial(a + b, a) > MAX_RAB_PAIRS):
-        raise ValueError(f"R({a},{b}) has C(a+b, a) > {MAX_RAB_PAIRS} pairs, "
-                         "more than verify lemma8 admits")
-    _admit(f"verify {target}", _estimated_fs(target, a, b, nn, t), a=a, b=b, n=nn, trials=t)
+    _admit(f"verify {target}", _estimated_fs(args), a=a, b=b, n=nn, trials=t)
     if target == "lemma8":
         pairs = generate_rab(a, b)
         params = {"a": a, "b": b, "pairs": len(pairs)}
@@ -271,7 +200,7 @@ def _verify(target: str, a: int, b: int, n: Optional[int], seed: int,
         return params, True, None
 
     # the remaining targets are parameterized by (a, b, n) and seeded points
-    extra, check = POINT_TARGETS[target]
+    extra, check, _ = POINT_TARGETS[target]
     params = {"a": a, "b": b, "n": nn, "trials": t}
     for trial in range(t):
         pts = seeded_points(nn + extra, seed + trial)
@@ -324,19 +253,11 @@ def _count(args):
         return params, fn(args.a, args.b, args.c)
     if args.mode == "brute":
         params["puncture"] = list(args.puncture)
-        hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(args.puncture))
-        _admit("count brute", _sweep_fs(hexagon, 1), **params)
-        return params, enumerate_tilings(hexagon)
+    _admit(f"count {args.mode}", _estimated_fs(args), **params)
+    if args.mode == "brute":
+        return params, enumerate_tilings(PuncturedHexagon(args.a, args.b, args.c,
+                                                          tuple(args.puncture)))
     return params, count_via_path_determinants(PuncturedHexagon(args.a, args.b, args.c))
-
-
-def _sweep_fs(hexagon: PuncturedHexagon, sweeps: int) -> int:
-    """Estimated run time, in femtoseconds, of ``sweeps`` full diagonal
-    sweeps over ``hexagon``: ``sweep_updates`` state updates each, an update
-    copying and hashing a tuple of up to a+1 positions.  Past the budget it
-    may be only ``sweep_updates``' lower bound."""
-    per = FS_PER["sweep"] + FS_PER["sweep_path"] * (hexagon.a + 1)
-    return sweeps * per * sweep_updates(hexagon, BUDGET_S * 10 ** 15 // (per * sweeps))
 
 
 def _report(command: str, params, result, t0: float, seed=None) -> str:
@@ -363,22 +284,16 @@ def run(argv) -> int:
             return 0
 
         if args.command == "verify":
-            params, verdict, counterexample = _verify(
-                args.target, args.a, args.b, args.n, args.seed, args.trials
-            )
+            params, verdict, counterexample = _verify(args)
             if counterexample is not None:
                 params = dict(params, counterexample=counterexample)
             print(_report(f"verify {args.target}", params, verdict, t0, seed=args.seed))
             return 0 if verdict else 1
 
-        # render: tiling_family runs one sweep, then one per path step, b+c+1
-        # for each path from A_i and b-d from the puncture on diagonal d
         hexagon = PuncturedHexagon(args.a, args.b, args.c)
-        p = hexagon.puncture_point()
-        sweeps = 1 + args.a * (args.b + args.c + 1) + args.b - (p.x - p.y)
         params = {"a": args.a, "b": args.b, "c": args.c, "index": args.index,
                   "output": args.output}
-        _admit("render", _sweep_fs(hexagon, sweeps), **params)
+        _admit("render", _estimated_fs(args), **params)
         svg = render_tiling_svg(hexagon, tiling_family(hexagon, args.index))
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

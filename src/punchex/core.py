@@ -16,16 +16,16 @@ itself, calls the elimination loop under ``determinant`` or ``pfaffian``
 directly: ``integer_determinant`` or ``integer_pfaffian``, which skip the
 checks and the scaling.  Every determinant and Pfaffian in ``tiling``,
 ``symfun`` and ``msf`` is taken that way, so ``determinant``,
-``pfaffian``, ``pfaffian_minor`` and ``matmul`` have no caller in the
-package: they are the validating entry points of the public API and the
-tests' oracles.
+``pfaffian`` and ``matmul`` are the validating entry points of the
+public API and the tests' oracles.  ``elimination_work`` prices the loops.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 # Every count and evaluation is an int or a Fraction; matrices are dense
 # row-major lists of lists of those scalars.
@@ -34,6 +34,7 @@ ExactMatrix = List[List[Scalar]]
 # A SkewMatrix is an ExactMatrix with entry(i,j) == -entry(j,i); the
 # pfaffian() entry point checks this invariant on every call.
 SkewMatrix = ExactMatrix
+Work = Dict[str, int]  # a kernel's work: counts of units by name
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +106,6 @@ def binomial(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
-
-def transpose(m: ExactMatrix) -> ExactMatrix:
-    return [list(row) for row in zip(*m)] if m else []
-
 
 def _cleared(v: Sequence[Scalar]) -> Tuple[int, List[int]]:
     """(d, [d*x for x in v]) with d the lcm of the denominators of v, so the
@@ -251,6 +248,75 @@ def integer_pfaffian(rows: List[List[int]]) -> int:
     return sign * prev
 
 
+def elimination_work(n: int, bits: int, pfaffian: bool = False, early: int = 0,
+                     early_bits: int = 0, band: Optional[int] = None) -> Work:
+    """The work of ``integer_determinant`` (``integer_pfaffian``) on n x n
+    entries of ``bits`` bits, in closed form: ``step``, the operations on
+    entries (3 an update of the loop, 4 for the Pfaffian), and ``digit``
+    (``pfaffian_digit``), their operands' bits squared.  After step k an
+    entry is a minor of order k+1 (a Pfaffian of order 2k+2), of at most
+    (k+1) (bits + log2(n)/2) bits by Hadamard's inequality; the
+    determinant's step j-1 updates (n-j)^2 entries, or (n-j) min(n-j, band)
+    nonzero ones when ``band`` (anti)diagonals hold them (none: band 0),
+    and the Pfaffian's step u updates C(n-2u, 2) entries, grown by
+    ``early_bits`` a step over the first ``early``; zero pivots end early."""
+    log = (n.bit_length() + 1) // 2
+    beta = bits + log
+    if band == 0:
+        return {"call": 1, "step": n}
+    if not pfaffian:
+        n = max(n, 1)
+        w = n if band is None else min(band, n)
+        # j^2 (n-j) w for j <= n-w, j^2 (n-j)^2 above it: (n^5 - n)/30 in all
+        _, s2, s3, s4 = _power_sums(n - w)
+        return {"call": 1, "step": 3 * _power_sums(n - 1)[1], "digit": 3 * beta ** 2 * (
+            (n ** 5 - n) // 30 - n * n * s2 + 2 * n * s3 - s4 + w * (n * s2 - s3))}
+    if n % 2:
+        return {"call": 1}
+    m, t = n // 2, min(max(early, 0), n // 2)
+    v1, v2 = _power_sums(m - 1)[:2]
+    digit = (_pfaffian_bit_sum(n, 1, t, early_bits + log, 0)
+             + _pfaffian_bit_sum(n, t + 1, m, beta, t * (early_bits - bits)))
+    return {"call": 1, "step": 4 * (2 * v2 - v1), "pfaffian_digit": 4 * digit}
+
+
+def total(*works: Work, times: int = 1) -> Work:
+    """The sum of ``works``, each count multiplied by ``times``."""
+    out: Work = {}
+    for work in works:
+        for unit, count in work.items():
+            out[unit] = out.get(unit, 0) + times * count
+    return out
+
+
+# CPython stores an int in digits of this many bits
+_WORD = sys.int_info.bits_per_digit
+
+
+def product_digits(x: int, y: int) -> int:
+    """The ``digit`` work of an x-bit by y-bit product (or of a gcd): a
+    small factor still costs a pass over the large one's digits."""
+    return (x + _WORD) * (y + _WORD)
+
+
+def _power_sums(m: int) -> Tuple[int, int, int, int]:
+    """(sum of u, u^2, u^3, u^4 over u = 1..m), 0s for m < 1 (Faulhaber)."""
+    m = max(m, 0)
+    s1, s2 = m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6
+    return s1, s2, s1 * s1, s2 * (3 * m * m + 3 * m - 1) // 5
+
+
+def _pfaffian_bit_sum(n: int, lo: int, hi: int, alpha: int, gamma: int) -> int:
+    """sum over u = lo..hi of C(n-2u, 2) (alpha u + gamma)^2, by power sums:
+    C(n-2u, 2) = 2u^2 - (2n-1) u + n(n-1)/2."""
+    h, c = n * (n - 1) // 2, 2 * n - 1
+    coef = (h * gamma ** 2, n * (n - 1) * alpha * gamma - c * gamma ** 2,
+            2 * gamma ** 2 - 2 * c * alpha * gamma + h * alpha ** 2,
+            4 * alpha * gamma - c * alpha ** 2, 2 * alpha ** 2)
+    upper, lower = (hi, *_power_sums(hi)), (lo - 1, *_power_sums(lo - 1))
+    return sum(k * (x - y) for k, x, y in zip(coef, upper, lower)) if hi >= lo else 0
+
+
 def pfaffian(m: SkewMatrix) -> Fraction:
     """Exact Pfaffian of a skew-symmetric matrix of ``int`` or ``Fraction``
     entries.
@@ -270,18 +336,3 @@ def pfaffian(m: SkewMatrix) -> Fraction:
     return Fraction(integer_pfaffian(a), prod(ds))
 
 
-def pfaffian_minor(m: SkewMatrix, K: Sequence[int]) -> Fraction:
-    """Pfaffian of the principal submatrix of ``m`` on rows/columns ``K``.
-
-    ``K`` is a strictly increasing sequence of 0-based indices.  The empty
-    subset gives the empty Pfaffian, 1.
-    """
-    idx: Tuple[int, ...] = tuple(K)
-    n = len(m)
-    for t, i in enumerate(idx):
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for {n}x{n} matrix")
-        if t > 0 and idx[t - 1] >= i:
-            raise ValueError("index subset must be strictly increasing")
-    sub = [[m[r][c] for c in idx] for r in idx]
-    return pfaffian(sub)

@@ -39,23 +39,11 @@ from math import lcm, prod
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import (
-    ExactMatrix,
-    Partition,
-    _check_rectangular,
-    _check_skew,
-    _cleared,
-    integer_determinant,
-    integer_pfaffian,
-)
-from .symfun import (
-    EvalPoint,
-    _rab_sum,
-    as_points,
-    distinct,
-    schur_eval,
-    vandermonde_product,
-)
+from .core import (ExactMatrix, Partition, Work, _check_rectangular, _check_skew, _cleared,
+                   binomial, elimination_work, integer_determinant, integer_pfaffian,
+                   product_digits, total)
+from .symfun import (_POINT_BITS, EvalPoint, _rab_sum, as_points, distinct, rab_sum_work,
+                     schur_eval, schur_work, vandermonde_product)
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +80,6 @@ class IndexSets:
         return f"IndexSets(a={self.a}, b={self.b}, n={self.n})"
 
 
-def moment_matrix(I: Sequence[int], pts: Iterable) -> ExactMatrix:
-    """len(pts) x len(I) matrix with (k, l) entry pts_k ** I_l."""
-    exps = list(I)
-    if any(e < 0 for e in exps):
-        raise ValueError("moment matrix exponents must be nonnegative")
-    points = as_points(pts)
-    return [[x ** e for e in exps] for x in points]
-
-
 def _moment_rows(I: Sequence[int], pts: EvalPoint, E: int) -> List[List[int]]:
     """The moment matrix M_I(pts) with row k scaled by q_k^E, x_k = p_k/q_k,
     as ``int`` rows p_k^e q_k^(E-e) (e in I); E is at least max(I)."""
@@ -112,23 +91,6 @@ def _pairing(a: int, b: int) -> List[int]:
     unbarred block pairs with barred column p-1-i, p = a+b (the values k
     and a+b-k of Gamma), with entry +1 for i < p/2 and -1 for i >= p/2."""
     return [1 if 2 * i < a + b else -1 for i in range(a + b)]
-
-
-def structured_skew(a: int, b: int) -> ExactMatrix:
-    """The fixed skew matrix A on Gamma + barred-Gamma (unbarred block
-    first, both blocks in ascending order).
-
-    Its only nonzero entries pair k with bar(a+b-k): +1 for k <= (a+b)/2 - 1
-    and -1 for k >= (a+b)/2 + 1, making A = [[0, B], [B, 0]] with B skew
-    (``_pairing``).
-    """
-    if a < 1 or b < 1 or a % 2 != b % 2:
-        raise ValueError("structured skew matrix requires positive same-parity a, b")
-    p = a + b
-    m = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-    for i, v in enumerate(_pairing(a, b)):
-        m[i][2 * p - 1 - i], m[2 * p - 1 - i][i] = Fraction(v), Fraction(-v)
-    return m
 
 
 def _block_diag(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
@@ -156,7 +118,7 @@ def _skew_border(m: ExactMatrix, cols: ExactMatrix) -> ExactMatrix:
 
 def _n_block(a: int, b: int, n: int, xs: EvalPoint, ys: EvalPoint) -> List[List[int]]:
     """N = M_P(xs) B M_P(ys)^T over ``int``, with P the index set of
-    (a, b, n), B the off-diagonal block of ``structured_skew(a, b)`` and
+    (a, b, n), B the off-diagonal block of the structured skew matrix and
     row k of each moment matrix scaled by q_k^(n+a), x_k = p_k / q_k, n+a
     being the largest exponent in P.  B has one +-1 per row (``_pairing``),
     so each entry is a sum of a+b products."""
@@ -185,23 +147,6 @@ def _paired_pfaffian(m: List[List[int]], groups: Sequence[Tuple[range, range]]) 
     inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1:])
     pf = integer_pfaffian([[m[i][j] for j in order] for i in order])
     return -pf if inversions % 2 else pf
-
-
-def build_msf_instance(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable):
-    """The (G, H, A) triple feeding the minor summation formula.
-
-    G = diag(M_P(X_{n+1}), M_P(X_n)), H = diag(M_Q(X_{n+1}), M_R(X_n)),
-    A the structured skew matrix; pts1 supplies the n+1 values of X_{n+1}
-    and pts0 the n values of X_n.
-    """
-    p1 = as_points(pts1)
-    p0 = as_points(pts0)
-    if len(p1) != n + 1 or len(p0) != n:
-        raise ValueError("need n+1 points for X_{n+1} and n points for X_n")
-    sets = IndexSets(a, b, n)
-    G = _block_diag(moment_matrix(sets.P, p1), moment_matrix(sets.P, p0))
-    H = _block_diag(moment_matrix(sets.Q, p1), moment_matrix(sets.R, p0))
-    return G, H, structured_skew(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +205,6 @@ def minor_summation(G: ExactMatrix, H: ExactMatrix, A: ExactMatrix) -> Tuple[Fra
     return Fraction(lhs, scale), Fraction(sign * rhs, scale)
 
 
-def sub_pfaffian_sign(K: Sequence[int], a: int, b: int) -> int:
-    """Pfaffian of the K x K principal submatrix of the structured skew
-    matrix, evaluated by the pairing rule instead of elimination.
-
-    K holds 0-based positions into the Gamma + barred-Gamma ordering, p =
-    a+b in each block.  The value is 0 unless K picks equally many
-    unbarred positions i_1 < ... < i_m and barred positions p + i'_1 < ...
-    < p + i'_m with each i_h paired with i'_(m+1-h) = p-1-i_h; in that case
-    it is the product of the pairs' entries, -1 for each i_h >= p/2
-    (``_pairing``).
-    """
-    p = a + b
-    idx = tuple(sorted(K))
-    for t, i in enumerate(idx):
-        if not 0 <= i < 2 * p:
-            raise ValueError(f"position {i} out of range")
-        if t > 0 and idx[t - 1] == i:
-            raise ValueError("positions must be distinct")
-    unbarred = [i for i in idx if i < p]
-    barred = [i - p for i in idx if i >= p]
-    paired = barred == [p - 1 - i for i in reversed(unbarred)]
-    return prod(_pairing(a, b)[i] for i in unbarred) if paired else 0
-
-
 def lemma9_check(A: ExactMatrix, bvec: Sequence, cvec: Sequence, d) -> bool:
     """Verify the bordered-determinant factorization of a skew matrix.
 
@@ -326,16 +247,18 @@ def lemma9_check(A: ExactMatrix, bvec: Sequence, cvec: Sequence, d) -> bool:
 # the summation identities
 # ---------------------------------------------------------------------------
 
+def _rectangle_sides(a: int, b: int) -> Tuple[Tuple[int, int], ...]:
+    """(width, rows) of R_A = (ceil((a+1)/2))^(floor(b/2)),
+    R_B = (ceil(a/2))^(ceil(b/2)) and R_C = (floor(a/2))^(ceil((b+1)/2)),
+    the shapes of Theorem 3."""
+    return ((a + 2) // 2, b // 2), ((a + 1) // 2, (b + 1) // 2), (a // 2, (b + 2) // 2)
+
+
 def _rectangles(a: int, b: int) -> Tuple[Partition, Partition, Partition]:
-    """R_A = (ceil((a+1)/2))^(floor(b/2)), R_B = (ceil(a/2))^(ceil(b/2))
-    and R_C = (floor(a/2))^(ceil((b+1)/2)), the shapes of Theorem 3."""
+    """R_A, R_B and R_C (``_rectangle_sides``)."""
     if a % 2 != b % 2:
         raise ValueError("requires a and b of equal parity")
-    return (
-        Partition([(a + 2) // 2] * (b // 2)),
-        Partition([(a + 1) // 2] * ((b + 1) // 2)),
-        Partition([a // 2] * ((b + 2) // 2)),
-    )
+    return tuple(Partition([w] * r) for w, r in _rectangle_sides(a, b))
 
 
 def _rect_product(a: int, b: int, xa, xb1, xb2, xc) -> Fraction:
@@ -398,13 +321,12 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
       = (-1)^(bn + n - b) / (Delta(X_{n+1}) Delta(X_n))
         * Pf([[G A G^T, H], [-H^T, 0]])
 
-    with (G, H, A) as in build_msf_instance.  Needs pairwise distinct
-    points (the right side divides by both Vandermonde products).
-
-    G = diag(M_P(X_{n+1}), M_P(X_n)) and A = [[0, B], [B, 0]], so
-    G A G^T = [[0, N], [-N^T, 0]] with N = M_P(X_{n+1}) B M_P(X_n)^T, and
-    only N is computed (``_n_block``): B has one +-1 per row, read from
-    ``structured_skew``, so each entry of N is a sum of a+b products.  Row
+    with G = diag(M_P(X_{n+1}), M_P(X_n)), H = diag(M_Q(X_{n+1}), M_R(X_n))
+    and A = [[0, B], [B, 0]], B the +-1 pairing (``_pairing``).  Needs
+    pairwise distinct points (the right side divides by both Vandermonde
+    products).  G A G^T = [[0, N], [-N^T, 0]] with
+    N = M_P(X_{n+1}) B M_P(X_n)^T, and only N is computed (``_n_block``),
+    each entry a sum of a+b products.  Row
     k of the moment matrices is scaled by d_k = q_k^(n+a), x_k = p_k / q_k,
     n+a being the largest exponent in P, Q and R.  That makes the bordered
     matrix integer: it becomes diag(D, I) M diag(D, I), whose Pfaffian
@@ -473,7 +395,7 @@ def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
     the given n distinct points.
 
     For an alphabet X of L points at ambient n' >= b, with L = n' or n'+1,
-    let N = M_P(X) B M_P(X)^T (see ``n_matrix_entry_check``) and let M be
+    let N = M_P(X) B M_P(X)^T (see ``_scaled_n_entry``) and let M be
     the t columns of M_R(X) when L + |R| is even and of M_Q(X) otherwise:
 
         Pf([[N, M], [-M^T, 0]]) = (-1)^e Delta(X) s_R(X) s_R'(X),
@@ -496,27 +418,69 @@ def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
     return ok
 
 
-def n_matrix_entry_check(a: int, b: int, xs: Iterable, ys: Iterable) -> bool:
-    """Confirm entrywise that M_P(X) B M_P(Y)^T matches the closed entry
-    formula, with the exponent n-b taken from n = len(xs).
+# ---------------------------------------------------------------------------
+# the work of each check at seeded points, in closed form
+# ---------------------------------------------------------------------------
 
-    B is the off-diagonal block of the structured skew matrix.  Both sides
-    are compared scaled by (q_i v_j)^(n+a), x_i = p_i / q_i, y_j = u_j / v_j:
-    ``_n_block``'s entries against ``_scaled_n_entry``.  Requires
-    x_i != y_j throughout (the closed form is the divided difference
-    (y^s - x^s)(y^(s+1) - x^(s+1)) / (y - x) cleared of its denominator).
-    """
-    x = as_points(xs)
-    y = as_points(ys)
-    n = len(x)
-    for xi in x:
-        for yj in y:
-            if xi == yj:
-                raise ValueError("requires x_i != y_j for all pairs")
-    s = (a + b) // 2
-    product = _n_block(a, b, n, x, y)
-    for i in range(len(x)):
-        for j in range(len(y)):
-            if product[i][j] != _scaled_n_entry(x[i], y[j], s, n - b):
-                return False
-    return True
+def _rect_product_work(a: int, b: int, sizes: Sequence[int]) -> Work:
+    ra, rb, rc = _rectangle_sides(a, b)
+    return total(*(schur_work(w, r, L) for (w, r), L in zip((ra, rb, rb, rc), sizes)))
+
+
+def theorem3_work(a: int, b: int, n: int) -> Work:
+    """The work of ``theorem3_lhs`` and ``theorem3_rhs`` at n+1 points."""
+    return total(rab_sum_work(a, b, n + 1, n), _rect_product_work(a, b, (n, n, n + 1, n + 1)))
+
+
+def conjecture5_work(a: int, b: int, n: int) -> Work:
+    """The work of ``conjecture5_check`` at n+2 points."""
+    return total(rab_sum_work(a, b, n + 2, n), _rect_product_work(a, b, (n, n + 1, n + 1, n + 2)))
+
+
+def chain53_work(a: int, b: int, n: int) -> Work:
+    """The work of ``chain_5_3_check`` at n+1 points: the R(a,b) sum, the
+    moment rows, the (n+1) n (a+b) products of N, of entries of
+    E = (n+a) _POINT_BITS bits, and the Pfaffian over the 2n+1 points and
+    |Q| + |R| = 2n-2b+1 columns of H (``IndexSets``), whose steps grow the
+    entries by E on a point and its column (``_paired_pfaffian``), 2E else."""
+    E, cells, K = (n + a) * _POINT_BITS, (n + 1) * n * (a + b), 4 * n - 2 * b + 2
+    return total(rab_sum_work(a, b, n + 1, n), elimination_work(K, 2 * E, True, K // 2 - b, E),
+                 {"product": cells + 2 * (2 * n + 1) * (n + a + 1) + K * K,
+                  "digit": cells * product_digits(E, E)
+                  + product_digits((2 * n + 1) * E, (2 * n + 1) * E)})
+
+
+def _lemma10_identity_work(a: int, b: int, ambient: int, L: int) -> Work:
+    """The work of ``_lemma10_identity`` on L points: the L^2 entries of N
+    (a call and two products of E = (ambient+a) _POINT_BITS bits), the t
+    border columns, the Pfaffian of size L+t as chain53's but growing 3E a
+    step on two points in timings (chain53's point block is half zero)."""
+    t = ambient - b + (L + ambient - b) % 2  # |R|, or |Q| = |R| + 1
+    E, K = (ambient + a) * _POINT_BITS, L + t
+    (w, r), (w2, r2) = _rectangle_sides(a, b)[L - ambient:L - ambient + 2]
+    return total(elimination_work(K, 3 * E, True, t, E), schur_work(w, r, L), schur_work(w2, r2, L),
+                 {"call": L * L, "product": 2 * L * t + K * K,
+                  "digit": 2 * L * L * product_digits(E, E) + product_digits(L * E, L * E)})
+
+
+def lemma10_work(a: int, b: int, n: int) -> Work:
+    """The work of ``lemma10_check`` at n points: one alphabet, or two."""
+    work = _lemma10_identity_work(a, b, n, n)
+    return total(work, _lemma10_identity_work(a, b, n - 1, n)) if n - 1 >= b else work
+
+
+def minor_summation_work(n: int, p: int, q: int, bits: int) -> Work:
+    """The work of ``minor_summation`` on G (n x p), H (n x q) and A of
+    ``bits``-bit entries: a sub-Pfaffian and a determinant for each of the
+    C(p, n-q) column sets, G A G^T and the bordered Pfaffian."""
+    subsets = binomial(p, n - q)
+    each = total(elimination_work(n - q, bits, True), elimination_work(n, bits), times=subsets)
+    return total(each, elimination_work(n + q, 2 * bits + p.bit_length(), True),
+                 {"product": n * p * (n + p)})
+
+
+def lemma9_work(n: int, bits: int) -> Work:
+    """The work of ``lemma9_check`` on A (n x n) and borders of ``bits``-bit
+    entries: the bordered determinant and, at most, two Pfaffians."""
+    return total(elimination_work(n + 1, bits), elimination_work(n + 2, bits, True),
+                 elimination_work(n + 1, bits, True), {"product": (n + 2) ** 2})

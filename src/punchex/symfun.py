@@ -9,7 +9,7 @@ Schur polynomials are evaluated two independent ways:
   module's one cache), so the determinant runs over ``int`` and divides
   once, by Q^lambda_1.  A shape with l(lambda)^2 < lambda_1 takes the
   Jacobi-Trudi determinant det(h_{lambda_i - i + j}) of size l(lambda)
-  instead, its entries Q^k h_k computed from the same table.
+  instead, its entries Q^k h_k built point by point (``_complete_table``).
   ``schur_eval`` calls it.  An R(a,b) sum reads each
   alphabet's table once and never visits the C(a+b, a) pairs: each pair's
   two minors are maximal minors of two fixed matrices on the same index
@@ -33,12 +33,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import prod
-from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import Partition, conjugate, integer_determinant
+from .core import (_WORD, Partition, Work, _power_sums, binomial, conjugate, elimination_work,
+                   integer_determinant, product_digits, total)
 
 # EvalPoint: a tuple of evaluation values x_1..x_n (ints or Fractions).
 # Identity checks need pairwise-distinct points only where an alternant
@@ -60,6 +60,8 @@ def distinct(pts: Sequence) -> bool:
 _DRAW_MAX = 13
 _SEEDED_VALUES = len({Fraction(p, q) for p in range(1, _DRAW_MAX + 1)
                       for q in range(1, _DRAW_MAX + 1)})
+# bits of a drawn numerator or denominator, at most
+_POINT_BITS = _DRAW_MAX.bit_length()
 
 
 def seeded_points(count: int, seed: int) -> EvalPoint:
@@ -106,15 +108,6 @@ def _elementary_all(pts: EvalPoint) -> Tuple[int, ...]:
     return tuple(e)
 
 
-def elementary_sym(s: int, pts: Iterable) -> Fraction:
-    """e_s evaluated at pts; e_0 = 1 and e_s = 0 outside 0 <= s <= n."""
-    p = as_points(pts)
-    if s < 0 or s > len(p):
-        return Fraction(0)
-    ev = _elementary_all(p)
-    return Fraction(ev[s], ev[0])
-
-
 # ---------------------------------------------------------------------------
 # Schur evaluation
 # ---------------------------------------------------------------------------
@@ -133,35 +126,32 @@ def _jt_minor(parts: Sequence[int], table: Sequence[int]) -> int:
          for i, c in enumerate(parts)])
 
 
-def _complete_table(ev: Tuple[int, ...], m: int) -> List[int]:
-    """(Q^0 h_0, Q^1 h_1, ..., Q^m h_m) from the table ev of
-    ``_elementary_all``: h_k = sum_{i>=1} (-1)^(i-1) e_i h_(k-i) with
-    e_i = ev[i] / Q reads H_k = sum_i (-1)^(i-1) ev[i] Q^(i-1) H_(k-i) for
-    H_k = Q^k h_k, all integers."""
-    Q = ev[0]
-    c = [(-1) ** i * e * Q ** i for i, e in enumerate(ev[1:m + 1])]
-    H = [1]
-    for _ in range(m):
-        H.append(sum(map(mul, c, reversed(H))))
+def _complete_table(pts: EvalPoint, m: int) -> List[int]:
+    """(Q^0 h_0, Q^1 h_1, ..., Q^m h_m) at pts, Q = prod_j q_j, all integers,
+    built one point at a time: with H_k = Q^k h_k over the points so far
+    (Q still the product over all of them) and x = p/q the next,
+    h_k(X + x) = h_k(X) + x h_(k-1)(X + x) reads H'_k = H_k + (p Q/q) H'_(k-1),
+    one product of an integer of the size of Q per entry."""
+    Q = prod(x.denominator for x in pts)
+    H = [1] + [0] * m
+    for x in pts:
+        c = x.numerator * (Q // x.denominator)
+        for k in range(1, m + 1):
+            H[k] += c * H[k - 1]
     return H
 
 
-def _schur_from_table(lam, ev: Tuple[int, ...]) -> Fraction:
-    """s_lambda from the integer table ev of ``_elementary_all``, by the
-    smaller Jacobi-Trudi minor.  The dual one, det(e_{lambda'_i - i + j}),
-    has size lambda_1 and is divided once by Q^lambda_1.  When lambda has
-    fewer rows than columns, det(h_{lambda_i - i + j}) of size l(lambda)
-    is smaller: row i scaled by Q^(lambda_i - i) and column j by Q^j, its
-    entries are H_k = Q^k h_k of ``_complete_table``, and it is divided
-    once by Q^|lambda|.  Its entries are larger, so it is taken only when
-    l(lambda)^2 < lambda_1, where it was the faster in timings of
-    rectangles at 2 to 115 points."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    if len(lam) ** 2 < lam.part(1):
-        return Fraction(_jt_minor(lam, _complete_table(ev, lam[0] + len(lam) - 1)),
-                        ev[0] ** sum(lam))
-    conj = conjugate(lam)
-    return Fraction(_jt_minor(conj, ev), ev[0] ** len(conj))
+def _denominator_bits(points: int) -> int:
+    """Q = prod_j q_j's bits over seeded points (the 115 have log2 q 2.44)."""
+    return 5 * points // 2 + 1
+
+
+def _uses_h(rows: int, first: int) -> bool:
+    """Whether a shape of ``rows`` parts, the largest ``first``, takes the
+    Jacobi-Trudi determinant in h, of size rows, rather than the dual one,
+    of size first: its entries are larger, so only when rows^2 < first,
+    where it was the faster in timings of rectangles at 2 to 115 points."""
+    return rows ** 2 < first
 
 
 def schur_nk(p, pts: Iterable) -> Fraction:
@@ -174,11 +164,49 @@ def schur_nk(p, pts: Iterable) -> Fraction:
     division at the end.  Works at arbitrary (possibly repeated) points; a
     shape with more rows than there are points correctly evaluates to 0.
     The cost grows with lambda_1, the size of the determinant, and not with
-    the number of points, so a shape much wider than long (l(lambda)^2 <
-    lambda_1, such as lambda = (200,)) takes the Jacobi-Trudi determinant
-    in h instead, of size l(lambda), read from the same table.
+    the number of points, so a shape much wider than long (``_uses_h``,
+    such as lambda = (200,)) takes det(h_{lambda_i - i + j}) of size
+    l(lambda) instead: row i scaled by Q^(lambda_i - i) and column j by
+    Q^j, its entries are the table H_k = Q^k h_k of ``_complete_table``,
+    and it is divided once by Q^|lambda|.
     """
-    return _schur_from_table(p, _elementary_all(as_points(pts)))
+    lam = p if isinstance(p, Partition) else Partition(p)
+    points = as_points(pts)
+    if _uses_h(len(lam), lam.part(1)):
+        return Fraction(_jt_minor(lam, _complete_table(points, lam[0] + len(lam) - 1)),
+                        prod(x.denominator for x in points) ** sum(lam))
+    ev = _elementary_all(points)
+    conj = conjugate(lam)
+    return Fraction(_jt_minor(conj, ev), ev[0] ** len(conj))
+
+
+def table_work(points: int, m: int = 0) -> Work:
+    """The work of ``_elementary_all`` at ``points`` seeded points (point j
+    updates e_1..e_j with two products by p and q, e_0 with one), or for
+    m > 0 of ``_complete_table`` to H_m (p Q/q: a product and a division,
+    Q a product, each H_k one); e_s has j _POINT_BITS bits, H_k k times."""
+    P, W = _POINT_BITS, _WORD
+    if m:
+        return {"call": 1, "product": points * (m + 3), "digit": points * (P * points + W) * (
+            P * points * _power_sums(m)[0] + W * m)}
+    s1, s2 = _power_sums(points)[:2]
+    return {"call": 1, "product": 2 * s1 + points, "digit": 2 * (P + W) * (P * s2 + W * s1)}
+
+
+def schur_work(first: int, rows: int, points: int) -> Work:
+    """The work of ``schur_nk`` on a shape of ``rows`` parts, the largest
+    ``first``, at ``points`` seeded points: its table, its determinant
+    (``_uses_h``), whose steps grow the entries by the bits of Q (Q^first
+    in h), the e-table's zeros past e_points making a band of points+1
+    diagonals, and its fraction."""
+    Q = _denominator_bits(points)
+    if _uses_h(rows, first):
+        work = total(table_work(points, first + rows - 1), elimination_work(rows, Q * first))
+        size = rows * Q * first
+    else:
+        work = total(table_work(points), elimination_work(first, Q, band=points + 1))
+        size = first * Q
+    return total(work, {"digit": product_digits(size, size)})
 
 
 def schur_bidet(p, pts: Iterable) -> Fraction:
@@ -359,18 +387,50 @@ def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
     ex, ey = _elementary_all(as_points(big)), _elementary_all(as_points(small))
     h, hd = (a + b) // 2, (b - a) // 2
 
-    def at(table: Tuple[int, ...], s: int) -> int:
-        return table[s] if 0 <= s < len(table) else 0
-
-    # rows x != 0 of F (columns 1..a) and G
-    fg = [([(1 if x > 0 else -1) * at(ex, hd + x + i) for i in range(1, a + 1)],
-           [at(ey, hd - x + j) for j in range(a + 1)])
+    # the tables read 0 outside their range: index s sits at s + a, s >= -a
+    px, py = ([0] * a + list(t) + [0] * (a + b + 1) for t in (ex, ey))
+    signed = {1: px, -1: [-v for v in px]}
+    # rows x != 0 of F (columns 1..a) and G, sliced from the tables
+    fg = [(signed[1 if x > 0 else -1][hd + x + a + 1:hd + x + 2 * a + 1],
+           py[hd - x + a:hd - x + 2 * a + 1])
           for x in range(-h, h + 1) if x]
     # column 0 of F is 1 at x = 0 and 0 elsewhere: row 0 of F^T G is G[0]
-    ftg = [[at(ey, hd + j) for j in range(a + 1)]]
+    ftg = [py[hd + a:hd + 2 * a + 1]]
     ftg += [[sum(f[i] * g[j] for f, g in fg) for j in range(a + 1)] for i in range(a)]
     sign = -1 if a * (a - 1) // 2 % 2 else 1
     return Fraction(sign * integer_determinant(ftg), ex[0] ** a * ey[0] ** (a + 1))
+
+
+def rab_sum_work(a: int, b: int, big: int, small: int) -> Work:
+    """The work of ``_rab_sum`` over ``big`` and ``small`` seeded points:
+    the two e-tables, the a+b rows of F and G (a call each), the a (a+1)
+    (a+b) products of F^T G (min(big, small)+1 nonzero ones an entry), its
+    determinant of size a+1 and the fraction.  Entry (i, j) of F^T G is
+    zero unless a-b <= i+j <= a-b+big+small, so the determinant is priced
+    as a band of as many entries a row on average, whose steps grow the
+    entries by the bits of Q_X Q_Y (``_denominator_bits``)."""
+    ex, ey, cells = _POINT_BITS * big, _POINT_BITS * small, a * (a + 1)
+
+    def below(s: int) -> int:  # entries (i, j) of [0, a]^2 with i + j <= s
+        s = min(s, 2 * a + 1)
+        return (s + 1) * (s + 2) // 2 - 2 * (max(s - a, 0) * (s - a + 1) // 2) if s >= 0 else 0
+
+    band = -(-(below(a - b + big + small) - below(a - b - 1)) // (a + 1))
+    size = (a + 1) * (ex + ey)
+    return total(table_work(big), table_work(small),
+                 elimination_work(a + 1, _denominator_bits(big) + _denominator_bits(small), band=band),
+                 {"call": a + b, "product": (a + b) * cells,
+                  "digit": cells * (min(big, small) + 1) * product_digits(ex, ey)
+                  + product_digits(size, size)})
+
+
+def lemma8_work(a: int, b: int, limit: int) -> Work:
+    """The work of ``generate_rab(a, b)`` and ``lemma8_check`` on its
+    C(a+b, a) pairs: a call for each of the a+1 entries of a pair's index
+    vector, and six products for each of the b+1 rows of its check.  Past
+    ``limit``, a+b pairs, a lower bound, so huge sides are refused at once."""
+    pairs = a + b if a + b > limit else binomial(a + b, a)
+    return {"call": pairs * (a + 1), "product": 6 * pairs * (b + 1)}
 
 
 def lemma8_check(pair: RabPair) -> bool:
@@ -401,25 +461,3 @@ def lemma8_check(pair: RabPair) -> bool:
 # rectangular-shape product decomposition
 # ---------------------------------------------------------------------------
 
-def rect_product_decomposition_check(s: int, t: int, m: int, n: int, pts: Iterable) -> bool:
-    """Verify s_{(s^m)} * s_{(t^n)} = sum of s_lambda over the staircase-
-    complementary family, evaluated exactly at pts.
-
-    The sum ranges over partitions lambda of length <= m+n with
-    lambda_i + lambda_{m+n-i+1} = s+t for i <= m, lambda_m >= max(s,t),
-    and lambda_{m+1} = ... = lambda_n = t.  Requires m <= n.
-    """
-    if m > n:
-        raise ValueError("rect_product_decomposition_check requires m <= n")
-    points = as_points(pts)
-    lhs = schur_eval(Partition([s] * m), points) * schur_eval(Partition([t] * n), points)
-    total = Fraction(0)
-    lo, hi = max(s, t), s + t
-    # weakly decreasing choices for the first m parts, each in [lo, hi]
-    for head_desc in combinations_with_replacement(range(lo, hi + 1), m):
-        head = tuple(reversed(head_desc))
-        tail_mid = [t] * (n - m)
-        tail_end = [s + t - x for x in reversed(head)]
-        lam = Partition(list(head) + tail_mid + tail_end)
-        total += schur_eval(lam, points)
-    return lhs == total

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .core import binomial, integer_determinant
+from .core import Work, binomial, elimination_work, integer_determinant, product_digits, total
 
 __all__ = [
     "LatticePoint",
@@ -247,6 +247,42 @@ def sweep_updates(h: PuncturedHexagon, limit: int) -> int:
     return total
 
 
+def unranking_updates(h: PuncturedHexagon, limit: int) -> int:
+    """A bound on the work of ``tiling_family(h, index)``, in
+    ``sweep_updates``' units: its first sweep, then at most b+c+1 for each
+    path fixed.  With i paths fixed a sweep carries at most the a-i later
+    ones and avoids the i fixed vertices of each diagonal: the work of a
+    full sweep with a' = a-i paths, w_d = m_d + a' + pi_d, k_d = a' + pi_d
+    (pi_d = [d >= the puncture's diagonal]).  Over a' = 0..a each diagonal
+    sums to (m+1) C(m+N, N-2), N = a+pi+1 (hockey stick), and that is
+    (N-1) C(m+N+1, N-1) - N C(m+N, N-2), which sums in closed form over
+    each run of diagonals with m_d linear.  Past ``limit``, as
+    ``sweep_updates``."""
+    a, b, c = h.a, h.b, h.c
+    first = sweep_updates(h, limit)
+    if first > limit:
+        return first
+    dp = h.puncture_point().x - h.puncture_point().y
+    bounds = sorted({-c - 1, dp, b} | {e for e in (0, b - c) if -c - 1 < e < b})
+    runs = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        pi = lo >= dp
+        N = a + pi + 1
+        m0, m1 = sorted(min(b, c + d) - max(d, 0) + 2 - pi for d in (lo, hi - 1))
+        if m0 == m1:
+            runs += (hi - lo) * (m0 + 1) * binomial(m0 + N, N - 2)
+        else:
+            runs += ((N - 1) * (binomial(m1 + N + 2, N) - binomial(m0 + N + 1, N))
+                      - N * (binomial(m1 + N + 1, N - 1) - binomial(m0 + N, N - 1)))
+    return first + (b + c + 1) * runs
+
+
+def sweep_work(h: PuncturedHexagon, limit: int, unranking: bool = False) -> Work:
+    """The updates of ``enumerate_tilings`` (``tiling_family``), of a+1 positions."""
+    updates = (unranking_updates if unranking else sweep_updates)(h, limit)
+    return {"sweep": updates, "sweep_path": updates * (h.a + 1)}
+
+
 def validate_family(h: PuncturedHexagon, family: PathFamily) -> None:
     """Raise ValueError unless ``family`` is a valid nonintersecting family
     for ``h`` (correct starts, unit steps, E endpoints, disjoint)."""
@@ -290,11 +326,8 @@ def count_via_path_determinants(h: PuncturedHexagon) -> int:
     starts, ends = start_end_points(h)
     p = starts[-1]
     diag = p.x - p.y
-    mids = [
-        LatticePoint(x, x - diag)
-        for x in range(h.a + h.b + 1)
-        if 0 <= x - diag <= h.a + h.c and x != p.x
-    ]
+    mids = [LatticePoint(x, x - diag)
+            for x in range(max(diag, 0), min(h.a + h.b, h.a + h.c + diag) + 1) if x != p.x]
     rows = [
         [
             sum((-1 if m.x > p.x else 1) * count_paths(s, m) * count_paths(m, e) for m in mids)
@@ -304,6 +337,21 @@ def count_via_path_determinants(h: PuncturedHexagon) -> int:
     ]
     rows.append([count_paths(p, e) for e in ends])
     return integer_determinant(rows)
+
+
+def path_determinant_work(h: PuncturedHexagon) -> Work:
+    """The work of ``count_via_path_determinants(h)``: two path counts
+    (some five products' time, with the binomial's ten or so products of
+    its bits) for each midpoint of each of the a (a+1) entries, and the
+    determinant of size a+1.  A path from A_i to E_j takes b+c+1 steps, at
+    most min(b, c)+a+1 of one kind, so an entry is below
+    min(2^(b+c+1), (b+c+1)^(min(b, c)+a+1))."""
+    a, b, c = h.a, h.b, h.c
+    diag = h.puncture_point().x - h.puncture_point().y
+    bits = min(b + c + 1, (min(b, c) + a + 1) * (b + c + 1).bit_length())
+    cells = a * (a + 1) * (min(a + b, a + c + diag) - max(diag, 0))  # midpoints != P
+    return total(elimination_work(a + 1, bits + 1),
+                 {"product": 5 * cells, "digit": 10 * cells * product_digits(bits, bits)})
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ import sys
 import tempfile
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import punchex
 from punchex import cli
-from punchex.boxcount import macmahon_box, theorem1_count
-from punchex.cli import MAX_RAB_PAIRS, BUDGET_S as VERIFY_BUDGET_S
+from punchex.boxcount import macmahon_box, theorem1_count, theorem4_count
+from punchex.cli import BUDGET_S as VERIFY_BUDGET_S
 
 # the subprocess imports the same punchex as this test run, installed or not
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -128,6 +129,7 @@ def test_huge_sides_are_refused_at_once(capsys, tmp_path):
     # refused on a lower bound of the estimate, before any work
     big = str(10 ** 9 - 1)
     for args, verb in ((("count", "brute", "--a", big, "--b", big, "--c", big), "count"),
+                       (("count", "lgv", "--a", big, "--b", big, "--c", big), "count"),
                        (("render", "--a", big, "--b", big, "--c", "1", "--index", "0",
                          "-o", str(tmp_path / "x.svg")), "render"),
                        (("verify", "theorem3", "--a", big, "--b", big, "--n", "5"), "verify")):
@@ -137,6 +139,78 @@ def test_huge_sides_are_refused_at_once(capsys, tmp_path):
         assert time.monotonic() - t0 < 1, args
         assert code == 2 and out == "", args
         assert err.endswith(f"more than the {cli.BUDGET_S} s {verb} admits\n"), args
+
+
+def test_count_lgv_is_priced():
+    # 41 and 61 (0.3 and 2.3 s) are admitted; 81, measured at 11.2 s on
+    # the reference clock, is refused before any path is counted
+    for side in (41, 61):
+        args = cli._build_parser().parse_args(["count", "lgv", *(f"--{k}={side}" for k in "abc")])
+        assert cli._estimated_fs(args) <= cli.BUDGET_S * 10 ** 15, side
+    proc = _run("count", "lgv", "--a", "81", "--b", "81", "--c", "81")
+    assert proc.returncode == 2 and proc.stdout.strip() == ""
+    assert proc.stderr.startswith("error: count lgv at a=81, b=81, c=81 would take about ")
+    assert proc.stderr.endswith(f"more than the {VERIFY_BUDGET_S} s count admits\n")
+
+
+def test_every_priced_command_goes_through_the_one_refusal(capsys, monkeypatch, tmp_path):
+    # with no budget, each priced command refuses with _admit's message:
+    # none has a path around the estimate
+    monkeypatch.setattr(cli, "BUDGET_S", 0)
+    commands = [(("count", "brute", "--a", "1", "--b", "1", "--c", "1"), "count"),
+                (("count", "lgv", "--a", "1", "--b", "1", "--c", "1"), "count"),
+                (("render", "--a", "1", "--b", "1", "--c", "1", "--index", "0",
+                  "-o", str(tmp_path / "x.svg")), "render")]
+    commands += [(("verify", target), "verify") for target in (
+        "theorem3", "conjecture5", "minor-summation", "lemma9", "lemma10", "chain53", "lemma8")]
+    for args, verb in commands:
+        code = cli.run(list(args))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", args
+        assert re.fullmatch(rf"error: {' '.join(args[:2]) if verb != 'render' else 'render'} at "
+                            rf".* would take about \S+ s, more than the 0 s {verb} admits\n",
+                            err), (args, err)
+    assert not (tmp_path / "x.svg").exists()
+
+
+def _recorded_timings():
+    """Every input timed on the reference clock in the edges of
+    BENCH_14.json and BENCH_16.json, as (argv, ref_s); a later file's
+    timing of an input replaces an earlier one (the code it timed changed).
+    BENCH_14 names its sweep inputs by shape: ``count brute`` at the
+    default puncture, and ``render`` at its last index."""
+    timed = {}
+    for name in ("BENCH_14.json", "BENCH_16.json"):
+        edges = json.loads((Path(__file__).resolve().parent.parent / name).read_text())["edges"]
+        for kind, edge in edges.items():
+            for run in edge["runs"]:
+                if "input" in run:
+                    argv = run["input"].split()
+                else:
+                    a, b, c = run["shape"]
+                    sides = ["--a", str(a), "--b", str(b), "--c", str(c)]
+                    if kind.startswith("render"):
+                        count = (theorem1_count if a % 2 == c % 2 else theorem4_count)(a, b, c)
+                        argv = ["render", *sides, "--index", str(count - 1), "-o", "x.svg"]
+                    else:
+                        argv = ["count", "brute", *sides]
+                timed[tuple(argv)] = run["ref_s"]
+    return timed
+
+
+def test_recorded_edge_timings_keep_their_verdicts():
+    # every input measured above the budget is refused, and every admitted
+    # one is estimated at no less than it took: a change of weight or of
+    # work function that underprices a recorded input fails here
+    budget = cli.BUDGET_S * 10 ** 15
+    timed = _recorded_timings()
+    assert len(timed) > 250
+    for argv, ref_s in timed.items():
+        fs = cli._estimated_fs(cli._build_parser().parse_args(list(argv)))
+        if ref_s > cli.BUDGET_S:
+            assert fs > budget, (argv, ref_s)
+        elif fs <= budget:
+            assert fs >= ref_s * 10 ** 15, (argv, ref_s, fs / 10 ** 15)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +302,11 @@ def test_verify_refuses_large_rab_up_front():
     for a, b in (("14", "14"), ("1", "10000001")):
         proc = _run("verify", "lemma8", "--a", a, "--b", b, "--n", b)
         assert proc.returncode == 2, (a, b)
-        assert proc.stdout.strip() == "" and f"> {MAX_RAB_PAIRS} pairs" in proc.stderr
-    # the largest admitted family, C(14, 7)
+        assert proc.stdout.strip() == "", (a, b)
+        assert f"more than the {VERIFY_BUDGET_S} s verify admits" in proc.stderr, (a, b)
+    # C(14, 7) pairs, the largest family the old pair cap admitted
     rep = _report(_run("verify", "lemma8", "--a", "7", "--b", "7"))
-    assert rep["params"]["pairs"] == MAX_RAB_PAIRS and rep["result"] is True
+    assert rep["params"]["pairs"] == 3432 and rep["result"] is True
     # the other three evaluate the sum as one determinant of size a+1, so
     # they have no pair cap
     for target, a, b in (("theorem3", "14", "14"), ("conjecture5", "14", "14"),
@@ -415,14 +490,17 @@ def test_render_writes_svg():
 
 
 def test_render_large_index_by_unranking():
-    # the first (3,5,5) index a one-by-one walk took 104 s to reach, and the
-    # last of 41,177,150,000 (4,6,6) tilings.  Of T = (a+b+c+1)^2 - a^2 -
-    # b^2 - c^2 unit triangles one is the hole, so (T - 1) / 2 + 1 polygons
+    # the first (3,5,5) index a one-by-one walk took 104 s to reach, the
+    # last of 41,177,150,000 (4,6,6) tilings, and the last (6,6,6) one,
+    # refused while every unranking sweep was priced as a full one.  Of
+    # T = (a+b+c+1)^2 - a^2 - b^2 - c^2 unit triangles one is the hole, so
+    # (T - 1) / 2 + 1 polygons
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "tiling.svg")
         for a, b, c, index, polygons in ((3, 5, 5, 2000000, 69),
                                          (4, 6, 6, 41177149999, 101),
-                                         (5, 5, 5, 5252187499, 91)):
+                                         (5, 5, 5, 5252187499, 91),
+                                         (6, 6, 6, 68336412238079, 127)):
             proc = _run("render", "--a", str(a), "--b", str(b), "--c", str(c),
                         "--index", str(index), "-o", out)
             assert proc.returncode == 0, proc.stderr

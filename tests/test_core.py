@@ -7,19 +7,21 @@ determinants and recursive expansion for Pfaffians."""
 
 import random
 from fractions import Fraction
+from math import comb
 
+from counting import Counted, counted
 from punchex.core import (
     Partition,
     binomial,
     conjugate,
     determinant,
+    elimination_work,
     integer_determinant,
     integer_pfaffian,
     matmul,
     pfaffian,
-    pfaffian_minor,
-    transpose,
 )
+from oracles import pfaffian_minor, transpose
 
 
 def _expect_value_error(fn, *args):
@@ -328,3 +330,63 @@ def test_pfaffian_minor():
     _expect_value_error(pfaffian_minor, m4, (2, 0))
     _expect_value_error(pfaffian_minor, m4, (0, 0))
     _expect_value_error(pfaffian_minor, m4, (1, 4))
+
+
+def test_elimination_work_counts_the_kernels_operations():
+    # the products and divisions the loops take, and the Hadamard bound on
+    # their factors' bits, on random matrices whose pivots cannot vanish
+    # (a dominant diagonal, or pairing for the Pfaffian); the sign at the
+    # end is one more product, of at most n (bits + n) bits
+    rng = random.Random(23)
+    for n in range(1, 13):
+        for low in (1, 6, 40):
+            bits = low + n.bit_length() + 1
+            rows = [[rng.getrandbits(low) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = n << low
+            Counted.reset()
+            integer_determinant(counted(rows))
+            work = elimination_work(n, bits)
+            assert Counted.ops - 1 == work["step"], (n, bits)
+            assert 3 * Counted.product_bits <= 2 * work["digit"] + 3 * n * (bits + n), (n, bits)
+            if n % 2 == 0:
+                skew = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        skew[i][j] = (n << low) if j == i + 1 and i % 2 == 0 else rng.getrandbits(low)
+                        skew[j][i] = -skew[i][j]
+                Counted.reset()
+                integer_pfaffian(counted(skew))
+                work = elimination_work(n, bits, pfaffian=True)
+                assert Counted.ops - 1 == work["step"], (n, bits)
+                assert 4 * Counted.product_bits <= 3 * work["pfaffian_digit"] + 4 * n * (bits + n)
+
+
+def test_elimination_work_sums_in_closed_form():
+    # against the sums taken step by step: a band of w (anti)diagonals,
+    # and a Pfaffian whose first t steps grow by early_bits
+    for n in range(0, 16):
+        for bits in (0, 5, 31):
+            beta = bits + (n.bit_length() + 1) // 2
+            m = max(n, 1)
+            for band in [None] + list(range(1, 18)):
+                w = m if band is None else min(band, m)
+                expected = 3 * beta ** 2 * sum(j * j * (m - j) * min(m - j, w) for j in range(1, m))
+                assert elimination_work(n, bits, band=band)["digit"] == expected, (n, band)
+            assert elimination_work(n, bits, band=0) == {"call": 1, "step": n}
+            if n % 2:
+                assert elimination_work(n, bits, pfaffian=True) == {"call": 1}
+                continue
+            for t in range(0, n // 2 + 2):
+                for early_bits in (0, 3, 17):
+                    e, tt = early_bits + beta - bits, min(t, n // 2)
+
+                    def grown(u):
+                        return u * e if u <= tt else tt * e + (u - tt) * beta
+
+                    expected = 4 * sum(comb(n - 2 * u, 2) * grown(u) ** 2
+                                       for u in range(1, n // 2 + 1))
+                    work = elimination_work(n, bits, True, t, early_bits)
+                    assert work["pfaffian_digit"] == expected, (n, bits, t, early_bits)
+    # closed form only: a side near 10^400 is priced at once
+    assert elimination_work(10 ** 400, 10 ** 9)["digit"] > 10 ** 2000

@@ -9,24 +9,22 @@ from itertools import combinations
 import pytest
 
 from punchex import msf
-from punchex.core import determinant, integer_pfaffian, pfaffian, pfaffian_minor
+from oracles import (build_msf_instance, moment_matrix, n_matrix_entry_check, pfaffian_minor,
+                     structured_skew, sub_pfaffian_sign)
+from punchex.core import determinant, integer_pfaffian, pfaffian
 from punchex.msf import (
     IndexSets,
-    build_msf_instance,
     chain_5_3_check,
     conjecture5_check,
     lemma9_check,
     lemma10_check,
     minor_summation,
-    moment_matrix,
-    n_matrix_entry_check,
-    structured_skew,
-    sub_pfaffian_sign,
     theorem3_lhs,
     theorem3_rhs,
 )
-from punchex.core import Partition
-from punchex.symfun import schur_eval, seeded_points, vandermonde_product
+from counting import Counted, counted
+from punchex.core import Partition, elimination_work
+from punchex.symfun import rab_sum_work, schur_eval, schur_work, seeded_points, vandermonde_product
 
 F = Fraction
 
@@ -533,3 +531,38 @@ def test_n_matrix_entry_check_detects_a_wrong_entry(monkeypatch):
     pairing = msf._pairing
     monkeypatch.setattr(msf, "_pairing", lambda a, b: [-v for v in pairing(a, b)])
     assert not n_matrix_entry_check(2, 2, xs, ys)
+
+
+# ---------------------------------------------------------------------------
+# the work functions against the kernels' own loops
+# ---------------------------------------------------------------------------
+
+def test_chain53_and_lemma10_work_price_the_pfaffians_they_take(monkeypatch):
+    # each Pfaffian's size (IndexSets' |Q| + |R| border columns with the
+    # points) and the operations of its loop
+    log = []
+
+    def counting(rows):
+        Counted.reset()
+        value = integer_pfaffian(counted(rows))
+        log.append((len(rows), Counted.ops - 1))
+        return int(value)
+
+    monkeypatch.setattr(msf, "integer_pfaffian", counting)
+    for a, b, n in ((1, 1, 3), (2, 2, 4), (3, 5, 6), (4, 2, 5), (5, 3, 3), (1, 3, 5)):
+        pts = seeded_points(n + 1, a + n)
+        log.clear()
+        assert chain_5_3_check(a, b, n, pts, pts[:n])
+        K = 4 * n - 2 * b + 2
+        assert log == [(K, elimination_work(K, 0, True)["step"])], (a, b, n)
+        assert msf.chain53_work(a, b, n)["step"] == log[0][1] + rab_sum_work(a, b, n + 1, n)["step"]
+        log.clear()
+        assert lemma10_check(a, b, n, pts[:n])
+        rects = msf._rectangle_sides(a, b)
+        sizes, schur_steps = [], 0
+        for ambient in (n, n - 1) if n - 1 >= b else (n,):
+            sizes.append(n + ambient - b + (ambient - b + n) % 2)
+            for w, r in rects[n - ambient:n - ambient + 2]:
+                schur_steps += schur_work(w, r, n)["step"]
+        assert log == [(K, elimination_work(K, 0, True)["step"]) for K in sizes], (a, b, n)
+        assert msf.lemma10_work(a, b, n)["step"] == sum(ops for _, ops in log) + schur_steps

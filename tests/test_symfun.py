@@ -1,24 +1,31 @@
 """Tests for symmetric-function evaluation and the paired-partition family."""
 
+import builtins
 import random
 from fractions import Fraction
+from operator import mul
 
+from counting import Counted, counted
+from oracles import elementary_sym, rect_product_decomposition_check
 from punchex import symfun
-from punchex.core import Partition, binomial, conjugate, determinant
+from punchex.core import Partition, binomial, conjugate, determinant, elimination_work
 from punchex.symfun import (
     RabIndex,
     RabPair,
+    _complete_table,
     _elementary_all,
     _rab_sum,
     as_points,
-    elementary_sym,
     generate_rab,
     lemma8_check,
-    rect_product_decomposition_check,
+    lemma8_work,
+    rab_sum_work,
     schur_bidet,
     schur_eval,
     schur_nk,
+    schur_work,
     seeded_points,
+    table_work,
     vandermonde_product,
 )
 from punchex.boxcount import macmahon_box
@@ -382,3 +389,104 @@ def test_rect_product_decomposition_all_ones():
             for t in range(1, 4):
                 for m in range(1, n + 1):
                     assert rect_product_decomposition_check(s, t, m, n, ones), (s, t, m, n)
+
+
+# ---------------------------------------------------------------------------
+# the tables, and the work functions against the kernels' own loops
+# ---------------------------------------------------------------------------
+
+def _oracle_complete_table(ev, m):
+    """(Q^0 h_0, ..., Q^m h_m) from the e-table ev by Newton's recurrence
+    h_k = sum_{i>=1} (-1)^(i-1) e_i h_(k-i), read as
+    H_k = sum_i (-1)^(i-1) ev[i] Q^(i-1) H_(k-i) for H_k = Q^k h_k."""
+    Q = ev[0]
+    c = [(-1) ** i * e * Q ** i for i, e in enumerate(ev[1:m + 1])]
+    H = [1]
+    for _ in range(m):
+        H.append(sum(map(mul, c, reversed(H))))
+    return H
+
+
+def test_complete_table_point_by_point_matches_the_recurrence_in_e():
+    # zero, negative, repeated and unreduced points; tables shorter and
+    # longer than the alphabet
+    rng = random.Random(61)
+    for trial in range(200):
+        pts = as_points(rng.choices(MIXED_POINTS, k=rng.randint(0, 8)))
+        m = rng.randint(0, 25)
+        assert _complete_table(pts, m) == _oracle_complete_table(_elementary_all(pts), m), (
+            trial, pts, m)
+
+
+class _CountedPoint:
+    """A seeded point whose numerator and denominator count their products."""
+
+    def __init__(self, x):
+        self.numerator, self.denominator = Counted(x.numerator), Counted(x.denominator)
+
+
+def _counted_points(count, seed):
+    return tuple(map(_CountedPoint, seeded_points(count, seed)))
+
+
+def test_table_work_counts_the_tables_products():
+    for points in range(0, 12):
+        pts = _counted_points(points, points)
+        Counted.reset()
+        _elementary_all.__wrapped__(pts)
+        assert Counted.ops == table_work(points)["product"], points
+        for m in (1, 7, 30):
+            Counted.reset()
+            _complete_table(pts, m)
+            assert Counted.ops == table_work(points, m)["product"], (points, m)
+
+
+def test_schur_work_prices_the_determinant_schur_nk_takes(monkeypatch):
+    # the determinant's size and loop: in h for wide shapes, in e otherwise
+    sizes = []
+
+    def counting(rows):
+        sizes.append(len(rows))
+        Counted.reset()
+        value = integer_determinant(counted(rows))
+        sizes.append(Counted.ops - 1 if rows else 0)
+        return value
+
+    integer_determinant = symfun.integer_determinant
+    monkeypatch.setattr(symfun, "integer_determinant", counting)
+    for first, rows, points in ((9, 2, 5), (30, 3, 8), (4, 4, 7), (3, 6, 9), (12, 3, 12), (1, 5, 6)):
+        sizes.clear()
+        schur_nk(Partition([first] * rows), seeded_points(points, first))
+        size = rows if rows * rows < first else first
+        assert sizes == [size, elimination_work(size, 0)["step"]], (first, rows, points)
+        assert schur_work(first, rows, points)["step"] == sizes[1]
+
+
+def test_rab_sum_work_counts_the_products_of_f_and_g(monkeypatch):
+    # the terms of F^T G's sums, one product each, and its size
+    terms, seen = [], []
+
+    def counting_sum(iterable, start=0):
+        items = list(iterable)
+        terms.append(len(items))
+        return builtins.sum(items, start)
+
+    monkeypatch.setattr(symfun, "sum", counting_sum, raising=False)
+    monkeypatch.setattr(symfun, "integer_determinant", lambda rows: seen.append(len(rows)) or 1)
+    for a, b, L in ((1, 1, 2), (2, 4, 3), (3, 7, 5), (4, 2, 6), (6, 6, 1), (5, 9, 4)):
+        pts = seeded_points(L + 1, a + b)
+        terms.clear()
+        _rab_sum(a, b, pts, pts[:L])
+        work = rab_sum_work(a, b, L + 1, L)
+        tables = table_work(L + 1)["product"] + table_work(L)["product"]
+        assert sum(terms) == work["product"] - tables and seen[-1] == a + 1, (a, b, L)
+        assert work["call"] == a + b + 3  # a row of F and G each, two tables, the determinant
+
+
+def test_lemma8_work_counts_the_pairs():
+    for a, b in ((1, 1), (2, 4), (3, 5), (6, 6), (1, 9)):
+        pairs = len(generate_rab(a, b))
+        assert lemma8_work(a, b, 10 ** 9) == {"call": pairs * (a + 1),
+                                              "product": 6 * pairs * (b + 1)}, (a, b)
+    # past the limit, a+b pairs stand in for C(a+b, a): no huge binomial
+    assert lemma8_work(1, 10 ** 12, 10 ** 6)["call"] == 2 * (10 ** 12 + 1)

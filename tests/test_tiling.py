@@ -2,10 +2,14 @@
 the lattice-path determinant count, and SVG rendering."""
 
 import hashlib
+from collections import defaultdict
 from math import comb
 from typing import List
 
+from counting import Counted, counted
+from punchex import tiling
 from punchex.boxcount import theorem1_count, theorem4_count
+from punchex.core import elimination_work, integer_determinant
 from punchex.tiling import (
     LatticePoint,
     PathFamily,
@@ -13,10 +17,12 @@ from punchex.tiling import (
     count_paths,
     count_via_path_determinants,
     enumerate_tilings,
+    path_determinant_work,
     render_tiling_svg,
     start_end_points,
     sweep_updates,
     tiling_family,
+    unranking_updates,
     validate_family,
 )
 
@@ -317,3 +323,57 @@ def test_sweep_updates_sums_every_diagonal():
     assert cases > 3000
     h = PuncturedHexagon(10 ** 9, 10 ** 9, 10 ** 9)
     assert sweep_updates(h, 10 ** 6) == 10 ** 9 * (2 * 10 ** 9 + 1)
+
+
+def test_unranking_updates_sums_every_sweep_and_bounds_them(monkeypatch):
+    # against the sum over the paths carried and the diagonals, at every
+    # puncture: a sweep with a' = 0..a paths, b+c+1 of each, and the first
+    for h in _every_puncture(3, 5):
+        a, b, c, p = h.a, h.b, h.c, h.puncture_point()
+        total = sum(comb(min(b, c + d) - max(d, 0) + 2 + k, k + (d >= p.x - p.y))
+                    * (k + (d >= p.x - p.y)) for k in range(a + 1) for d in range(-c - 1, b))
+        assert unranking_updates(h, 10 ** 30) == sweep_updates(h, 10 ** 30) + (b + c + 1) * total, h
+    # above the states tiling_family's sweeps step, counted in the dicts
+    # they build, at the first and the last index
+    stepped = [0]
+
+    class Counting(defaultdict):
+        def items(self):
+            stepped[0] += len(self)
+            return super().items()
+
+    monkeypatch.setattr(tiling, "defaultdict", Counting)
+    for a, b, c in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 4, 6), (5, 1, 1), (1, 5, 3)):
+        h = PuncturedHexagon(a, b, c)
+        for index in (0, enumerate_tilings(h) - 1):
+            stepped[0] = 0
+            tiling_family(h, index)
+            assert 0 < stepped[0] <= unranking_updates(h, 10 ** 30), (h, index)
+    # past the limit only sweep_updates' lower bound, at once
+    h = PuncturedHexagon(10 ** 9, 10 ** 9, 10 ** 9)
+    assert unranking_updates(h, 10 ** 6) == 10 ** 9 * (2 * 10 ** 9 + 1)
+
+
+def test_path_determinant_work_counts_the_path_counts_and_the_determinant(monkeypatch):
+    # two path counts per midpoint and entry, a+1 for the puncture's row,
+    # and the loop of the determinant of size a+1
+    calls, log = [0], []
+
+    def counting_paths(p, q):
+        calls[0] += 1
+        return count_paths(p, q)
+
+    def counting_determinant(rows):
+        Counted.reset()
+        value = integer_determinant(counted(rows))
+        log.append((len(rows), Counted.ops - 1))
+        return int(value)
+
+    monkeypatch.setattr(tiling, "count_paths", counting_paths)
+    monkeypatch.setattr(tiling, "integer_determinant", counting_determinant)
+    for h in list(_every_puncture(3, 4))[::37]:
+        calls[0], log[:] = 0, []
+        count_via_path_determinants(h)
+        work, a = path_determinant_work(h), h.a
+        assert work["product"] == 5 * (calls[0] - a - 1) // 2, h
+        assert log == [(a + 1, elimination_work(a + 1, 0)["step"])] == [(a + 1, work["step"])], h
