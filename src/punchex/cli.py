@@ -27,25 +27,28 @@ from .msf import (chain53_work, chain_5_3_check, conjecture5_check, conjecture5_
                   minor_summation_work, theorem3_lhs, theorem3_rhs, theorem3_work)
 from .symfun import generate_rab, lemma8_check, lemma8_work, seeded_points
 from .tiling import (PuncturedHexagon, count_via_path_determinants, enumerate_tilings,
-                     path_determinant_work, render_tiling_svg, sweep_work, tiling_family)
+                     path_determinant_work, render_tiling_svg, sweep_updates, tiling_family,
+                     unranking_updates)
 
 
 # ``count brute|lgv``, ``render`` and ``verify`` refuse up front any input
 # whose estimated run time is longer (``_admit``).
 BUDGET_S = 5
 # Femtoseconds per unit of the work that the function next to each kernel
-# counts: a call (or a row built), a product in an interpreted loop, an
-# elimination's operation and its operands' bits squared
-# (``core.elimination_work``), a sweep update and its positions
-# (``tiling.sweep_work``); fitted to ``bench/calibrate.py``'s reference
-# clock so that no recorded input runs past its estimate (README).
-FS_PER = {"call": 4_200_000_000, "product": 147_000_000, "step": 120_000_000, "digit": 2_330,
-          "pfaffian_digit": 600, "sweep": 2_390_000_000, "sweep_path": 18_000_000}
+# counts (README, "Admission"), fitted by ``tools/fit_weights.py`` to the
+# reference-clock timings in BENCH_16.json.
+FS_PER = {"call": 4_900_000_000, "product": 190_000_000, "step": 130_000_000, "digit": 1_900,
+          "pfaffian_digit": 2_500, "binomial": 81_000, "sweep": 2_390_000_000, "sweep_path": 18_000_000}
+
+# The random instances of minor-summation and lemma9: a size drawn from
+# these ranges, at most MAX_COLUMNS columns of G, entries from ENTRIES.
+MINOR_SUMMATION_SIZES, LEMMA9_SIZES = range(1, 5), range(1, 6)
+MAX_COLUMNS = 6
+ENTRIES = (-3, 3)
 
 # The targets checked at seeded points: how many points beyond n each draws,
 # its check on (a, b, n, points) and its work on (a, b, n).  The lambdas look
-# the checks up at call time, so a wrapper bound over a module global (a
-# tracer's) sees every call.
+# the checks up at call time, so a tracer's wrapper sees every call.
 POINT_TARGETS = {
     "theorem3": (1, lambda a, b, n, pts: theorem3_lhs(a, b, n, pts, pts[:n])
                  == theorem3_rhs(a, b, n, pts, pts[:n]), theorem3_work),
@@ -118,35 +121,46 @@ def _sizes(args):
 
 def _work(args) -> Work:
     """The work of the parsed command, as its modules count it in closed
-    form.  A count past the budget may be only a lower bound (``limit``)."""
+    form, with the command's own parsing and report (some 1500 calls).  A
+    count past the budget may be only a lower bound (``limit``)."""
     def limit(unit: str) -> int:
         return BUDGET_S * 10 ** 15 // FS_PER[unit]
 
+    own = {"call": 1500}
     if args.command != "verify":
         hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
         if getattr(args, "mode", "") == "lgv":
-            return path_determinant_work(hexagon)
-        return sweep_work(hexagon, limit("sweep"), unranking=args.command == "render")
+            return total(path_determinant_work(hexagon), own)
+        updates = (unranking_updates if args.command == "render" else sweep_updates)(
+            hexagon, limit("sweep"))
+        return total({"sweep": updates, "sweep_path": updates * (args.a + 1)}, own)
     a, b, n, trials = _sizes(args)
     if args.target == "lemma8":
-        return lemma8_work(a, b, limit("call"))
+        return total(lemma8_work(a, b, limit("call")), own)
     if args.target in POINT_TARGETS:
         # a trial draws its points (a call each) and checks them
         extra, _, target_work = POINT_TARGETS[args.target]
         work = total(target_work(*(max(x, 0) for x in (a, b, n))), {"call": max(n, 0) + extra})
-        return total(work, times=trials)
-    # a random instance, priced at the mean over the sizes it draws (the most
-    # columns, 2-bit entries); its 50 or so draws take some ten calls' time
-    sizes = range(1, 5) if args.target == "minor-summation" else range(1, 6)
-    work = total(*(minor_summation_work(size, 6, size % 2, 2) if args.target == "minor-summation"
-                   else lemma9_work(size, 2) for size in sizes), {"call": 10 * len(sizes)})
-    return {unit: trials * v // len(sizes) for unit, v in work.items()}
+        return total(total(work, times=trials), own)
+    # a random instance, priced at the mean over the sizes it draws, each
+    # with the middle of its columns' range; a call for each number drawn
+    bits = max(ENTRIES).bit_length()
+    if args.target == "minor-summation":
+        sizes = MINOR_SUMMATION_SIZES
+        cols = [(max(1, size - size % 2) + MAX_COLUMNS) // 2 for size in sizes]
+        works = [total(minor_summation_work(size, p, size % 2, bits),
+                       {"call": 3 + size * (p + size % 2) + p * (p - 1) // 2})
+                 for size, p in zip(sizes, cols)]
+    else:
+        sizes = LEMMA9_SIZES
+        works = [total(lemma9_work(size, bits), {"call": 2 + 2 * size + size * (size - 1) // 2})
+                 for size in sizes]
+    return total({unit: trials * v // len(sizes) for unit, v in total(*works).items()}, own)
 
 
 def _estimated_fs(args) -> int:
-    """Estimated run time in femtoseconds, in integers: the command's ``_work``
-    and its own parsing and report (some 1500 calls' time) by ``FS_PER``."""
-    return sum(FS_PER[unit] * v for unit, v in total(_work(args), {"call": 1500}).items())
+    """Estimated run time in femtoseconds, in integers: ``_work`` by ``FS_PER``."""
+    return sum(FS_PER[unit] * v for unit, v in _work(args).items())
 
 
 def _verify(args):
@@ -175,11 +189,11 @@ def _verify(args):
         rng = random.Random(seed)
         params = {"trials": t}
         for trial in range(t):
-            size = rng.randint(1, 4)
+            size = rng.randrange(MINOR_SUMMATION_SIZES.start, MINOR_SUMMATION_SIZES.stop)
             q = rng.choice([x for x in (0, 1, 2) if (size + x) % 2 == 0 and x <= size])
-            p = rng.randint(max(1, size - q), 6)
-            G = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(size)]
-            H = [[rng.randint(-3, 3) for _ in range(q)] for _ in range(size)]
+            p = rng.randint(max(1, size - q), MAX_COLUMNS)
+            G = [[rng.randint(*ENTRIES) for _ in range(p)] for _ in range(size)]
+            H = [[rng.randint(*ENTRIES) for _ in range(q)] for _ in range(size)]
             lhs, rhs = minor_summation(G, H, _random_skew(rng, p))
             if lhs != rhs:
                 return params, False, {"trial": trial, "n": size, "p": p, "q": q,
@@ -190,11 +204,11 @@ def _verify(args):
         rng = random.Random(seed)
         params = {"trials": t}
         for trial in range(t):
-            size = rng.randint(1, 5)
+            size = rng.randrange(LEMMA9_SIZES.start, LEMMA9_SIZES.stop)
             A = _random_skew(rng, size)
-            bvec = [rng.randint(-3, 3) for _ in range(size)]
-            cvec = [rng.randint(-3, 3) for _ in range(size)]
-            d = rng.randint(-3, 3)
+            bvec = [rng.randint(*ENTRIES) for _ in range(size)]
+            cvec = [rng.randint(*ENTRIES) for _ in range(size)]
+            d = rng.randint(*ENTRIES)
             if not lemma9_check(A, bvec, cvec, d):
                 return params, False, {"trial": trial, "n": size}
         return params, True, None
@@ -221,11 +235,11 @@ def _admit(command: str, fs: int, **params) -> None:
 
 
 def _random_skew(rng: random.Random, size: int):
-    """A size x size skew matrix, its upper triangle drawn row by row from -3..3."""
+    """A size x size skew matrix, its upper triangle drawn row by row from ENTRIES."""
     A = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            A[i][j] = rng.randint(-3, 3)
+            A[i][j] = rng.randint(*ENTRIES)
             A[j][i] = -A[i][j]
     return A
 

@@ -248,36 +248,33 @@ def integer_pfaffian(rows: List[List[int]]) -> int:
     return sign * prev
 
 
-def elimination_work(n: int, bits: int, pfaffian: bool = False, early: int = 0,
-                     early_bits: int = 0, band: Optional[int] = None) -> Work:
+def elimination_work(n: int, bits: int, pfaffian: bool = False,
+                     band: Optional[int] = None) -> Work:
     """The work of ``integer_determinant`` (``integer_pfaffian``) on n x n
     entries of ``bits`` bits, in closed form: ``step``, the operations on
     entries (3 an update of the loop, 4 for the Pfaffian), and ``digit``
-    (``pfaffian_digit``), their operands' bits squared.  After step k an
-    entry is a minor of order k+1 (a Pfaffian of order 2k+2), of at most
-    (k+1) (bits + log2(n)/2) bits by Hadamard's inequality; the
-    determinant's step j-1 updates (n-j)^2 entries, or (n-j) min(n-j, band)
-    nonzero ones when ``band`` (anti)diagonals hold them (none: band 0),
-    and the Pfaffian's step u updates C(n-2u, 2) entries, grown by
-    ``early_bits`` a step over the first ``early``; zero pivots end early."""
-    log = (n.bit_length() + 1) // 2
-    beta = bits + log
+    (``pfaffian_digit``), their operands' bits squared.  After step k an entry is a minor of order k+1 (a Pfaffian of order
+    2k+2), of at most (k+1) (bits + log2(n)/2) bits by Hadamard's
+    inequality; the determinant's step j-1 updates (n-j)^2 entries, or
+    (n-j) min(n-j, band) nonzero ones when ``band`` (anti)diagonals hold
+    them (none: band 0), and the Pfaffian's step u updates C(n-2u, 2)."""
+    beta = bits + (n.bit_length() + 1) // 2
     if band == 0:
         return {"call": 1, "step": n}
     if not pfaffian:
         n = max(n, 1)
         w = n if band is None else min(band, n)
-        # j^2 (n-j) w for j <= n-w, j^2 (n-j)^2 above it: (n^5 - n)/30 in all
-        _, s2, s3, s4 = _power_sums(n - w)
-        return {"call": 1, "step": 3 * _power_sums(n - 1)[1], "digit": 3 * beta ** 2 * (
-            (n ** 5 - n) // 30 - n * n * s2 + 2 * n * s3 - s4 + w * (n * s2 - s3))}
+        # j^2 (n-j) min(n-j, w): (n-j) w up to j = n-w, (n-j)^2 past it
+        rows = poly_sum((0, 0, w * n, -w), 1, n - w) + poly_sum((0, 0, n * n, -2 * n, 1), n - w + 1, n - 1)
+        return {"call": 1, "step": 3 * poly_sum((0, 0, 1), 1, n - 1),
+                "digit": 3 * beta ** 2 * rows}
     if n % 2:
         return {"call": 1}
-    m, t = n // 2, min(max(early, 0), n // 2)
-    v1, v2 = _power_sums(m - 1)[:2]
-    digit = (_pfaffian_bit_sum(n, 1, t, early_bits + log, 0)
-             + _pfaffian_bit_sum(n, t + 1, m, beta, t * (early_bits - bits)))
-    return {"call": 1, "step": 4 * (2 * v2 - v1), "pfaffian_digit": 4 * digit}
+    m = n // 2
+    # C(n-2u, 2) = 2u^2 - (2n-1) u + n(n-1)/2 entries, grown to u beta bits
+    pairs = (n * (n - 1) // 2, 1 - 2 * n, 2)
+    return {"call": 1, "step": 4 * poly_sum(pairs, 1, m - 1),
+            "pfaffian_digit": 4 * beta ** 2 * poly_sum(poly_mul(pairs, (0, 0, 1)), 1, m)}
 
 
 def total(*works: Work, times: int = 1) -> Work:
@@ -291,30 +288,32 @@ def total(*works: Work, times: int = 1) -> Work:
 
 # CPython stores an int in digits of this many bits
 _WORD = sys.int_info.bits_per_digit
-
-
 def product_digits(x: int, y: int) -> int:
     """The ``digit`` work of an x-bit by y-bit product (or of a gcd): a
     small factor still costs a pass over the large one's digits."""
     return (x + _WORD) * (y + _WORD)
 
 
-def _power_sums(m: int) -> Tuple[int, int, int, int]:
-    """(sum of u, u^2, u^3, u^4 over u = 1..m), 0s for m < 1 (Faulhaber)."""
-    m = max(m, 0)
-    s1, s2 = m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6
-    return s1, s2, s1 * s1, s2 * (3 * m * m + 3 * m - 1) // 5
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> Tuple[int, ...]:
+    """The product of two polynomials, coefficients from the constant up."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
 
 
-def _pfaffian_bit_sum(n: int, lo: int, hi: int, alpha: int, gamma: int) -> int:
-    """sum over u = lo..hi of C(n-2u, 2) (alpha u + gamma)^2, by power sums:
-    C(n-2u, 2) = 2u^2 - (2n-1) u + n(n-1)/2."""
-    h, c = n * (n - 1) // 2, 2 * n - 1
-    coef = (h * gamma ** 2, n * (n - 1) * alpha * gamma - c * gamma ** 2,
-            2 * gamma ** 2 - 2 * c * alpha * gamma + h * alpha ** 2,
-            4 * alpha * gamma - c * alpha ** 2, 2 * alpha ** 2)
-    upper, lower = (hi, *_power_sums(hi)), (lo - 1, *_power_sums(lo - 1))
-    return sum(k * (x - y) for k, x, y in zip(coef, upper, lower)) if hi >= lo else 0
+def poly_sum(p: Sequence[int], lo: int, hi: int) -> int:
+    """sum over u = lo..hi of the polynomial p (degree at most 6,
+    coefficients from the constant up), by Faulhaber's power sums; 0 when
+    hi < lo."""
+    def upto(m: int) -> int:
+        s1, s2 = m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6
+        s4 = s2 * (3 * m * m + 3 * m - 1) // 5
+        s5 = s1 * s1 * (2 * m * m + 2 * m - 1) // 3
+        s6 = s2 * (3 * m ** 4 + 6 * m ** 3 - 3 * m + 1) // 7
+        return sum(c * s for c, s in zip(p, (m, s1, s2, s1 * s1, s4, s5, s6)))
+    return upto(hi) - upto(max(lo - 1, 0)) if hi >= max(lo, 1) else 0
 
 
 def pfaffian(m: SkewMatrix) -> Fraction:

@@ -41,7 +41,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .core import (ExactMatrix, Partition, Work, _check_rectangular, _check_skew, _cleared,
                    binomial, elimination_work, integer_determinant, integer_pfaffian,
-                   product_digits, total)
+                   poly_mul, poly_sum, product_digits, total)
 from .symfun import (_POINT_BITS, EvalPoint, _rab_sum, as_points, distinct, rab_sum_work,
                      schur_eval, schur_work, vandermonde_product)
 
@@ -437,30 +437,53 @@ def conjecture5_work(a: int, b: int, n: int) -> Work:
     return total(rab_sum_work(a, b, n + 2, n), _rect_product_work(a, b, (n, n + 1, n + 1, n + 2)))
 
 
+def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False) -> Work:
+    """The work of ``_paired_pfaffian`` on L = ``points`` rows of E-bit
+    moments and t = ``border`` columns paired with them.  An entry after
+    step u is a Pfaffian over the indices taken and two more, 0 when it
+    has more columns than points: a paired step leaves C(L-u, 2) +
+    (L-u)(t-u) nonzero entries, a point step after the pairs C(L+t-2u, 2).
+    Instrumented runs show them near 2E bits at first, growing 2E/5 a
+    paired step and 5E/4 a point step.  ``sparse``: chain53's points meet
+    only the other alphabet's points and their own columns; counted, its
+    bits squared came to 0.45-0.73 (mean 0.6) of this form's.  Past 300
+    bits a step (CPython multiplies past 70 digits by Karatsuba's method)
+    the time per bit squared fell as the cube root of 300 / E in timings
+    at 200 to 9600 bits a step."""
+    L, t, K = points, min(border, points), points + border
+    if K % 2:
+        return {"call": 1}
+    # twice the paired steps' entries, (L-u)(L+2t-1-3u), of (E/5)(2u+10) bits
+    paired = poly_sum(poly_mul((L * (L + 2 * t - 1), 1 - 4 * L - 2 * t, 3), (100, 40, 4)), 1, t)
+    grown = (40 - 17 * t, 25)  # a point step's entries, of (E/20)(25u+40-17t) bits
+    point = poly_sum(poly_mul((K * (K - 1) // 2, 1 - 2 * K, 2), poly_mul(grown, grown)), t + 1, K // 2)
+    digit = E * E * (8 * paired + point) * (3 if sparse else 5) // 500
+    if E > 300:  # past 10**12 bits a step the estimate is far over any budget
+        digit = digit * 300 // round((min(E, 10 ** 12) * 300 ** 2) ** (1 / 3))
+    return {"call": 1, "step": elimination_work(K, 0, True)["step"], "pfaffian_digit": digit}
+
+
 def chain53_work(a: int, b: int, n: int) -> Work:
     """The work of ``chain_5_3_check`` at n+1 points: the R(a,b) sum, the
     moment rows, the (n+1) n (a+b) products of N, of entries of
     E = (n+a) _POINT_BITS bits, and the Pfaffian over the 2n+1 points and
-    |Q| + |R| = 2n-2b+1 columns of H (``IndexSets``), whose steps grow the
-    entries by E on a point and its column (``_paired_pfaffian``), 2E else."""
-    E, cells, K = (n + a) * _POINT_BITS, (n + 1) * n * (a + b), 4 * n - 2 * b + 2
-    return total(rab_sum_work(a, b, n + 1, n), elimination_work(K, 2 * E, True, K // 2 - b, E),
-                 {"product": cells + 2 * (2 * n + 1) * (n + a + 1) + K * K,
-                  "digit": cells * product_digits(E, E)
-                  + product_digits((2 * n + 1) * E, (2 * n + 1) * E)})
+    |Q| + |R| = 2n-2b+1 columns of H (``IndexSets``)."""
+    E, cells, L = (n + a) * _POINT_BITS, (n + 1) * n * (a + b), 2 * n + 1
+    return total(rab_sum_work(a, b, n + 1, n), _paired_pfaffian_work(L, 2 * n - 2 * b + 1, E, True),
+                 {"product": cells + 2 * L * (n + a + 1) + (4 * n - 2 * b + 2) ** 2,
+                  "digit": cells * product_digits(E, E)})
 
 
 def _lemma10_identity_work(a: int, b: int, ambient: int, L: int) -> Work:
     """The work of ``_lemma10_identity`` on L points: the L^2 entries of N
     (a call and two products of E = (ambient+a) _POINT_BITS bits), the t
-    border columns, the Pfaffian of size L+t as chain53's but growing 3E a
-    step on two points in timings (chain53's point block is half zero)."""
+    border columns, the Pfaffian of size L+t and the two rectangles."""
     t = ambient - b + (L + ambient - b) % 2  # |R|, or |Q| = |R| + 1
     E, K = (ambient + a) * _POINT_BITS, L + t
     (w, r), (w2, r2) = _rectangle_sides(a, b)[L - ambient:L - ambient + 2]
-    return total(elimination_work(K, 3 * E, True, t, E), schur_work(w, r, L), schur_work(w2, r2, L),
+    return total(_paired_pfaffian_work(L, t, E), schur_work(w, r, L), schur_work(w2, r2, L),
                  {"call": L * L, "product": 2 * L * t + K * K,
-                  "digit": 2 * L * L * product_digits(E, E) + product_digits(L * E, L * E)})
+                  "digit": 2 * L * L * product_digits(E, E)})
 
 
 def lemma10_work(a: int, b: int, n: int) -> Work:

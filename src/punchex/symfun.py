@@ -37,8 +37,8 @@ from itertools import combinations
 from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import (_WORD, Partition, Work, _power_sums, binomial, conjugate, elimination_work,
-                   integer_determinant, product_digits, total)
+from .core import (_WORD, Partition, Work, binomial, conjugate, elimination_work,
+                   integer_determinant, poly_mul, poly_sum, product_digits, total)
 
 # EvalPoint: a tuple of evaluation values x_1..x_n (ints or Fractions).
 # Identity checks need pairwise-distinct points only where an alternant
@@ -148,28 +148,21 @@ def _denominator_bits(points: int) -> int:
 
 def _uses_h(rows: int, first: int) -> bool:
     """Whether a shape of ``rows`` parts, the largest ``first``, takes the
-    Jacobi-Trudi determinant in h, of size rows, rather than the dual one,
-    of size first: its entries are larger, so only when rows^2 < first,
-    where it was the faster in timings of rectangles at 2 to 115 points."""
+    determinant in h (size rows, larger entries) rather than the dual one
+    (size first): the faster when rows^2 < first, in timings at 2-115 points."""
     return rows ** 2 < first
 
 
 def schur_nk(p, pts: Iterable) -> Fraction:
-    """Schur value via the dual Jacobi-Trudi determinant (or, for a shape
-    much wider than long, the one in h).
-
-    s_lambda = det( e_{lambda'_i - i + j} )_{1<=i,j<=m} with m = lambda_1.
-    The entries are read from the integer table Q e_k of ``_elementary_all``,
-    so the determinant runs over ``int`` and equals Q^m s_lambda; one
-    division at the end.  Works at arbitrary (possibly repeated) points; a
-    shape with more rows than there are points correctly evaluates to 0.
-    The cost grows with lambda_1, the size of the determinant, and not with
-    the number of points, so a shape much wider than long (``_uses_h``,
-    such as lambda = (200,)) takes det(h_{lambda_i - i + j}) of size
-    l(lambda) instead: row i scaled by Q^(lambda_i - i) and column j by
-    Q^j, its entries are the table H_k = Q^k h_k of ``_complete_table``,
-    and it is divided once by Q^|lambda|.
-    """
+    """Schur value via the dual Jacobi-Trudi determinant
+    s_lambda = det( e_{lambda'_i - i + j} ) of size lambda_1, its entries
+    the integer table Q e_k of ``_elementary_all``: the determinant runs
+    over ``int`` and is divided once by Q^lambda_1.  Works at any (possibly
+    repeated) points; a shape with more rows than points gives 0.  A shape
+    much wider than long (``_uses_h``, such as (200,)) takes
+    det(h_{lambda_i - i + j}) of size l(lambda) instead, row i scaled by
+    Q^(lambda_i - i) and column j by Q^j: its entries are the table
+    H_k = Q^k h_k of ``_complete_table``, divided once by Q^|lambda|."""
     lam = p if isinstance(p, Partition) else Partition(p)
     points = as_points(pts)
     if _uses_h(len(lam), lam.part(1)):
@@ -188,8 +181,8 @@ def table_work(points: int, m: int = 0) -> Work:
     P, W = _POINT_BITS, _WORD
     if m:
         return {"call": 1, "product": points * (m + 3), "digit": points * (P * points + W) * (
-            P * points * _power_sums(m)[0] + W * m)}
-    s1, s2 = _power_sums(points)[:2]
+            P * points * m * (m + 1) // 2 + W * m)}
+    s1, s2 = poly_sum((0, 1), 1, points), poly_sum((0, 0, 1), 1, points)
     return {"call": 1, "product": 2 * s1 + points, "digit": 2 * (P + W) * (P * s2 + W * s1)}
 
 
@@ -198,15 +191,11 @@ def schur_work(first: int, rows: int, points: int) -> Work:
     ``first``, at ``points`` seeded points: its table, its determinant
     (``_uses_h``), whose steps grow the entries by the bits of Q (Q^first
     in h), the e-table's zeros past e_points making a band of points+1
-    diagonals, and its fraction."""
+    diagonals."""
     Q = _denominator_bits(points)
     if _uses_h(rows, first):
-        work = total(table_work(points, first + rows - 1), elimination_work(rows, Q * first))
-        size = rows * Q * first
-    else:
-        work = total(table_work(points), elimination_work(first, Q, band=points + 1))
-        size = first * Q
-    return total(work, {"digit": product_digits(size, size)})
+        return total(table_work(points, first + rows - 1), elimination_work(rows, Q * first))
+    return total(table_work(points), elimination_work(first, Q, band=points + 1))
 
 
 def schur_bidet(p, pts: Iterable) -> Fraction:
@@ -403,34 +392,31 @@ def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
 
 def rab_sum_work(a: int, b: int, big: int, small: int) -> Work:
     """The work of ``_rab_sum`` over ``big`` and ``small`` seeded points:
-    the two e-tables, the a+b rows of F and G (a call each), the a (a+1)
-    (a+b) products of F^T G (min(big, small)+1 nonzero ones an entry), its
-    determinant of size a+1 and the fraction.  Entry (i, j) of F^T G is
-    zero unless a-b <= i+j <= a-b+big+small, so the determinant is priced
-    as a band of as many entries a row on average, whose steps grow the
-    entries by the bits of Q_X Q_Y (``_denominator_bits``)."""
+    the e-tables, the a+b rows of F and G, the a (a+1) (a+b) products of
+    F^T G (min(big, small)+1 nonzero ones an entry) and its determinant of
+    size a+1.  Its entries i + j < a-b are zero, and in instrumented runs
+    that triangle loses one antidiagonal a step; the entries grow by about
+    (4a + 2 min(a, b)) / 5a times Q_X Q_Y's bits a step (0.85 at b = 8,
+    a = 60; 1.2 at b = a = 56)."""
     ex, ey, cells = _POINT_BITS * big, _POINT_BITS * small, a * (a + 1)
-
-    def below(s: int) -> int:  # entries (i, j) of [0, a]^2 with i + j <= s
-        s = min(s, 2 * a + 1)
-        return (s + 1) * (s + 2) // 2 - 2 * (max(s - a, 0) * (s - a + 1) // 2) if s >= 0 else 0
-
-    band = -(-(below(a - b + big + small) - below(a - b - 1)) // (a + 1))
-    size = (a + 1) * (ex + ey)
-    return total(table_work(big), table_work(small),
-                 elimination_work(a + 1, _denominator_bits(big) + _denominator_bits(small), band=band),
+    n, z = a + 1, max(a - b, 0)
+    grow = (_denominator_bits(big) + _denominator_bits(small)) * (4 * a + 2 * min(a, b)) // (5 * max(a, 1))
+    det, beta = elimination_work(n, grow), grow + (n.bit_length() + 1) // 2
+    # step j leaves the T(z-j) entries i + j' < z-j zero, of j beta bits each
+    det["digit"] -= 3 * beta ** 2 * poly_sum(poly_mul((0, 0, 1), (z * z + z, -2 * z - 1, 1)), 1, min(z, n) - 1) // 2
+    return total(table_work(big), table_work(small), det,
                  {"call": a + b, "product": (a + b) * cells,
-                  "digit": cells * (min(big, small) + 1) * product_digits(ex, ey)
-                  + product_digits(size, size)})
+                  "digit": cells * (min(big, small) + 1) * product_digits(ex, ey)})
 
 
 def lemma8_work(a: int, b: int, limit: int) -> Work:
     """The work of ``generate_rab(a, b)`` and ``lemma8_check`` on its
     C(a+b, a) pairs: a call for each of the a+1 entries of a pair's index
-    vector, and six products for each of the b+1 rows of its check.  Past
+    vector, and four interpreted operations for each of the b+1 rows of its
+    shapes and its check (``product``'s price).  Past
     ``limit``, a+b pairs, a lower bound, so huge sides are refused at once."""
     pairs = a + b if a + b > limit else binomial(a + b, a)
-    return {"call": pairs * (a + 1), "product": 6 * pairs * (b + 1)}
+    return {"call": pairs * (a + 1), "product": 4 * pairs * (b + 1)}
 
 
 def lemma8_check(pair: RabPair) -> bool:

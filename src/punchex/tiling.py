@@ -27,7 +27,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .core import Work, binomial, elimination_work, integer_determinant, product_digits, total
+from .core import (Work, binomial, elimination_work, integer_determinant, poly_mul, poly_sum,
+                   product_digits, total)
 
 __all__ = [
     "LatticePoint",
@@ -277,12 +278,6 @@ def unranking_updates(h: PuncturedHexagon, limit: int) -> int:
     return first + (b + c + 1) * runs
 
 
-def sweep_work(h: PuncturedHexagon, limit: int, unranking: bool = False) -> Work:
-    """The updates of ``enumerate_tilings`` (``tiling_family``), of a+1 positions."""
-    updates = (unranking_updates if unranking else sweep_updates)(h, limit)
-    return {"sweep": updates, "sweep_path": updates * (h.a + 1)}
-
-
 def validate_family(h: PuncturedHexagon, family: PathFamily) -> None:
     """Raise ValueError unless ``family`` is a valid nonintersecting family
     for ``h`` (correct starts, unit steps, E endpoints, disjoint)."""
@@ -340,18 +335,24 @@ def count_via_path_determinants(h: PuncturedHexagon) -> int:
 
 
 def path_determinant_work(h: PuncturedHexagon) -> Work:
-    """The work of ``count_via_path_determinants(h)``: two path counts
-    (some five products' time, with the binomial's ten or so products of
-    its bits) for each midpoint of each of the a (a+1) entries, and the
-    determinant of size a+1.  A path from A_i to E_j takes b+c+1 steps, at
-    most min(b, c)+a+1 of one kind, so an entry is below
-    min(2^(b+c+1), (b+c+1)^(min(b, c)+a+1))."""
+    """The work of ``count_via_path_determinants(h)``.  Each midpoint of
+    each of the a (a+1) entries takes two path counts and their product,
+    some five products' time and ``binomial``, half a count's bits squared
+    (a path of b+c+1 steps, at most min(b, c)+a+1 of one kind).  The
+    determinant has size n = a+1; an entry after step j-1 counts families
+    of j nonintersecting paths, growing as the box counts B(j, b, c) do,
+    fast at first: beta j (2n-j) / n bits, beta n = 17abc / (5 (a+b+c))
+    (MacMahon's log2 B(m, m, m) ~ 1.133 m^2; 4217 against 4280 at 61)."""
     a, b, c = h.a, h.b, h.c
     diag = h.puncture_point().x - h.puncture_point().y
-    bits = min(b + c + 1, (min(b, c) + a + 1) * (b + c + 1).bit_length())
+    half = min(b + c + 1, (min(b, c) + a + 1) * (b + c + 1).bit_length()) // 2
     cells = a * (a + 1) * (min(a + b, a + c + diag) - max(diag, 0))  # midpoints != P
-    return total(elimination_work(a + 1, bits + 1),
-                 {"product": 5 * cells, "digit": 10 * cells * product_digits(bits, bits)})
+    n = a + 1
+    beta = 17 * a * b * c // (5 * (a + b + c) * n) + 1
+    grown = poly_mul((0, 2 * n, -1), (0, 2 * n, -1))
+    digit = 3 * beta ** 2 * poly_sum(poly_mul((n * n, -2 * n, 1), grown), 1, n - 1) // (n * n)
+    return {"call": 1, "step": elimination_work(n, 0)["step"], "digit": digit,
+            "product": 5 * cells, "binomial": cells * product_digits(half, half)}
 
 
 # ---------------------------------------------------------------------------

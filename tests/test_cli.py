@@ -175,8 +175,9 @@ def test_every_priced_command_goes_through_the_one_refusal(capsys, monkeypatch, 
 
 def _recorded_timings():
     """Every input timed on the reference clock in the edges of
-    BENCH_14.json and BENCH_16.json, as (argv, ref_s); a later file's
-    timing of an input replaces an earlier one (the code it timed changed).
+    BENCH_14.json and BENCH_16.json, as (argv, ref_s), ref_s the slowest of
+    an input's runs; a later file's timing of an input replaces an earlier
+    one (the code it timed changed).
     BENCH_14 names its sweep inputs by shape: ``count brute`` at the
     default puncture, and ``render`` at its last index."""
     timed = {}
@@ -198,10 +199,16 @@ def _recorded_timings():
     return timed
 
 
+# an admitted input is estimated at this many times its slowest recorded
+# run or more (tools/fit_weights.py fits the weights so)
+ADMIT_MARGIN = 1.1
+
+
 def test_recorded_edge_timings_keep_their_verdicts():
     # every input measured above the budget is refused, and every admitted
-    # one is estimated at no less than it took: a change of weight or of
-    # work function that underprices a recorded input fails here
+    # one is estimated at ADMIT_MARGIN times what it took or more: a change
+    # of weight or of work function that underprices a recorded input
+    # fails here
     budget = cli.BUDGET_S * 10 ** 15
     timed = _recorded_timings()
     assert len(timed) > 250
@@ -210,7 +217,7 @@ def test_recorded_edge_timings_keep_their_verdicts():
         if ref_s > cli.BUDGET_S:
             assert fs > budget, (argv, ref_s)
         elif fs <= budget:
-            assert fs >= ref_s * 10 ** 15, (argv, ref_s, fs / 10 ** 15)
+            assert fs >= ADMIT_MARGIN * ref_s * 10 ** 15, (argv, ref_s, fs / 10 ** 15)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from punchex.core import (
     integer_pfaffian,
     matmul,
     pfaffian,
+    poly_mul,
+    poly_sum,
 )
 from oracles import pfaffian_minor, transpose
 
@@ -364,9 +366,9 @@ def test_elimination_work_counts_the_kernels_operations():
 
 def test_elimination_work_sums_in_closed_form():
     # against the sums taken step by step: a band of w (anti)diagonals,
-    # and a Pfaffian whose first t steps grow by early_bits
+    # and the Pfaffian's C(n-2u, 2) entries of u beta bits
     for n in range(0, 16):
-        for bits in (0, 5, 31):
+        for bits in (0, 5, 31, 400):
             beta = bits + (n.bit_length() + 1) // 2
             m = max(n, 1)
             for band in [None] + list(range(1, 18)):
@@ -377,16 +379,24 @@ def test_elimination_work_sums_in_closed_form():
             if n % 2:
                 assert elimination_work(n, bits, pfaffian=True) == {"call": 1}
                 continue
-            for t in range(0, n // 2 + 2):
-                for early_bits in (0, 3, 17):
-                    e, tt = early_bits + beta - bits, min(t, n // 2)
+            expected = 4 * sum(comb(n - 2 * u, 2) * (u * beta) ** 2 for u in range(1, n // 2 + 1))
+            work = elimination_work(n, bits, pfaffian=True)
+            assert work["pfaffian_digit"] == expected, (n, bits)
 
-                    def grown(u):
-                        return u * e if u <= tt else tt * e + (u - tt) * beta
 
-                    expected = 4 * sum(comb(n - 2 * u, 2) * grown(u) ** 2
-                                       for u in range(1, n // 2 + 1))
-                    work = elimination_work(n, bits, True, t, early_bits)
-                    assert work["pfaffian_digit"] == expected, (n, bits, t, early_bits)
+def test_poly_sum_and_poly_mul():
+    rng = random.Random(5)
+    for degree in range(7):
+        p = [rng.randint(-9, 9) for _ in range(degree + 1)]
+        for lo, hi in ((1, 0), (1, 1), (3, 17), (1, 40), (12, 11)):
+            assert poly_sum(p, lo, hi) == sum(sum(c * u ** k for k, c in enumerate(p))
+                                              for u in range(lo, hi + 1)), (p, lo, hi)
+        q = [rng.randint(-9, 9) for _ in range(7 - degree)]
+        for x in (-2, 0, 3):
+            def at(poly):
+                return sum(c * x ** k for k, c in enumerate(poly))
+            assert at(poly_mul(p, q)) == at(p) * at(q), (p, q, x)
+
+
     # closed form only: a side near 10^400 is priced at once
     assert elimination_work(10 ** 400, 10 ** 9)["digit"] > 10 ** 2000

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -566,3 +567,79 @@ def test_chain53_and_lemma10_work_price_the_pfaffians_they_take(monkeypatch):
                 schur_steps += schur_work(w, r, n)["step"]
         assert log == [(K, elimination_work(K, 0, True)["step"]) for K in sizes], (a, b, n)
         assert msf.lemma10_work(a, b, n)["step"] == sum(ops for _, ops in log) + schur_steps
+
+
+class _Quotient(int):
+    """An int whose floor divisions, one for each of ``integer_pfaffian``'s
+    updates in order, record whether the new entry is nonzero."""
+    log = []
+
+    def __mul__(self, other):
+        return _Quotient(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Quotient(int(self) + int(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Quotient(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _Quotient(int(other) - int(self))
+
+    def __neg__(self):
+        return _Quotient(-int(self))
+
+    def __floordiv__(self, other):
+        q = int(self) // int(other)
+        _Quotient.log.append(q != 0)
+        return _Quotient(q)
+
+
+def test_paired_pfaffian_work_counts_the_nonzero_updates(monkeypatch):
+    # Lemma 10's bordered Pfaffians: after paired step u the C(L-u, 2) +
+    # (L-u)(t-u) entries with no more columns than points are nonzero and
+    # the C(t-u, 2) others zero; each point step after the pairs leaves
+    # C(K-2u, 2); and the digit work sums those counts at the form's bits
+    seen = []
+
+    def logging(rows):
+        _Quotient.log = []
+        value = integer_pfaffian([[_Quotient(x) for x in row] for row in rows])
+        # step u updates the C(K-2u, 2) entries past its two rows
+        K, log, steps = len(rows), _Quotient.log, []
+        for u in range(1, K // 2):
+            size = comb(K - 2 * u, 2)
+            steps.append(sum(log[:size]))
+            log = log[size:]
+        assert not log
+        seen.append(steps)
+        return int(value)
+
+    monkeypatch.setattr(msf, "integer_pfaffian", logging)
+    for a, b, n in ((1, 1, 6), (3, 1, 7), (2, 4, 7), (1, 5, 6), (4, 2, 8)):
+        seen.clear()
+        assert lemma10_check(a, b, n, seeded_points(n, 3 + a))
+        for ambient, nonzero in zip((n, n - 1), seen):
+            t = ambient - b + (n + ambient - b) % 2
+            K = n + t
+            expected = [comb(n - u, 2) + (n - u) * (t - u) for u in range(1, min(t, K // 2 - 1) + 1)]
+            expected += [comb(K - 2 * u, 2) for u in range(t + 1, K // 2)]
+            assert nonzero == expected, (a, b, n, ambient)
+            E = (ambient + a) * 4
+            bits = [(E * (2 * u + 10), 5) for u in range(1, t + 1)]
+            bits += [(E * (25 * u + 40 - 17 * t), 20) for u in range(t + 1, K // 2 + 1)]
+            counts = [comb(n - u, 2) + (n - u) * (t - u) for u in range(1, t + 1)]
+            counts += [comb(K - 2 * u, 2) for u in range(t + 1, K // 2 + 1)]
+            digit = sum(Fraction(4 * c * x * x, d * d) for c, (x, d) in zip(counts, bits))
+            work = msf._paired_pfaffian_work(n, t, E)
+            assert abs(work["pfaffian_digit"] - digit) <= 1, (a, b, n)  # E <= 300: unscaled
+            sparse = msf._paired_pfaffian_work(n, t, E, True)["pfaffian_digit"]
+            assert abs(sparse - digit * 3 / 5) <= 1, (a, b, n)
+    # past 300 bits a step, scaled by the cube root of 300 / E: at 8 times
+    # the bits, 64 times the bits squared at half the price
+    assert msf._paired_pfaffian_work(8, 4, 2400)["pfaffian_digit"] \
+        == 32 * msf._paired_pfaffian_work(8, 4, 300)["pfaffian_digit"]

@@ -8,7 +8,8 @@ from operator import mul
 from counting import Counted, counted
 from oracles import elementary_sym, rect_product_decomposition_check
 from punchex import symfun
-from punchex.core import Partition, binomial, conjugate, determinant, elimination_work
+from punchex.core import (Partition, binomial, conjugate, determinant, elimination_work,
+                          product_digits)
 from punchex.symfun import (
     RabIndex,
     RabPair,
@@ -19,6 +20,7 @@ from punchex.symfun import (
     generate_rab,
     lemma8_check,
     lemma8_work,
+    _denominator_bits,
     rab_sum_work,
     schur_bidet,
     schur_eval,
@@ -483,10 +485,25 @@ def test_rab_sum_work_counts_the_products_of_f_and_g(monkeypatch):
         assert work["call"] == a + b + 3  # a row of F and G each, two tables, the determinant
 
 
+def test_rab_sum_work_leaves_out_the_zero_triangle():
+    # F^T G is zero where i + j < a-b; after step j-1 the triangle of the
+    # T(a-b-j) entries i + j' < a-b-j is taken as still zero: the
+    # determinant's digit work is the full one less their j beta bits
+    for a, b, big in ((1, 1, 3), (5, 1, 4), (9, 3, 6), (12, 2, 30), (4, 8, 5)):
+        n, z = a + 1, max(a - b, 0)
+        grow = (_denominator_bits(big) + _denominator_bits(big - 1)) * (4 * a + 2 * min(a, b)) // (5 * a)
+        beta = grow + (n.bit_length() + 1) // 2
+        zeros = sum(j * j * (z - j) * (z - j + 1) // 2 for j in range(1, min(z, n)))
+        full = elimination_work(n, grow)["digit"]
+        rest = rab_sum_work(a, b, big, big - 1)["digit"] - table_work(big)["digit"] - table_work(big - 1)["digit"]
+        cells = a * (a + 1) * big * product_digits(4 * big, 4 * (big - 1))
+        assert rest == full - 3 * beta ** 2 * zeros + cells, (a, b)
+
+
 def test_lemma8_work_counts_the_pairs():
     for a, b in ((1, 1), (2, 4), (3, 5), (6, 6), (1, 9)):
         pairs = len(generate_rab(a, b))
         assert lemma8_work(a, b, 10 ** 9) == {"call": pairs * (a + 1),
-                                              "product": 6 * pairs * (b + 1)}, (a, b)
+                                              "product": 4 * pairs * (b + 1)}, (a, b)
     # past the limit, a+b pairs stand in for C(a+b, a): no huge binomial
     assert lemma8_work(1, 10 ** 12, 10 ** 6)["call"] == 2 * (10 ** 12 + 1)

@@ -9,7 +9,7 @@ from typing import List
 from counting import Counted, counted
 from punchex import tiling
 from punchex.boxcount import theorem1_count, theorem4_count
-from punchex.core import elimination_work, integer_determinant
+from punchex.core import elimination_work, integer_determinant, product_digits
 from punchex.tiling import (
     LatticePoint,
     PathFamily,
@@ -377,3 +377,10 @@ def test_path_determinant_work_counts_the_path_counts_and_the_determinant(monkey
         work, a = path_determinant_work(h), h.a
         assert work["product"] == 5 * (calls[0] - a - 1) // 2, h
         assert log == [(a + 1, elimination_work(a + 1, 0)["step"])] == [(a + 1, work["step"])], h
+        # the determinant's digit work, step by step: (n-j)^2 entries of
+        # beta j (2n-j) / n bits; the path counts', half the path each
+        n, beta = a + 1, 17 * a * h.b * h.c // (5 * (a + h.b + h.c) * (a + 1)) + 1
+        assert work["digit"] == sum(3 * (n - j) ** 2 * (beta * j * (2 * n - j)) ** 2
+                                    for j in range(1, n)) // (n * n), h
+        half = min(h.b + h.c + 1, (min(h.b, h.c) + a + 1) * (h.b + h.c + 1).bit_length()) // 2
+        assert work["binomial"] == work["product"] // 5 * product_digits(half, half), h
