@@ -25,7 +25,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 # Every count and evaluation is an int or a Fraction; matrices are dense
 # row-major lists of lists of those scalars.
@@ -248,26 +248,20 @@ def integer_pfaffian(rows: List[List[int]]) -> int:
     return sign * prev
 
 
-def elimination_work(n: int, bits: int, pfaffian: bool = False,
-                     band: Optional[int] = None) -> Work:
+def elimination_work(n: int, bits: int, pfaffian: bool = False) -> Work:
     """The work of ``integer_determinant`` (``integer_pfaffian``) on n x n
     entries of ``bits`` bits, in closed form: ``step``, the operations on
     entries (3 an update of the loop, 4 for the Pfaffian), and ``digit``
-    (``pfaffian_digit``), their operands' bits squared.  After step k an entry is a minor of order k+1 (a Pfaffian of order
-    2k+2), of at most (k+1) (bits + log2(n)/2) bits by Hadamard's
-    inequality; the determinant's step j-1 updates (n-j)^2 entries, or
-    (n-j) min(n-j, band) nonzero ones when ``band`` (anti)diagonals hold
-    them (none: band 0), and the Pfaffian's step u updates C(n-2u, 2)."""
+    (``pfaffian_digit``), their operands' bits squared.  After step k an
+    entry is a minor of order k+1 (a Pfaffian of order 2k+2), of at most
+    (k+1) (bits + log2(n)/2) bits by Hadamard's inequality; the
+    determinant's step j-1 updates (n-j)^2 entries, and the Pfaffian's
+    step u updates C(n-2u, 2)."""
     beta = bits + (n.bit_length() + 1) // 2
-    if band == 0:
-        return {"call": 1, "step": n}
     if not pfaffian:
         n = max(n, 1)
-        w = n if band is None else min(band, n)
-        # j^2 (n-j) min(n-j, w): (n-j) w up to j = n-w, (n-j)^2 past it
-        rows = poly_sum((0, 0, w * n, -w), 1, n - w) + poly_sum((0, 0, n * n, -2 * n, 1), n - w + 1, n - 1)
         return {"call": 1, "step": 3 * poly_sum((0, 0, 1), 1, n - 1),
-                "digit": 3 * beta ** 2 * rows}
+                "digit": 3 * beta ** 2 * poly_sum((0, 0, n * n, -2 * n, 1), 1, n - 1)}
     if n % 2:
         return {"call": 1}
     m = n // 2

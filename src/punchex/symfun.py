@@ -190,12 +190,11 @@ def schur_work(first: int, rows: int, points: int) -> Work:
     """The work of ``schur_nk`` on a shape of ``rows`` parts, the largest
     ``first``, at ``points`` seeded points: its table, its determinant
     (``_uses_h``), whose steps grow the entries by the bits of Q (Q^first
-    in h), the e-table's zeros past e_points making a band of points+1
-    diagonals."""
+    in h)."""
     Q = _denominator_bits(points)
     if _uses_h(rows, first):
         return total(table_work(points, first + rows - 1), elimination_work(rows, Q * first))
-    return total(table_work(points), elimination_work(first, Q, band=points + 1))
+    return total(table_work(points), elimination_work(first, Q))
 
 
 def schur_bidet(p, pts: Iterable) -> Fraction:

@@ -25,23 +25,11 @@ inverts the bijection back to rhombi.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .core import (Work, binomial, elimination_work, integer_determinant, poly_mul, poly_sum,
-                   product_digits, total)
-
-__all__ = [
-    "LatticePoint",
-    "PuncturedHexagon",
-    "PathFamily",
-    "start_end_points",
-    "count_paths",
-    "enumerate_tilings",
-    "tiling_family",
-    "sweep_updates",
-    "count_via_path_determinants",
-    "render_tiling_svg",
-]
+                   product_digits)
 
 
 class LatticePoint(NamedTuple):
@@ -323,36 +311,36 @@ def count_via_path_determinants(h: PuncturedHexagon) -> int:
     diag = p.x - p.y
     mids = [LatticePoint(x, x - diag)
             for x in range(max(diag, 0), min(h.a + h.b, h.a + h.c + diag) + 1) if x != p.x]
-    rows = [
-        [
-            sum((-1 if m.x > p.x else 1) * count_paths(s, m) * count_paths(m, e) for m in mids)
-            for e in ends
-        ]
-        for s in starts[:-1]
-    ]
+    # each path count once: s_M paths(A_i -> M), and paths(M -> E_j)
+    into = [[(-1 if m.x > p.x else 1) * count_paths(s, m) for m in mids] for s in starts[:-1]]
+    out_of = [[count_paths(m, e) for m in mids] for e in ends]
+    rows = [[sum(map(mul, u, v)) for v in out_of] for u in into]
     rows.append([count_paths(p, e) for e in ends])
     return integer_determinant(rows)
 
 
 def path_determinant_work(h: PuncturedHexagon) -> Work:
-    """The work of ``count_via_path_determinants(h)``.  Each midpoint of
-    each of the a (a+1) entries takes two path counts and their product,
-    some five products' time and ``binomial``, half a count's bits squared
-    (a path of b+c+1 steps, at most min(b, c)+a+1 of one kind).  The
-    determinant has size n = a+1; an entry after step j-1 counts families
-    of j nonintersecting paths, growing as the box counts B(j, b, c) do,
-    fast at first: beta j (2n-j) / n bits, beta n = 17abc / (5 (a+b+c))
-    (MacMahon's log2 B(m, m, m) ~ 1.133 m^2; 4217 against 4280 at 61)."""
+    """The work of ``count_via_path_determinants(h)``.  With m midpoints
+    other than P it takes (2a+1) m path counts, each ``binomial``: half a
+    count's bits squared for ``math.comb`` (a path of b+c+1 steps, at most
+    min(b, c)+a+1 of one kind), and a(a+1) m products for the entries.
+    The determinant has size n = a+1; an entry after step j-1 counts
+    families of j nonintersecting paths, growing as the box counts
+    B(j, b, c) do, fast at first: beta j (2n-j) / n bits,
+    beta n = 17abc / (5 (a+b+c)) (MacMahon's log2 B(m, m, m) ~ 1.133 m^2;
+    4217 against 4280 at 61).  An update takes two products and an exact
+    division, priced as two: the division took 1.4-2.8 products' time
+    from 150 to 6,000 bits (BENCH_17.json)."""
     a, b, c = h.a, h.b, h.c
     diag = h.puncture_point().x - h.puncture_point().y
     half = min(b + c + 1, (min(b, c) + a + 1) * (b + c + 1).bit_length()) // 2
-    cells = a * (a + 1) * (min(a + b, a + c + diag) - max(diag, 0))  # midpoints != P
+    m = min(a + b, a + c + diag) - max(diag, 0)  # midpoints != P
     n = a + 1
     beta = 17 * a * b * c // (5 * (a + b + c) * n) + 1
     grown = poly_mul((0, 2 * n, -1), (0, 2 * n, -1))
-    digit = 3 * beta ** 2 * poly_sum(poly_mul((n * n, -2 * n, 1), grown), 1, n - 1) // (n * n)
+    digit = 4 * beta ** 2 * poly_sum(poly_mul((n * n, -2 * n, 1), grown), 1, n - 1) // (n * n)
     return {"call": 1, "step": elimination_work(n, 0)["step"], "digit": digit,
-            "product": 5 * cells, "binomial": cells * product_digits(half, half)}
+            "product": a * n * m, "binomial": (2 * a + 1) * m * product_digits(half, half)}
 
 
 # ---------------------------------------------------------------------------

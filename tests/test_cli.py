@@ -142,7 +142,7 @@ def test_huge_sides_are_refused_at_once(capsys, tmp_path):
 
 
 def test_count_lgv_is_priced():
-    # 41 and 61 (0.3 and 2.3 s) are admitted; 81, measured at 11.2 s on
+    # 41 and 61 (0.15 and 1.7 s) are admitted; 81, measured at 9.5 s on
     # the reference clock, is refused before any path is counted
     for side in (41, 61):
         args = cli._build_parser().parse_args(["count", "lgv", *(f"--{k}={side}" for k in "abc")])
@@ -175,13 +175,13 @@ def test_every_priced_command_goes_through_the_one_refusal(capsys, monkeypatch, 
 
 def _recorded_timings():
     """Every input timed on the reference clock in the edges of
-    BENCH_14.json and BENCH_16.json, as (argv, ref_s), ref_s the slowest of
-    an input's runs; a later file's timing of an input replaces an earlier
-    one (the code it timed changed).
+    BENCH_14.json, BENCH_16.json and BENCH_17.json, as (argv, ref_s), ref_s
+    the slowest of an input's runs; a later file's timing of an input
+    replaces an earlier one (the code it timed changed).
     BENCH_14 names its sweep inputs by shape: ``count brute`` at the
     default puncture, and ``render`` at its last index."""
     timed = {}
-    for name in ("BENCH_14.json", "BENCH_16.json"):
+    for name in ("BENCH_14.json", "BENCH_16.json", "BENCH_17.json"):
         edges = json.loads((Path(__file__).resolve().parent.parent / name).read_text())["edges"]
         for kind, edge in edges.items():
             for run in edge["runs"]:

@@ -365,17 +365,14 @@ def test_elimination_work_counts_the_kernels_operations():
 
 
 def test_elimination_work_sums_in_closed_form():
-    # against the sums taken step by step: a band of w (anti)diagonals,
-    # and the Pfaffian's C(n-2u, 2) entries of u beta bits
+    # against the sums taken step by step: the determinant's (n-j)^2
+    # entries of j beta bits, and the Pfaffian's C(n-2u, 2) of u beta bits
     for n in range(0, 16):
         for bits in (0, 5, 31, 400):
             beta = bits + (n.bit_length() + 1) // 2
             m = max(n, 1)
-            for band in [None] + list(range(1, 18)):
-                w = m if band is None else min(band, m)
-                expected = 3 * beta ** 2 * sum(j * j * (m - j) * min(m - j, w) for j in range(1, m))
-                assert elimination_work(n, bits, band=band)["digit"] == expected, (n, band)
-            assert elimination_work(n, bits, band=0) == {"call": 1, "step": n}
+            expected = 3 * beta ** 2 * sum(j * j * (m - j) ** 2 for j in range(1, m))
+            assert elimination_work(n, bits)["digit"] == expected, (n, bits)
             if n % 2:
                 assert elimination_work(n, bits, pfaffian=True) == {"call": 1}
                 continue

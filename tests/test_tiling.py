@@ -355,13 +355,18 @@ def test_unranking_updates_sums_every_sweep_and_bounds_them(monkeypatch):
 
 
 def test_path_determinant_work_counts_the_path_counts_and_the_determinant(monkeypatch):
-    # two path counts per midpoint and entry, a+1 for the puncture's row,
-    # and the loop of the determinant of size a+1
-    calls, log = [0], []
+    # each path count once: a into and a+1 out of each of the m midpoints
+    # other than P, and a+1 for the puncture's row; m products for each of
+    # the a(a+1) entries; the loop of the determinant of size a+1
+    calls, products, log = [0], [0], []
 
     def counting_paths(p, q):
         calls[0] += 1
         return count_paths(p, q)
+
+    def counting_mul(x, y):
+        products[0] += 1
+        return x * y
 
     def counting_determinant(rows):
         Counted.reset()
@@ -370,17 +375,22 @@ def test_path_determinant_work_counts_the_path_counts_and_the_determinant(monkey
         return int(value)
 
     monkeypatch.setattr(tiling, "count_paths", counting_paths)
+    monkeypatch.setattr(tiling, "mul", counting_mul)
     monkeypatch.setattr(tiling, "integer_determinant", counting_determinant)
     for h in list(_every_puncture(3, 4))[::37]:
-        calls[0], log[:] = 0, []
+        calls[0], products[0], log[:] = 0, 0, []
         count_via_path_determinants(h)
         work, a = path_determinant_work(h), h.a
-        assert work["product"] == 5 * (calls[0] - a - 1) // 2, h
+        diag = h.puncture_point().x - h.puncture_point().y
+        m = sum(0 <= x - diag <= a + h.c for x in range(a + h.b + 1)) - 1
+        assert calls[0] == (2 * a + 1) * m + a + 1, h
+        assert products[0] == a * (a + 1) * m == work["product"], h
         assert log == [(a + 1, elimination_work(a + 1, 0)["step"])] == [(a + 1, work["step"])], h
-        # the determinant's digit work, step by step: (n-j)^2 entries of
-        # beta j (2n-j) / n bits; the path counts', half the path each
+        # the determinant's digit work, step by step: (n-j)^2 updates of
+        # beta j (2n-j) / n bits, two products and a division priced as two;
+        # the path counts', half the path each
         n, beta = a + 1, 17 * a * h.b * h.c // (5 * (a + h.b + h.c) * (a + 1)) + 1
-        assert work["digit"] == sum(3 * (n - j) ** 2 * (beta * j * (2 * n - j)) ** 2
+        assert work["digit"] == sum(4 * (n - j) ** 2 * (beta * j * (2 * n - j)) ** 2
                                     for j in range(1, n)) // (n * n), h
         half = min(h.b + h.c + 1, (min(h.b, h.c) + a + 1) * (h.b + h.c + 1).bit_length()) // 2
-        assert work["binomial"] == work["product"] // 5 * product_digits(half, half), h
+        assert work["binomial"] == (calls[0] - a - 1) * product_digits(half, half), h

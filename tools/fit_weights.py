@@ -1,4 +1,4 @@
-"""Fit ``cli.FS_PER`` to the timings recorded in BENCH_16.json.
+"""Fit ``cli.FS_PER`` to the timings recorded in BENCH_16.json and BENCH_17.json.
 
     python3 tools/fit_weights.py [--margin 1.1]
 
@@ -36,13 +36,21 @@ from punchex import cli  # noqa: E402
 
 KEEP_S, REFUSE_S = 4.5, 5.5
 HELD = ("sweep", "sweep_path")
+# the timings fitted to, earliest first
+RECORDS = ("BENCH_16.json", "BENCH_17.json")
 
 
-def recorded(path: Path = ROOT / "BENCH_16.json"):
-    """(class, argv, ref_s, admitted_before) for each recorded input."""
-    edges = json.loads(path.read_text())["edges"]
-    return [(kind, run["input"].split(), run["ref_s"], run["admitted_before"] is not False)
-            for kind, edge in edges.items() for run in edge["runs"]]
+def recorded():
+    """(class, argv, ref_s, admitted_before) for each input in ``RECORDS``;
+    a later file's timing of an input replaces an earlier one (the code it
+    timed changed), as in tests/test_cli.py."""
+    rows = {}
+    for name in RECORDS:
+        for kind, edge in json.loads((ROOT / name).read_text())["edges"].items():
+            for run in edge["runs"]:
+                rows[run["input"]] = (kind, run["input"].split(), run["ref_s"],
+                                      run["admitted_before"] is not False)
+    return list(rows.values())
 
 
 def work(argv):
