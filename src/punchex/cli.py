@@ -14,6 +14,7 @@ on stderr, no JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -58,7 +59,14 @@ POINT_TARGETS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared by every
+    caller in the process after it.  Callers may parse with it but must not
+    add arguments or call ``set_defaults``.  Sharing it is safe because
+    ``parse_args`` returns a fresh ``Namespace`` and leaves the parser as it
+    was, and every default is immutable (``--puncture`` a tuple, the rest
+    ints or None)."""
     parser = argparse.ArgumentParser(
         prog="punchex",
         description="Exact counts and identity checks for rhombus tilings of punctured hexagons",
@@ -121,12 +129,15 @@ def _sizes(args):
 
 def _work(args) -> Work:
     """The work of the parsed command, as its modules count it in closed
-    form, with the command's own parsing and report (some 1500 calls).  A
+    form, with the command's own: 1500 calls for one cold parser build and
+    the report, as timed in a fresh process for the edges of BENCH_16.json
+    and BENCH_17.json (``run`` builds its parser once per process, so a
+    repeated in-process call costs less, which only widens the margin).  A
     count past the budget may be only a lower bound (``limit``)."""
     def limit(unit: str) -> int:
         return BUDGET_S * 10 ** 15 // FS_PER[unit]
 
-    own = {"call": 1500}
+    own = {"call": 1500}  # one cold parser build and the report
     if args.command != "verify":
         hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
         if getattr(args, "mode", "") == "lgv":

@@ -434,10 +434,14 @@ GOLDEN_REPORTS = (
 )
 
 
+def _zero_elapsed(out):
+    return re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out)
+
+
 def _run_in_process(capsys, *args):
     code = cli.run(list(args))
     out, err = capsys.readouterr()
-    return code, re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out), err
+    return code, _zero_elapsed(out), err
 
 
 def test_report_bytes_are_pinned(capsys, monkeypatch, tmp_path):
@@ -480,6 +484,33 @@ def test_minor_summation_counterexample_bytes_are_pinned(capsys, monkeypatch):
             f'"counterexample":{ce}}},"result":false,"elapsed_ms":0,"seed":{seed}}}\n',
             "",
         )
+
+
+def test_shared_parser_carries_nothing_between_runs(capsys, monkeypatch):
+    # run parses with one parser per process: a puncture, a usage error, a
+    # help page and explicit --n/--trials must leave the next call's
+    # defaults as they were, and every call prints what a fresh process does
+    assert cli._build_parser() is cli._build_parser()
+    # argparse wraps help at the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setitem(_ENV, "COLUMNS", "80")
+    sides = ("--a", "1", "--b", "1", "--c", "1")
+    sequence = (("count", "brute", *sides, "--puncture", "0", "1"),
+                ("count", "brute", *sides, "--puncture", "0"),
+                ("--help",),
+                ("count", "brute", *sides),
+                ("verify", "theorem3", "--a", "1", "--b", "1", "--n", "3", "--trials", "1"),
+                ("verify", "theorem3", "--a", "1", "--b", "1"))
+    runs = []
+    for args in sequence:
+        fresh = _run(*args)
+        got = _run_in_process(capsys, *args)
+        assert got == (fresh.returncode, _zero_elapsed(fresh.stdout), fresh.stderr), args
+        runs.append(got)
+    assert [code for code, _, _ in runs] == [0, 2, 0, 0, 0, 0]
+    assert runs[2][1].startswith("usage: punchex ")
+    assert '"puncture":[0,0]' in runs[3][1]
+    assert '"params":{"a":1,"b":1,"n":1,"trials":3}' in runs[5][1]
 
 
 def test_render_writes_svg():
