@@ -57,63 +57,113 @@ POINT_TARGETS = {
     "chain53": (1, lambda a, b, n, pts: chain_5_3_check(a, b, n, pts, pts[:n]), chain53_work),
     "lemma10": (0, lambda a, b, n, pts: lemma10_check(a, b, n, pts), lemma10_work),
 }
+# The least n, on b, at which theorem3's and conjecture5's sides do not
+# vanish: below it a rectangle on the right has more rows than the points it
+# is evaluated at, so both sides are 0 at every point and a verdict would be
+# vacuous.
+LEAST_N = {"theorem3": lambda b: (b + 1) // 2, "conjecture5": lambda b: b // 2}
+
+
+def _sides(parser: argparse.ArgumentParser) -> None:
+    """The hexagon's sides, ``--a --b --c``."""
+    for side in ("--a", "--b", "--c"):
+        parser.add_argument(side, type=int, required=True)
+
+
+def _closed_arguments(parser: argparse.ArgumentParser) -> None:
+    _sides(parser)
+    parser.add_argument("--theorem", type=int, choices=(1, 4), default=None,
+                        help="force the same-parity (1) or mixed-parity (4) formula")
+
+
+def _box_arguments(parser: argparse.ArgumentParser) -> None:
+    for side in ("--x", "--y", "--z"):
+        parser.add_argument(side, type=int, required=True)
+
+
+def _brute_arguments(parser: argparse.ArgumentParser) -> None:
+    _sides(parser)
+    parser.add_argument("--puncture", type=int, nargs=2, default=(0, 0), metavar=("DX", "DY"),
+                        help="offset of the removed triangle from its default position")
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("target", choices=(
+        "theorem3", "conjecture5", "minor-summation", "lemma9",
+        "lemma10", "chain53", "lemma8",
+    ))
+    parser.add_argument("--a", type=int, default=1)
+    parser.add_argument("--b", type=int, default=1)
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=int, default=None)
+
+
+def _render_arguments(parser: argparse.ArgumentParser) -> None:
+    _sides(parser)
+    parser.add_argument("--index", type=int, required=True,
+                        help="0-based index into the deterministic enumeration order")
+    parser.add_argument("-o", "--output", required=True)
+
+
+# Every command: the words that name it, its help line in the command list
+# and the function that adds its arguments to its parser.  Every default is
+# immutable (``--puncture`` a tuple, the rest ints or None), so a parser can
+# be shared by every call in a process.
+COMMANDS = {
+    ("count", "closed"): ("closed-form product count", _closed_arguments),
+    ("count", "box"): ("plane partitions in a box", _box_arguments),
+    ("count", "brute"): ("exact diagonal sweep over path families", _brute_arguments),
+    ("count", "lgv"): ("lattice-path determinant count", _sides),
+    ("verify",): ("check an identity exactly", _verify_arguments),
+    ("render",): ("write one tiling as SVG", _render_arguments),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built on the first call and shared by every
-    caller in the process after it.  Callers may parse with it but must not
-    add arguments or call ``set_defaults``.  Sharing it is safe because
-    ``parse_args`` returns a fresh ``Namespace`` and leaves the parser as it
-    was, and every default is immutable (``--puncture`` a tuple, the rest
-    ints or None)."""
+    """The whole command line as one tree of parsers, built on the first call
+    and shared by every caller in the process after it.  ``_parse`` uses it
+    only for an argv that names no command (``--help``, ``count --help``,
+    unknown words) and to report leftover arguments.  Callers may parse with
+    it but must not add arguments or call ``set_defaults``; ``parse_args``
+    returns a fresh ``Namespace`` and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="punchex",
         description="Exact counts and identity checks for rhombus tilings of punctured hexagons",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the hexagon's sides; argparse lists a parent's arguments first
-    sides = argparse.ArgumentParser(add_help=False)
-    for side in ("--a", "--b", "--c"):
-        sides.add_argument(side, type=int, required=True)
-
     count = sub.add_parser("count", help="compute a tiling or box count")
-    cmodes = count.add_subparsers(dest="mode", required=True)
-
-    closed = cmodes.add_parser("closed", parents=[sides], help="closed-form product count")
-    closed.add_argument("--theorem", type=int, choices=(1, 4), default=None,
-                        help="force the same-parity (1) or mixed-parity (4) formula")
-
-    box = cmodes.add_parser("box", help="plane partitions in a box")
-    box.add_argument("--x", type=int, required=True)
-    box.add_argument("--y", type=int, required=True)
-    box.add_argument("--z", type=int, required=True)
-
-    brute = cmodes.add_parser("brute", parents=[sides],
-                              help="exact diagonal sweep over path families")
-    brute.add_argument("--puncture", type=int, nargs=2, default=(0, 0),
-                       metavar=("DX", "DY"),
-                       help="offset of the removed triangle from its default position")
-
-    cmodes.add_parser("lgv", parents=[sides], help="lattice-path determinant count")
-
-    verify = sub.add_parser("verify", help="check an identity exactly")
-    verify.add_argument("target", choices=(
-        "theorem3", "conjecture5", "minor-summation", "lemma9",
-        "lemma10", "chain53", "lemma8",
-    ))
-    verify.add_argument("--a", type=int, default=1)
-    verify.add_argument("--b", type=int, default=1)
-    verify.add_argument("--n", type=int, default=None)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--trials", type=int, default=None)
-
-    render = sub.add_parser("render", parents=[sides], help="write one tiling as SVG")
-    render.add_argument("--index", type=int, required=True,
-                        help="0-based index into the deterministic enumeration order")
-    render.add_argument("-o", "--output", required=True)
-
+    modes = count.add_subparsers(dest="mode", required=True)
+    for words, (line, add_arguments) in COMMANDS.items():
+        add_arguments((modes if words[0] == "count" else sub).add_parser(words[-1], help=line))
     return parser
+
+
+@functools.cache
+def _command_parser(words: tuple) -> argparse.ArgumentParser:
+    """The parser of the command named by ``words``, built on first use and
+    kept for the process: a twin of the one ``_build_parser`` places under
+    those words, with the same prog and arguments."""
+    parser = argparse.ArgumentParser(prog=" ".join(("punchex", *words)))
+    COMMANDS[words][1](parser)
+    return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the same namespace, output
+    and exit, but an argv that names a command is parsed by that command's
+    parser alone: the tree would run one full parse per level."""
+    argv = list(argv)
+    words = tuple(argv[:2] if argv[:1] == ["count"] else argv[:1])
+    if words not in COMMANDS:
+        return _build_parser().parse_args(argv)
+    args, extras = _command_parser(words).parse_known_args(
+        argv[len(words):], argparse.Namespace(**dict(zip(("command", "mode"), words))))
+    if extras:
+        # the tree reports leftover arguments with the top-level usage
+        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +181,15 @@ def _work(args) -> Work:
     """The work of the parsed command, as its modules count it in closed
     form, with the command's own: 1500 calls for one cold parser build and
     the report, as timed in a fresh process for the edges of BENCH_16.json
-    and BENCH_17.json (``run`` builds its parser once per process, so a
-    repeated in-process call costs less, which only widens the margin).  A
-    count past the budget may be only a lower bound (``limit``)."""
+    and BENCH_17.json, when the build made the whole tree.  ``run`` now
+    builds only the command's own parser, once per process, so a cold call
+    costs less and a repeated in-process call less again, which only widens
+    the margin.  A count past the budget may be only a lower bound
+    (``limit``)."""
     def limit(unit: str) -> int:
         return BUDGET_S * 10 ** 15 // FS_PER[unit]
 
-    own = {"call": 1500}  # one cold parser build and the report
+    own = {"call": 1500}  # a cold build of the whole parser tree, and the report
     if args.command != "verify":
         hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
         if getattr(args, "mode", "") == "lgv":
@@ -185,6 +237,11 @@ def _verify(args):
         raise ValueError(f"verify {target} needs --a and --b of equal parity "
                          f"(got --a {a}, --b {b})")
     _admit(f"verify {target}", _estimated_fs(args), a=a, b=b, n=nn, trials=t)
+    # sides the library refuses keep its own message
+    if target in LEAST_N and min(a, b) > 0 and nn < LEAST_N[target](b):
+        raise ValueError(f"verify {target} at --b {b} needs --n of at least "
+                         f"{LEAST_N[target](b)} (got --n {nn}): below it both sides "
+                         f"are 0 at every point")
     if target == "lemma8":
         pairs = generate_rab(a, b)
         params = {"a": a, "b": b, "pairs": len(pairs)}
@@ -295,9 +352,8 @@ def _report(command: str, params, result, t0: float, seed=None) -> str:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

@@ -5,6 +5,8 @@ JSON object on stdout; the byte-level report tests call ``cli.run`` in
 process.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -16,9 +18,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import punchex
-from punchex import cli
+from punchex import cli, msf
 from punchex.boxcount import macmahon_box, theorem1_count, theorem4_count
 from punchex.cli import BUDGET_S as VERIFY_BUDGET_S
+from punchex.symfun import seeded_points
 
 # the subprocess imports the same punchex as this test run, installed or not
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -145,7 +148,7 @@ def test_count_lgv_is_priced():
     # 41 and 61 (0.15 and 1.7 s) are admitted; 81, measured at 9.5 s on
     # the reference clock, is refused before any path is counted
     for side in (41, 61):
-        args = cli._build_parser().parse_args(["count", "lgv", *(f"--{k}={side}" for k in "abc")])
+        args = cli._parse(["count", "lgv", *(f"--{k}={side}" for k in "abc")])
         assert cli._estimated_fs(args) <= cli.BUDGET_S * 10 ** 15, side
     proc = _run("count", "lgv", "--a", "81", "--b", "81", "--c", "81")
     assert proc.returncode == 2 and proc.stdout.strip() == ""
@@ -213,7 +216,7 @@ def test_recorded_edge_timings_keep_their_verdicts():
     timed = _recorded_timings()
     assert len(timed) > 250
     for argv, ref_s in timed.items():
-        fs = cli._estimated_fs(cli._build_parser().parse_args(list(argv)))
+        fs = cli._estimated_fs(cli._parse(list(argv)))
         if ref_s > cli.BUDGET_S:
             assert fs > budget, (argv, ref_s)
         elif fs <= budget:
@@ -358,6 +361,38 @@ def test_verify_refuses_costly_inputs_up_front():
         assert proc.returncode == 2, args
         assert proc.stdout.strip() == "", args
         assert f"more than the {VERIFY_BUDGET_S} s verify admits" in proc.stderr, args
+
+
+def test_verify_refuses_n_where_both_sides_vanish(capsys):
+    # below LEAST_N a rectangle on the right side has more rows than X_n
+    # has points, so both sides are 0 and "true" would be vacuous; at it the
+    # sides are nonzero and the check runs
+    for args, least in ((("theorem3", "--a", "1", "--b", "3", "--n", "1"), 2),
+                        (("conjecture5", "--a", "1", "--b", "5", "--n", "0"), 2)):
+        code = cli.run(["verify", *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", args
+        assert err == (f"error: verify {args[0]} at --b {args[4]} needs --n of at least "
+                       f"{least} (got --n {args[6]}): below it both sides are 0 at every "
+                       f"point\n"), args
+    for target, b, n in (("theorem3", 3, 2), ("theorem3", 4, 2),
+                         ("conjecture5", 5, 2), ("conjecture5", 4, 2)):
+        code = cli.run(["verify", target, "--a", str(b % 2 + 2), "--b", str(b), "--n", str(n)])
+        out, _ = capsys.readouterr()
+        assert code == 0 and json.loads(out)["result"] is True, (target, b, n)
+
+
+def test_least_n_is_where_the_sums_stop_vanishing():
+    # the R(a,b) sums of theorem3 (X_{n+1}, X_n) and conjecture5
+    # (X_{n+2}, X_n) are 0 at every n below LEAST_N and at no n from it on
+    for a in range(1, 5):
+        for b in range(a % 2 or 2, 7, 2):
+            for n in range(b + 1):
+                for seed in (0, 1):
+                    p1, p2 = seeded_points(n + 1, seed), seeded_points(n + 2, seed)
+                    for target, pts in (("theorem3", p1), ("conjecture5", p2)):
+                        vanishes = msf._rab_sum(a, b, pts, pts[:n]) == 0
+                        assert vanishes == (n < cli.LEAST_N[target](b)), (target, a, b, n)
 
 
 def test_verify_refuses_more_points_than_seeded_points_has():
@@ -511,6 +546,59 @@ def test_shared_parser_carries_nothing_between_runs(capsys, monkeypatch):
     assert runs[2][1].startswith("usage: punchex ")
     assert '"puncture":[0,0]' in runs[3][1]
     assert '"params":{"a":1,"b":1,"n":1,"trials":3}' in runs[5][1]
+
+
+# argv for the parse contract: every help page, one usage error of each
+# kind and valid input for every command
+_SIDES = ("--a", "1", "--b", "1", "--c", "1")
+PARSE_CONTRACT = (
+    (), ("--help",), ("count",), ("count", "--help"), ("verify", "--help"), ("render", "--help"),
+    *(("count", mode, "--help") for mode in ("closed", "box", "brute", "lgv")),
+    ("count", "lgv", "--a", "1", "--b", "1"),                            # missing required option
+    ("count", "closed", *_SIDES, "--theorem", "2"),                      # bad choice
+    ("verify", "theorem12"),
+    ("count", "lgv", "--a", "x", "--b", "1", "--c", "1"),                # not an int
+    ("count", "lgv", *_SIDES, "--bogus"),                                # unknown option
+    ("count", "lgv", *_SIDES, "-x", "y", "--zz"),
+    ("count", "brute", *_SIDES, "extra"),                                # extra positional
+    ("verify", "lemma8", "theorem3"),
+    ("verify", "theorem3", "--tri", "2", "--se", "4"),                   # abbreviated options
+    ("count", "lgv", "--he"),
+    ("verify", "theorem3", "--n", "1", "--n", "2"),                      # repeated option
+    ("verify", "--", "theorem3"), ("count", "lgv", *_SIDES, "--"),       # --
+    ("count", "lgv", "--", *_SIDES), ("count", "--", "lgv", *_SIDES),
+    ("bogus",), ("count", "lgx", *_SIDES), ("--a", "1"),                 # no command
+    ("count", "closed", *_SIDES), ("count", "closed", *_SIDES, "--theorem", "4"),
+    ("count", "box", "--x", "1", "--y", "2", "--z", "3"),
+    ("count", "brute", *_SIDES), ("count", "brute", *_SIDES, "--puncture", "0", "1"),
+    ("count", "brute", *_SIDES, "--puncture", "0"),
+    ("count", "lgv", "--a=-1", "--b", "1", "--c", "1"),
+    ("verify", "lemma9"),
+    ("verify", "theorem3", "--a", "3", "--b", "1", "--n", "4", "--seed", "2", "--trials", "5"),
+    ("render", *_SIDES, "--index", "0", "-o", "x.svg"),
+    ("render", *_SIDES, "--index", "0", "--output=x.svg"),
+)
+
+
+def _parse_outcome(parse, argv):
+    """(exit code or None, stdout, stderr, vars of the namespace or None)."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def test_command_parsers_match_the_tree(monkeypatch):
+    # run parses an argv that names a command with that command's parser
+    # alone; it must exit, print and return what the whole tree does
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in PARSE_CONTRACT:
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(
+            cli._build_parser().parse_args, argv), argv
 
 
 def test_render_writes_svg():

@@ -54,7 +54,7 @@ def recorded():
 
 
 def work(argv):
-    return cli._work(cli._build_parser().parse_args(argv))
+    return cli._work(cli._parse(argv))
 
 
 def fit(rows, margin: float):
@@ -116,7 +116,7 @@ def report(rows, weights, margin: float) -> int:
     try:
         classes, broken = {}, 0
         for kind, argv, t, before in rows:
-            est = cli._estimated_fs(cli._build_parser().parse_args(argv)) / 1e15
+            est = cli._estimated_fs(cli._parse(argv)) / 1e15
             classes.setdefault(kind, []).append((" ".join(argv), t, est, before))
         for kind, runs in sorted(classes.items()):
             admitted = [(t / est, line) for line, t, est, _ in runs if est <= cli.BUDGET_S and t >= 0.3]
