@@ -37,9 +37,9 @@ from .tiling import (PuncturedHexagon, count_via_path_determinants, enumerate_ti
 BUDGET_S = 5
 # Femtoseconds per unit of the work that the function next to each kernel
 # counts (README, "Admission"), fitted by ``tools/fit_weights.py`` to the
-# reference-clock timings in BENCH_16.json.
+# reference-clock timings in BENCH_16.json and, for ``sweep``, BENCH_20.json.
 FS_PER = {"call": 4_900_000_000, "product": 190_000_000, "step": 130_000_000, "digit": 1_900,
-          "pfaffian_digit": 2_500, "binomial": 81_000, "sweep": 2_390_000_000, "sweep_path": 18_000_000}
+          "pfaffian_digit": 2_500, "binomial": 81_000, "sweep": 930_000_000}
 
 # The random instances of minor-summation and lemma9: a size drawn from
 # these ranges, at most MAX_COLUMNS columns of G, entries from ENTRIES.
@@ -196,7 +196,7 @@ def _work(args) -> Work:
             return total(path_determinant_work(hexagon), own)
         updates = (unranking_updates if args.command == "render" else sweep_updates)(
             hexagon, limit("sweep"))
-        return total({"sweep": updates, "sweep_path": updates * (args.a + 1)}, own)
+        return total({"sweep": updates}, own)
     a, b, n, trials = _sizes(args)
     if args.target == "lemma8":
         return total(lemma8_work(a, b, limit("call")), own)

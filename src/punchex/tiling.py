@@ -139,32 +139,44 @@ def _sweep(h: PuncturedHexagon, starts: Sequence[LatticePoint], forbidden=frozen
     diagonal x - y = d once, in an order they keep.  A state is the sorted
     tuple of the paths' x positions on the current diagonal; it maps to the
     number of partial families reaching it.  A start joins on its own
-    diagonal.  To reach the next diagonal the paths step one at a time,
-    right to left (east: x+1, south: x unchanged), so each step is checked
-    only against the right neighbour's new position, y >= 0, x <= a+b and
-    ``forbidden``.  The points of the last diagonal, d = b, that satisfy
-    those bounds are exactly the E points.
+    diagonal.  ``forbidden`` is folded once into the set of forbidden x
+    of each diagonal.  To reach the next diagonal the paths step one at a
+    time, right to left.  A south step keeps x, so it keeps the state: the
+    states carry over whole, less those whose x is forbidden on the next
+    diagonal or, for the first path, is d (y would fall below 0).  Only an
+    east step (x+1) builds a new tuple, checked against the right
+    neighbour's new position (a+b+1 for the last path) and the forbidden
+    x.  The points of the last diagonal, d = b, that satisfy those bounds
+    are exactly the E points.
     """
     top, last = h.a + h.b, h.b
     joins = defaultdict(list)
     for s in starts:
         joins[s.x - s.y].append(s.x)
+    blocked = {}  # the forbidden x of each diagonal
+    for x, y in forbidden:
+        blocked.setdefault(x - y, set()).add(x)
     states, width = {(): 1}, 0
     for d in range(min(joins, default=last), last + 1):
         for x in joins.get(d, ()):
-            if not d <= x <= top or (x, x - d) in forbidden:
+            if not d <= x <= top or x in blocked.get(d, ()):
                 return 0
             states = {tuple(sorted(xs + (x,))): w for xs, w in states.items() if x not in xs}
             width += 1
         if d == last:
             break
+        bad = blocked.get(d + 1, frozenset())
         for i in reversed(range(width)):
-            moved = defaultdict(int)
+            # south keeps x: the states carry over whole unless x is blocked,
+            # by a forbidden vertex or, for the first path, by y = 0 (x = d)
+            stop = bad if i else bad | {d}
+            moved = ({xs: w for xs, w in states.items() if xs[i] not in stop} if stop
+                     else states.copy())
             for xs, w in states.items():
-                bound = xs[i + 1] if i + 1 < width else top + 1
-                for nx in (xs[i], xs[i] + 1):
-                    if d + 1 <= nx < bound and (nx, nx - d - 1) not in forbidden:
-                        moved[xs[:i] + (nx,) + xs[i + 1:]] += w
+                nx = xs[i] + 1
+                if nx < (xs[i + 1] if i + 1 < width else top + 1) and nx not in bad:
+                    key = xs[:i] + (nx,) + xs[i + 1:]
+                    moved[key] = moved.get(key, 0) + w
             states = moved
     return sum(states.values())
 

@@ -6,6 +6,7 @@ process.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -176,16 +177,21 @@ def test_every_priced_command_goes_through_the_one_refusal(capsys, monkeypatch, 
     assert not (tmp_path / "x.svg").exists()
 
 
+# the files of reference-clock timings, earliest first: a later file's
+# timing of an input replaces an earlier one (the code it timed changed)
+TIMING_FILES = ("BENCH_14.json", "BENCH_16.json", "BENCH_17.json", "BENCH_20.json")
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def _recorded_timings():
     """Every input timed on the reference clock in the edges of
-    BENCH_14.json, BENCH_16.json and BENCH_17.json, as (argv, ref_s), ref_s
-    the slowest of an input's runs; a later file's timing of an input
-    replaces an earlier one (the code it timed changed).
+    ``TIMING_FILES``, as (argv, ref_s), ref_s the slowest of an input's
+    runs, the latest file's where several timed it.
     BENCH_14 names its sweep inputs by shape: ``count brute`` at the
     default puncture, and ``render`` at its last index."""
     timed = {}
-    for name in ("BENCH_14.json", "BENCH_16.json", "BENCH_17.json"):
-        edges = json.loads((Path(__file__).resolve().parent.parent / name).read_text())["edges"]
+    for name in TIMING_FILES:
+        edges = json.loads((ROOT / name).read_text())["edges"]
         for kind, edge in edges.items():
             for run in edge["runs"]:
                 if "input" in run:
@@ -195,11 +201,21 @@ def _recorded_timings():
                     sides = ["--a", str(a), "--b", str(b), "--c", str(c)]
                     if kind.startswith("render"):
                         count = (theorem1_count if a % 2 == c % 2 else theorem4_count)(a, b, c)
-                        argv = ["render", *sides, "--index", str(count - 1), "-o", "x.svg"]
+                        argv = ["render", *sides, "--index", str(count - 1), "-o", "tiling.svg"]
                     else:
                         argv = ["count", "brute", *sides]
                 timed[tuple(argv)] = run["ref_s"]
     return timed
+
+
+def test_timings_the_weights_are_fitted_to_are_held_here():
+    # tools/fit_weights.py fits FS_PER to the files in its RECORDS; each
+    # must be one of TIMING_FILES, in the same order, or a refit could
+    # rest on timings the margin test below never reads
+    spec = importlib.util.spec_from_file_location("fit_weights", ROOT / "tools" / "fit_weights.py")
+    fit_weights = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit_weights)
+    assert [name for name in TIMING_FILES if name in fit_weights.RECORDS] == list(fit_weights.RECORDS)
 
 
 # an admitted input is estimated at this many times its slowest recorded

@@ -2,7 +2,7 @@
 the lattice-path determinant count, and SVG rendering."""
 
 import hashlib
-from collections import defaultdict
+import sys
 from math import comb
 from typing import List
 
@@ -111,6 +111,21 @@ def _listed_families(h: PuncturedHexagon):
     yield from rec(0, 0, [])
 
 
+def _avoiding_families(h: PuncturedHexagon, forbidden) -> int:
+    """Oracle for ``_sweep`` from every start of h: the vertex-disjoint
+    path families that avoid every vertex in ``forbidden``, counted by a
+    bitmask search that shares no code with the sweep."""
+    cands = [[mask for mask, verts in paths if not forbidden.intersection(verts)]
+             for paths in _candidate_paths(h)]
+
+    def count(level: int, used: int) -> int:
+        if level == len(cands):
+            return 1
+        return sum(count(level + 1, used | mask) for mask in cands[level] if not mask & used)
+
+    return count(0, 0)
+
+
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------
@@ -204,6 +219,30 @@ def test_families_are_valid_and_counted_consistently():
         cases += 1
         families += len(fams)
     assert (cases, families) == (120, 6920)
+
+
+def test_sweep_avoids_forbidden_vertices():
+    # against the bitmask count at every puncture, one forbidden vertex at
+    # a time: each start (the join check), the next vertex on its own
+    # diagonal, its two successors on the next diagonal, each E point and
+    # vertices outside the hexagon; then every such neighbour at once
+    cases = cut = 0
+    for h in _every_puncture(2, 3):
+        a, b, c = h.a, h.b, h.c
+        starts, ends = start_end_points(h)
+        near = [(s.x + dx, s.y + dy) for s in starts for dx, dy in ((1, 1), (1, 0), (0, -1))]
+        outside = [(-1, 0), (b, -1), (a + b + 1, a), (0, a + c + 1)]
+        full = enumerate_tilings(h)
+        for forbidden in [{v} for v in [*starts, *near, *ends, *outside]] + [set(near)]:
+            count = tiling._sweep(h, starts, forbidden)
+            assert count == _avoiding_families(h, forbidden), (h, forbidden)
+            if forbidden & set(starts):
+                assert count == 0, (h, forbidden)
+            if forbidden <= set(outside):
+                assert count == full, (h, forbidden)
+            cases += 1
+            cut += count < full
+    assert (cases, cut) == (2040, 1368)
 
 
 def test_tiling_family_index_range():
@@ -325,7 +364,7 @@ def test_sweep_updates_sums_every_diagonal():
     assert sweep_updates(h, 10 ** 6) == 10 ** 9 * (2 * 10 ** 9 + 1)
 
 
-def test_unranking_updates_sums_every_sweep_and_bounds_them(monkeypatch):
+def test_unranking_updates_sums_every_sweep_and_bounds_them():
     # against the sum over the paths carried and the diagonals, at every
     # puncture: a sweep with a' = 0..a paths, b+c+1 of each, and the first
     for h in _every_puncture(3, 5):
@@ -333,21 +372,30 @@ def test_unranking_updates_sums_every_sweep_and_bounds_them(monkeypatch):
         total = sum(comb(min(b, c + d) - max(d, 0) + 2 + k, k + (d >= p.x - p.y))
                     * (k + (d >= p.x - p.y)) for k in range(a + 1) for d in range(-c - 1, b))
         assert unranking_updates(h, 10 ** 30) == sweep_updates(h, 10 ** 30) + (b + c + 1) * total, h
-    # above the states tiling_family's sweeps step, counted in the dicts
-    # they build, at the first and the last index
-    stepped = [0]
+    # above the states tiling_family's sweeps step, at the first and the
+    # last index: every dict whose items ``_sweep`` reads, whatever its
+    # type, counted once (a step reads its states for the south steps and
+    # again for the east ones)
+    stepped, seen = [0], {}
 
-    class Counting(defaultdict):
-        def items(self):
-            stepped[0] += len(self)
-            return super().items()
+    def profile(frame, event, arg):
+        if event == "c_call" and arg.__name__ == "items" and frame.f_code is tiling._sweep.__code__:
+            states = arg.__self__
+            if id(states) not in seen:
+                seen[id(states)] = states  # held, so that no later dict takes its id
+                stepped[0] += len(states)
 
-    monkeypatch.setattr(tiling, "defaultdict", Counting)
     for a, b, c in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 4, 6), (5, 1, 1), (1, 5, 3)):
         h = PuncturedHexagon(a, b, c)
         for index in (0, enumerate_tilings(h) - 1):
             stepped[0] = 0
-            tiling_family(h, index)
+            seen.clear()
+            outer = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                tiling_family(h, index)
+            finally:
+                sys.setprofile(outer)
             assert 0 < stepped[0] <= unranking_updates(h, 10 ** 30), (h, index)
     # past the limit only sweep_updates' lower bound, at once
     h = PuncturedHexagon(10 ** 9, 10 ** 9, 10 ** 9)

@@ -1,4 +1,4 @@
-"""Fit ``cli.FS_PER`` to the timings recorded in BENCH_16.json and BENCH_17.json.
+"""Fit ``cli.FS_PER`` to the timings recorded in the files of ``RECORDS``.
 
     python3 tools/fit_weights.py [--margin 1.1]
 
@@ -12,9 +12,10 @@ needed here only) picks the weights and which inputs are admitted so that
 * as few inputs as possible that the parent admitted and that were measured
   under ``KEEP_S`` are refused,
 
-with the sweep weights held (``HELD``: ``count brute`` and ``render`` run
-unchanged code, and the weights fitted on BENCH_14.json's sweeps price
-their recorded edges).  Inputs measured between ``KEEP_S`` and
+with the weights of the kernels that did not change since the last fit
+held (``HELD``): only ``sweep`` is fitted, to BENCH_20.json's timings of
+every ``count brute`` and ``render`` input on the sweep that carries a
+south step's states over whole.  Inputs measured between ``KEEP_S`` and
 ``REFUSE_S`` may go either way: a timing there is within the spread of
 repeated runs of one input.  Among the solutions it takes the one whose
 estimates exceed the times least.  It prints the weights, rounded up to
@@ -35,9 +36,11 @@ sys.path.insert(0, str(ROOT / "src"))
 from punchex import cli  # noqa: E402
 
 KEEP_S, REFUSE_S = 4.5, 5.5
-HELD = ("sweep", "sweep_path")
-# the timings fitted to, earliest first
-RECORDS = ("BENCH_16.json", "BENCH_17.json")
+# the weights of the determinant, Pfaffian and Schur kernels, whose code
+# and timings (BENCH_16.json, BENCH_17.json) did not change since their fit
+HELD = ("call", "product", "step", "digit", "pfaffian_digit", "binomial")
+# the timings fitted to, earliest first; tests/test_cli.py reads each too
+RECORDS = ("BENCH_16.json", "BENCH_17.json", "BENCH_20.json")
 
 
 def recorded():
@@ -66,6 +69,9 @@ def fit(rows, margin: float):
     # seconds of each row at the current weights, unit by unit
     X = np.array([[work(argv).get(u, 0) * cli.FS_PER[u] / 1e15 for u in units]
                   for _, argv, _, _ in rows])
+    # a row priced by held weights alone keeps its verdict: it constrains nothing
+    fitted = [i for i, x in enumerate(X) if any(x[units.index(u)] for u in units if u not in HELD)]
+    rows, X = [rows[i] for i in fitted], X[fitted]
     free = [i for i, (_, _, t, _) in enumerate(rows) if t <= REFUSE_S]
     nu, nf, big = len(units), len(free), 1e3
     A, lo, hi = [], [], []
@@ -93,9 +99,11 @@ def fit(rows, margin: float):
     lb, ub = np.zeros(nu + nf), np.concatenate([np.full(nu, np.inf), np.ones(nf)])
     for u in HELD:
         lb[units.index(u)] = ub[units.index(u)] = 1.0
+    # the estimates' cost only breaks ties between solutions that keep as
+    # many inputs, far inside the solver's default gap: solve to optimality
     res = milp(c, constraints=LinearConstraint(np.array(A), lo, hi),
                integrality=np.concatenate([np.zeros(nu), np.ones(nf)]),
-               bounds=Bounds(lb, ub), options={"time_limit": 300})
+               bounds=Bounds(lb, ub), options={"time_limit": 300, "mip_rel_gap": 0})
     if res.x is None:
         raise SystemExit(f"no weights satisfy the constraints: {res.message}")
     return {u: cli.FS_PER[u] if u in HELD else _round_up(cli.FS_PER[u] * x)
