@@ -17,15 +17,18 @@ directly: ``integer_determinant`` or ``integer_pfaffian``, which skip the
 checks and the scaling.  Every determinant and Pfaffian in ``tiling``,
 ``symfun`` and ``msf`` is taken that way, so ``determinant``,
 ``pfaffian`` and ``matmul`` are the validating entry points of the
-public API and the tests' oracles.  ``elimination_work`` prices the loops.
+public API and the tests' oracles.  ``elimination_work`` prices the loops;
+it and the other modules' work functions are memoised by ``cached_work``.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cache, wraps
 from math import comb, lcm, prod
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 # Every count and evaluation is an int or a Fraction; matrices are dense
 # row-major lists of lists of those scalars.
@@ -34,7 +37,7 @@ ExactMatrix = List[List[Scalar]]
 # A SkewMatrix is an ExactMatrix with entry(i,j) == -entry(j,i); the
 # pfaffian() entry point checks this invariant on every call.
 SkewMatrix = ExactMatrix
-Work = Dict[str, int]  # a kernel's work: counts of units by name
+Work = Mapping[str, int]  # a kernel's work: counts of units by name
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,20 @@ def integer_pfaffian(rows: List[List[int]]) -> int:
     return sign * prev
 
 
+def cached_work(fn: Callable[..., Work]) -> Callable[..., Work]:
+    """``fn``, a pure function of ints that counts a kernel's work, priced
+    once per process for each argument tuple (``functools.cache``, as
+    ``symfun._elementary_all``).  Every call returns a read-only mapping,
+    the cached one shared by all callers: a caller that edits a work edits
+    a ``dict`` copy.  ``__wrapped__`` computes it afresh."""
+    @cache
+    @wraps(fn)
+    def priced(*args, **kwargs) -> Work:
+        return MappingProxyType(fn(*args, **kwargs))
+    return priced
+
+
+@cached_work
 def elimination_work(n: int, bits: int, pfaffian: bool = False) -> Work:
     """The work of ``integer_determinant`` (``integer_pfaffian``) on n x n
     entries of ``bits`` bits, in closed form: ``step``, the operations on
@@ -271,9 +288,9 @@ def elimination_work(n: int, bits: int, pfaffian: bool = False) -> Work:
             "pfaffian_digit": 4 * beta ** 2 * poly_sum(poly_mul(pairs, (0, 0, 1)), 1, m)}
 
 
-def total(*works: Work, times: int = 1) -> Work:
+def total(*works: Work, times: int = 1) -> Dict[str, int]:
     """The sum of ``works``, each count multiplied by ``times``."""
-    out: Work = {}
+    out: Dict[str, int] = {}
     for work in works:
         for unit, count in work.items():
             out[unit] = out.get(unit, 0) + times * count

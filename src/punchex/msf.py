@@ -40,7 +40,7 @@ from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import (ExactMatrix, Partition, Work, _check_rectangular, _check_skew, _cleared,
-                   binomial, elimination_work, integer_determinant, integer_pfaffian,
+                   binomial, cached_work, elimination_work, integer_determinant, integer_pfaffian,
                    poly_mul, poly_sum, product_digits, total)
 from .symfun import (_POINT_BITS, EvalPoint, _rab_sum, as_points, distinct, rab_sum_work,
                      schur_eval, schur_work, vandermonde_product)
@@ -419,24 +419,29 @@ def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the work of each check at seeded points, in closed form
+# the work of each check at seeded points, in closed form, each priced once
+# per process for its arguments (``core.cached_work``)
 # ---------------------------------------------------------------------------
 
+@cached_work
 def _rect_product_work(a: int, b: int, sizes: Sequence[int]) -> Work:
     ra, rb, rc = _rectangle_sides(a, b)
     return total(*(schur_work(w, r, L) for (w, r), L in zip((ra, rb, rb, rc), sizes)))
 
 
+@cached_work
 def theorem3_work(a: int, b: int, n: int) -> Work:
     """The work of ``theorem3_lhs`` and ``theorem3_rhs`` at n+1 points."""
     return total(rab_sum_work(a, b, n + 1, n), _rect_product_work(a, b, (n, n, n + 1, n + 1)))
 
 
+@cached_work
 def conjecture5_work(a: int, b: int, n: int) -> Work:
     """The work of ``conjecture5_check`` at n+2 points."""
     return total(rab_sum_work(a, b, n + 2, n), _rect_product_work(a, b, (n, n + 1, n + 1, n + 2)))
 
 
+@cached_work
 def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False) -> Work:
     """The work of ``_paired_pfaffian`` on L = ``points`` rows of E-bit
     moments and t = ``border`` columns paired with them.  An entry after
@@ -463,6 +468,7 @@ def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False
     return {"call": 1, "step": elimination_work(K, 0, True)["step"], "pfaffian_digit": digit}
 
 
+@cached_work
 def chain53_work(a: int, b: int, n: int) -> Work:
     """The work of ``chain_5_3_check`` at n+1 points: the R(a,b) sum, the
     moment rows, the (n+1) n (a+b) products of N, of entries of
@@ -474,6 +480,7 @@ def chain53_work(a: int, b: int, n: int) -> Work:
                   "digit": cells * product_digits(E, E)})
 
 
+@cached_work
 def _lemma10_identity_work(a: int, b: int, ambient: int, L: int) -> Work:
     """The work of ``_lemma10_identity`` on L points: the L^2 entries of N
     (a call and two products of E = (ambient+a) _POINT_BITS bits), the t
@@ -486,12 +493,14 @@ def _lemma10_identity_work(a: int, b: int, ambient: int, L: int) -> Work:
                   "digit": 2 * L * L * product_digits(E, E)})
 
 
+@cached_work
 def lemma10_work(a: int, b: int, n: int) -> Work:
     """The work of ``lemma10_check`` at n points: one alphabet, or two."""
     work = _lemma10_identity_work(a, b, n, n)
     return total(work, _lemma10_identity_work(a, b, n - 1, n)) if n - 1 >= b else work
 
 
+@cached_work
 def minor_summation_work(n: int, p: int, q: int, bits: int) -> Work:
     """The work of ``minor_summation`` on G (n x p), H (n x q) and A of
     ``bits``-bit entries: a sub-Pfaffian and a determinant for each of the
@@ -502,6 +511,7 @@ def minor_summation_work(n: int, p: int, q: int, bits: int) -> Work:
                  {"product": n * p * (n + p)})
 
 
+@cached_work
 def lemma9_work(n: int, bits: int) -> Work:
     """The work of ``lemma9_check`` on A (n x n) and borders of ``bits``-bit
     entries: the bordered determinant and, at most, two Pfaffians."""

@@ -5,8 +5,8 @@ Schur polynomials are evaluated two independent ways:
 * ``schur_nk`` — determinant of elementary symmetric functions over the
   conjugate shape (the "dual" Jacobi-Trudi form), of size lambda_1.  With
   x_j = p_j / q_j and Q = prod_j q_j, its entries come from the integer
-  table Q e_0, ..., Q e_n of the alphabet (``_elementary_all``, the
-  module's one cache), so the determinant runs over ``int`` and divides
+  table Q e_0, ..., Q e_n of the alphabet (``_elementary_all``, cached
+  per alphabet), so the determinant runs over ``int`` and divides
   once, by Q^lambda_1.  A shape with l(lambda)^2 < lambda_1 takes the
   Jacobi-Trudi determinant det(h_{lambda_i - i + j}) of size l(lambda)
   instead, its entries Q^k h_k built point by point (``_complete_table``).
@@ -26,6 +26,10 @@ Schur polynomials are evaluated two independent ways:
 indexed by (k; i_1..i_{a+1}) that the summation identities range over, and
 ``lemma8_check`` verifies the structural property linking each pair to a
 subset of {0..a+b} paired around the midpoint (a+b)/2.
+
+The other caches hold the work functions (``table_work``, ``schur_work``,
+``rab_sum_work``, ``lemma8_work``): pure functions of ints, memoised per
+process by ``core.cached_work`` and returning read-only mappings.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import prod
+from itertools import combinations, repeat
+from math import gcd, prod
+from operator import add, sub
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import (_WORD, Partition, Work, binomial, conjugate, elimination_work,
+from .core import (_WORD, Partition, Work, binomial, cached_work, conjugate, elimination_work,
                    integer_determinant, poly_mul, poly_sum, product_digits, total)
 
 # EvalPoint: a tuple of evaluation values x_1..x_n (ints or Fractions).
@@ -56,10 +61,10 @@ def distinct(pts: Sequence) -> bool:
 
 
 # ``seeded_points`` draws p/q with 1 <= p, q <= _DRAW_MAX: _SEEDED_VALUES
-# (115) distinct values
+# (115) distinct values, the coprime pairs
 _DRAW_MAX = 13
-_SEEDED_VALUES = len({Fraction(p, q) for p in range(1, _DRAW_MAX + 1)
-                      for q in range(1, _DRAW_MAX + 1)})
+_SEEDED_VALUES = sum(gcd(p, q) == 1 for p in range(1, _DRAW_MAX + 1)
+                     for q in range(1, _DRAW_MAX + 1))
 # bits of a drawn numerator or denominator, at most
 _POINT_BITS = _DRAW_MAX.bit_length()
 
@@ -69,21 +74,22 @@ def seeded_points(count: int, seed: int) -> EvalPoint:
 
     Numerators and denominators are drawn from 1.._DRAW_MAX with
     ``random.Random(seed)``; duplicates are re-drawn.  Fixed seeds make
-    every randomized identity check reproducible.  A count above the
-    _SEEDED_VALUES distinct values p/q is refused rather than drawn forever.
+    every randomized identity check reproducible.  A draw is compared in
+    lowest terms, as a pair of ints (hashing a ``Fraction`` takes a modular
+    inverse), and only the values kept become ``Fraction``s.  A count above
+    the _SEEDED_VALUES distinct values p/q is refused rather than drawn
+    forever.
     """
     if count > _SEEDED_VALUES:
         raise ValueError(f"seeded points are the {_SEEDED_VALUES} distinct values p/q "
                          f"with 1 <= p, q <= {_DRAW_MAX}; {count} were asked for")
-    rng = random.Random(seed)
-    out: List[Fraction] = []
-    seen = set()
-    while len(out) < count:
-        x = Fraction(rng.randint(1, _DRAW_MAX), rng.randint(1, _DRAW_MAX))
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
+    draw = random.Random(seed).randint
+    kept = {}  # (p, q) in lowest terms, in the order first drawn
+    while len(kept) < count:
+        p, q = draw(1, _DRAW_MAX), draw(1, _DRAW_MAX)
+        g = gcd(p, q)
+        kept[p // g, q // g] = None
+    return tuple(Fraction(p, q) for p, q in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,7 @@ def schur_nk(p, pts: Iterable) -> Fraction:
     return Fraction(_jt_minor(conj, ev), ev[0] ** len(conj))
 
 
+@cached_work
 def table_work(points: int, m: int = 0) -> Work:
     """The work of ``_elementary_all`` at ``points`` seeded points (point j
     updates e_1..e_j with two products by p and q, e_0 with one), or for
@@ -186,6 +193,7 @@ def table_work(points: int, m: int = 0) -> Work:
     return {"call": 1, "product": 2 * s1 + points, "digit": 2 * (P + W) * (P * s2 + W * s1)}
 
 
+@cached_work
 def schur_work(first: int, rows: int, points: int) -> Work:
     """The work of ``schur_nk`` on a shape of ``rows`` parts, the largest
     ``first``, at ``points`` seeded points: its table, its determinant
@@ -389,6 +397,7 @@ def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
     return Fraction(sign * integer_determinant(ftg), ex[0] ** a * ey[0] ** (a + 1))
 
 
+@cached_work
 def rab_sum_work(a: int, b: int, big: int, small: int) -> Work:
     """The work of ``_rab_sum`` over ``big`` and ``small`` seeded points:
     the e-tables, the a+b rows of F and G, the a (a+1) (a+b) products of
@@ -400,7 +409,7 @@ def rab_sum_work(a: int, b: int, big: int, small: int) -> Work:
     ex, ey, cells = _POINT_BITS * big, _POINT_BITS * small, a * (a + 1)
     n, z = a + 1, max(a - b, 0)
     grow = (_denominator_bits(big) + _denominator_bits(small)) * (4 * a + 2 * min(a, b)) // (5 * max(a, 1))
-    det, beta = elimination_work(n, grow), grow + (n.bit_length() + 1) // 2
+    det, beta = dict(elimination_work(n, grow)), grow + (n.bit_length() + 1) // 2
     # step j leaves the T(z-j) entries i + j' < z-j zero, of j beta bits each
     det["digit"] -= 3 * beta ** 2 * poly_sum(poly_mul((0, 0, 1), (z * z + z, -2 * z - 1, 1)), 1, min(z, n) - 1) // 2
     return total(table_work(big), table_work(small), det,
@@ -408,6 +417,7 @@ def rab_sum_work(a: int, b: int, big: int, small: int) -> Work:
                   "digit": cells * (min(big, small) + 1) * product_digits(ex, ey)})
 
 
+@cached_work
 def lemma8_work(a: int, b: int, limit: int) -> Work:
     """The work of ``generate_rab(a, b)`` and ``lemma8_check`` on its
     C(a+b, a) pairs: a call for each of the a+1 entries of a pair's index
@@ -432,14 +442,11 @@ def lemma8_check(pair: RabPair) -> bool:
     # lambda_1..lambda_(b+1) and mu_1..mu_b, zero-padded, read last part first
     lam = (pair.lam + (0,) * (b + 1))[:b + 1][::-1]
     mu = (pair.mu + (0,) * b)[:b][::-1]
-    J = [x + h for h, x in enumerate(lam)]
-    Jp = [x + h for h, x in enumerate(mu)]
-    if len(set(J)) != b + 1 or len(set(Jp)) != b:
+    J, Jp = set(map(add, lam, range(b + 1))), set(map(add, mu, range(b)))
+    if len(J) != b + 1 or len(Jp) != b or s not in J:
         return False
-    if s not in J:
-        return False
-    expected = {a + b - j for j in J if j != s}
-    return set(Jp) == expected
+    J.remove(s)
+    return Jp == set(map(sub, repeat(a + b), J))
 
 
 # ---------------------------------------------------------------------------

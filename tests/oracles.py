@@ -3,6 +3,7 @@ tests: they check the kernels the package does run (``punchex.core``'s
 integer eliminations, ``symfun``'s Schur values, ``msf``'s identities)
 against definitions written out directly."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
@@ -11,7 +12,7 @@ from typing import Iterable, Sequence, Tuple
 from punchex import msf
 from punchex.core import ExactMatrix, Partition, SkewMatrix, pfaffian
 from punchex.msf import IndexSets
-from punchex.symfun import _elementary_all, as_points, schur_eval
+from punchex.symfun import _DRAW_MAX, EvalPoint, RabPair, _elementary_all, as_points, schur_eval
 
 def transpose(m: ExactMatrix) -> ExactMatrix:
     return [list(row) for row in zip(*m)] if m else []
@@ -158,3 +159,35 @@ def n_matrix_entry_check(a: int, b: int, xs: Iterable, ys: Iterable) -> bool:
             if product[i][j] != msf._scaled_n_entry(x[i], y[j], s, n - b):
                 return False
     return True
+
+
+def seeded_points_by_fractions(count: int, seed: int) -> EvalPoint:
+    """``symfun.seeded_points`` as it was first written: each draw p/q made
+    a ``Fraction`` and checked against a set of the ``Fraction``s kept."""
+    rng = random.Random(seed)
+    out = []
+    seen = set()
+    while len(out) < count:
+        x = Fraction(rng.randint(1, _DRAW_MAX), rng.randint(1, _DRAW_MAX))
+        if x not in seen:
+            seen.add(x)
+            out.append(x)
+    return tuple(out)
+
+
+def lemma8_check_by_lists(pair: RabPair) -> bool:
+    """``symfun.lemma8_check`` as it was first written, J and J' built as
+    lists by Python loops: (a+b)/2 in J, J' = {a+b-j : j in J, j != (a+b)/2},
+    and J (b+1 entries) and J' (b) each without repeats."""
+    a, b = pair.source.a, pair.source.b
+    s = (a + b) // 2
+    lam = (pair.lam + (0,) * (b + 1))[:b + 1][::-1]
+    mu = (pair.mu + (0,) * b)[:b][::-1]
+    J = [x + h for h, x in enumerate(lam)]
+    Jp = [x + h for h, x in enumerate(mu)]
+    if len(set(J)) != b + 1 or len(set(Jp)) != b:
+        return False
+    if s not in J:
+        return False
+    expected = {a + b - j for j in J if j != s}
+    return set(Jp) == expected

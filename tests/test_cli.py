@@ -18,8 +18,10 @@ import time
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
 import punchex
-from punchex import cli, msf
+from punchex import cli, core, msf, symfun, tiling
 from punchex.boxcount import macmahon_box, theorem1_count, theorem4_count
 from punchex.cli import BUDGET_S as VERIFY_BUDGET_S
 from punchex.symfun import seeded_points
@@ -239,6 +241,58 @@ def test_recorded_edge_timings_keep_their_verdicts():
             assert fs >= ADMIT_MARGIN * ref_s * 10 ** 15, (argv, ref_s, fs / 10 ** 15)
 
 
+# the work functions memoised per process (core.cached_work)
+CACHED_WORK = (core.elimination_work, symfun.table_work, symfun.schur_work, symfun.rab_sum_work,
+               symfun.lemma8_work, msf._rect_product_work, msf._paired_pfaffian_work,
+               msf._lemma10_identity_work, msf.theorem3_work, msf.conjecture5_work,
+               msf.chain53_work, msf.lemma10_work, msf.minor_summation_work, msf.lemma9_work)
+
+
+def test_memoised_work_changes_no_estimate(monkeypatch):
+    # every work function of core, symfun and msf with a cache is listed
+    cached = {f for m in (core, symfun, msf) for name, f in vars(m).items()
+              if name.endswith("_work") and hasattr(f, "cache_clear")}
+    assert cached == set(CACHED_WORK)
+    # every recorded and every costly input: each estimate cold (every
+    # cache cleared before it), warm (each cache holding all the inputs')
+    # and through the uncached functions alone
+    parsed = [cli._parse(list(argv)) for argv in _recorded_timings()]
+    parsed += [cli._parse(["verify", *args]) for args in COSTLY_VERIFY]
+    cold = []
+    for args in parsed:
+        for fn in CACHED_WORK:
+            fn.cache_clear()
+        cold.append(cli._estimated_fs(args))
+    warm = [cli._estimated_fs(args) for args in parsed]
+    for fn in CACHED_WORK:
+        fn.cache_clear()
+        for module in (core, symfun, msf, tiling, cli):
+            if vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, fn.__wrapped__)
+    for target, (extra, check, work) in cli.POINT_TARGETS.items():
+        monkeypatch.setitem(cli.POINT_TARGETS, target, (extra, check, work.__wrapped__))
+    uncached = [cli._estimated_fs(args) for args in parsed]
+    assert all(fn.cache_info().currsize == 0 for fn in CACHED_WORK)
+    assert cold == warm == uncached
+    monkeypatch.undo()
+    # a cached work is read-only, and rab_sum_work, which takes the zero
+    # triangle of a > b off the determinant's work, edits a copy: the
+    # entry it read stays what elimination_work computes afresh
+    with pytest.raises(TypeError):
+        msf.theorem3_work(2, 2, 3)["call"] = 0
+    read = []
+
+    def reading(*args):
+        read.append((args, core.elimination_work(*args)))
+        return read[-1][1]
+    monkeypatch.setattr(symfun, "elimination_work", reading)
+    symfun.rab_sum_work.cache_clear()
+    symfun.rab_sum_work(6, 2, 4, 3)
+    assert read
+    for args, work in read:
+        assert core.elimination_work(*args) is work == core.elimination_work.__wrapped__(*args)
+
+
 # ---------------------------------------------------------------------------
 # verify commands
 # ---------------------------------------------------------------------------
@@ -359,10 +413,8 @@ def test_verify_prices_the_work_the_old_limits_hid(capsys):
         assert err.endswith(f"more than the {cli.BUDGET_S} s verify admits\n"), args
 
 
-def test_verify_refuses_costly_inputs_up_front():
-    # each measured above 5 s, most far beyond; refused before any work,
-    # huge n and --trials included
-    for args in (("lemma10", "--a", "11", "--b", "11", "--n", "50"),
+# each measured above 5 s, most far beyond
+COSTLY_VERIFY = (("lemma10", "--a", "11", "--b", "11", "--n", "50"),
                  ("lemma10", "--a", "2", "--b", "2", "--n", "60"),
                  ("lemma10", "--a", "41", "--b", "41", "--n", "51"),
                  ("lemma10", "--a", "101", "--b", "101", "--n", "101"),
@@ -372,7 +424,12 @@ def test_verify_refuses_costly_inputs_up_front():
                  ("chain53", "--a", "1", "--b", "1", "--n", "46"),
                  ("conjecture5", "--a", "1", "--b", "1", "--n", "10" * 200),
                  ("lemma9", "--trials", "1000000"),
-                 ("minor-summation", "--trials", "100000")):
+                 ("minor-summation", "--trials", "100000"))
+
+
+def test_verify_refuses_costly_inputs_up_front():
+    # refused before any work, huge n and --trials included
+    for args in COSTLY_VERIFY:
         proc = _run("verify", *args)
         assert proc.returncode == 2, args
         assert proc.stdout.strip() == "", args

@@ -6,13 +6,15 @@ from fractions import Fraction
 from operator import mul
 
 from counting import Counted, counted
-from oracles import elementary_sym, rect_product_decomposition_check
+from oracles import (elementary_sym, lemma8_check_by_lists, rect_product_decomposition_check,
+                     seeded_points_by_fractions)
 from punchex import symfun
 from punchex.core import (Partition, binomial, conjugate, determinant, elimination_work,
                           product_digits)
 from punchex.symfun import (
     RabIndex,
     RabPair,
+    _SEEDED_VALUES,
     _complete_table,
     _elementary_all,
     _rab_sum,
@@ -233,6 +235,19 @@ def test_seeded_points():
     _expect_value_error(seeded_points, 116, 3)
 
 
+def test_seeded_points_draw_what_the_fraction_oracle_draws():
+    # kept as reduced int pairs, the same points in the same order, at
+    # every count and seeds 0..200.  The oracle at a count is the first
+    # that many of its draw at 115: it reads the same stream and stops
+    # sooner
+    for seed in range(201):
+        drawn = seeded_points_by_fractions(_SEEDED_VALUES, seed)
+        for count in range(_SEEDED_VALUES + 1):
+            assert seeded_points(count, seed) == drawn[:count], (count, seed)
+    for count in (0, 1, 9, 114):
+        assert seeded_points_by_fractions(count, 5) == seeded_points_by_fractions(115, 5)[:count]
+
+
 def test_vandermonde_product():
     assert vandermonde_product((F(2),)) == 1
     assert vandermonde_product((F(2), F(3))) == 1
@@ -348,6 +363,21 @@ def test_lemma8_rejects_corrupted_pair():
     good = generate_rab(1, 1)[0]
     swapped = RabPair(good.mu, good.lam, good.source)
     assert not lemma8_check(swapped)
+
+
+def test_lemma8_check_agrees_with_the_list_oracle():
+    # on every pair of R(a, b), a, b <= 8, and on three corruptions of
+    # each, which both reject: mu taken from another index, lambda with its
+    # first part raised by 1, and lambda and mu swapped
+    for a in range(1, 9):
+        for b in range(2 - a % 2, 9, 2):
+            pairs = generate_rab(a, b)
+            for k, p in enumerate(pairs):
+                assert lemma8_check(p) is lemma8_check_by_lists(p) is True, (a, b, p)
+                raised = Partition((p.lam.part(1) + 1,) + p.lam[1:])
+                for bad in (RabPair(p.lam, pairs[k - 1].mu, p.source),
+                            RabPair(raised, p.mu, p.source), RabPair(p.mu, p.lam, p.source)):
+                    assert lemma8_check(bad) is lemma8_check_by_lists(bad) is False, (a, b, bad)
 
 
 def test_rab_index_validation():

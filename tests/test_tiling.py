@@ -2,6 +2,7 @@
 the lattice-path determinant count, and SVG rendering."""
 
 import hashlib
+import inspect
 import sys
 from math import comb
 from typing import List
@@ -375,8 +376,14 @@ def test_unranking_updates_sums_every_sweep_and_bounds_them():
     # above the states tiling_family's sweeps step, at the first and the
     # last index: every dict whose items ``_sweep`` reads, whatever its
     # type, counted once (a step reads its states for the south steps and
-    # again for the east ones)
-    stepped, seen = [0], {}
+    # again for the east ones).  And none of those states holds a position
+    # that is forbidden, or below y = 0, on its path's diagonal: before the
+    # path steps (the line of the loop over i), every path is on d; while
+    # path i steps, the paths right of it are on d+1 already
+    stepped, seen, blocked = [0], {}, []
+    lines, first = inspect.getsourcelines(tiling._sweep)
+    steps_from = first + next(k for k, line in enumerate(lines)
+                              if "for i in reversed(range(width))" in line)
 
     def profile(frame, event, arg):
         if event == "c_call" and arg.__name__ == "items" and frame.f_code is tiling._sweep.__code__:
@@ -384,6 +391,11 @@ def test_unranking_updates_sums_every_sweep_and_bounds_them():
             if id(states) not in seen:
                 seen[id(states)] = states  # held, so that no later dict takes its id
                 stepped[0] += len(states)
+                at = frame.f_locals
+                d, forbidden = at["d"], at["forbidden"]
+                last_on_d = at["i"] if frame.f_lineno > steps_from else float("inf")
+                blocked.extend(xs for xs in states for j, x in enumerate(xs)
+                               for e in (d + (j > last_on_d),) if x < e or (x, x - e) in forbidden)
 
     for a, b, c in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 4, 6), (5, 1, 1), (1, 5, 3)):
         h = PuncturedHexagon(a, b, c)
@@ -397,6 +409,7 @@ def test_unranking_updates_sums_every_sweep_and_bounds_them():
             finally:
                 sys.setprofile(outer)
             assert 0 < stepped[0] <= unranking_updates(h, 10 ** 30), (h, index)
+            assert blocked == [], (h, index, blocked[:3])
     # past the limit only sweep_updates' lower bound, at once
     h = PuncturedHexagon(10 ** 9, 10 ** 9, 10 ** 9)
     assert unranking_updates(h, 10 ** 6) == 10 ** 9 * (2 * 10 ** 9 + 1)
