@@ -179,17 +179,16 @@ def _sizes(args):
 
 def _work(args) -> Work:
     """The work of the parsed command, as its modules count it in closed
-    form, with the command's own: 1500 calls for one cold parser build and
-    the report, as timed in a fresh process for the edges of BENCH_16.json
-    and BENCH_17.json, when the build made the whole tree.  ``run`` now
-    builds only the command's own parser, once per process, so a cold call
-    costs less and a repeated in-process call less again, which only widens
-    the margin.  A count past the budget may be only a lower bound
-    (``limit``)."""
+    form, with the command's own: 1500 calls for building the command's
+    parser (once per process), parsing and the report.  That is an upper
+    bound, timed in a fresh process for the edges of BENCH_16.json and
+    BENCH_17.json when a parse built every command's parser; a repeated
+    in-process call costs less again.  A count past the budget may be only
+    a lower bound (``limit``)."""
     def limit(unit: str) -> int:
         return BUDGET_S * 10 ** 15 // FS_PER[unit]
 
-    own = {"call": 1500}  # a cold build of the whole parser tree, and the report
+    own = {"call": 1500}  # its parser, once per process, the parse and the report
     if args.command != "verify":
         hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
         if getattr(args, "mode", "") == "lgv":

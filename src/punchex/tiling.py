@@ -235,17 +235,29 @@ def sweep_updates(h: PuncturedHexagon, limit: int) -> int:
     C(M+1, k+1) - C(m, k+1).
     """
     a, b, c = h.a, h.b, h.c
-    p = h.puncture_point()
     if a * (b + c + 1) > limit:
         return a * (b + c + 1)
-    bounds = sorted({-c - 1, p.x - p.y, b} | {e for e in (0, b - c) if -c - 1 < e < b})
     total = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        k = a + (lo >= p.x - p.y)
-        w0, w1 = (min(a + b, a + c + d) - max(d, 0) + 2 for d in (lo, hi - 1))
-        total += k * ((hi - lo) * binomial(w0, k) if w0 == w1
-                      else binomial(max(w0, w1) + 1, k + 1) - binomial(min(w0, w1), k + 1))
+    for n, pi, u0, u1 in _diagonal_runs(h):
+        k, w0, w1 = a + pi, a + u0, a + u1
+        total += k * (n * binomial(w0, k) if w0 == w1
+                      else binomial(w1 + 1, k + 1) - binomial(w0, k + 1))
     return total
+
+
+def _diagonal_runs(h: PuncturedHexagon):
+    """The runs of diagonals a sweep over h steps from, split at the
+    puncture's diagonal and where the width turns (d = 0 and d = b-c), as
+    (length, pi, u0, u1): pi = 1 from the puncture's diagonal on, and
+    u0 <= u1 the run's first and last u_d = min(b, c+d) - max(d, 0) + 2
+    (``sweep_updates``' w_d - a), linear in d within a run."""
+    b, c = h.b, h.c
+    p = h.puncture_point()
+    dp = p.x - p.y
+    bounds = sorted({-c - 1, dp, b} | {e for e in (0, b - c) if -c - 1 < e < b})
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield (hi - lo, int(lo >= dp),
+               *sorted(min(b, c + d) - max(d, 0) + 2 for d in (lo, hi - 1)))
 
 
 def unranking_updates(h: PuncturedHexagon, limit: int) -> int:
@@ -263,15 +275,11 @@ def unranking_updates(h: PuncturedHexagon, limit: int) -> int:
     first = sweep_updates(h, limit)
     if first > limit:
         return first
-    dp = h.puncture_point().x - h.puncture_point().y
-    bounds = sorted({-c - 1, dp, b} | {e for e in (0, b - c) if -c - 1 < e < b})
     runs = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        pi = lo >= dp
-        N = a + pi + 1
-        m0, m1 = sorted(min(b, c + d) - max(d, 0) + 2 - pi for d in (lo, hi - 1))
+    for n, pi, u0, u1 in _diagonal_runs(h):
+        N, m0, m1 = a + pi + 1, u0 - pi, u1 - pi
         if m0 == m1:
-            runs += (hi - lo) * (m0 + 1) * binomial(m0 + N, N - 2)
+            runs += n * (m0 + 1) * binomial(m0 + N, N - 2)
         else:
             runs += ((N - 1) * (binomial(m1 + N + 2, N) - binomial(m0 + N + 1, N))
                       - N * (binomial(m1 + N + 1, N - 1) - binomial(m0 + N, N - 1)))

@@ -22,7 +22,7 @@ import pytest
 
 import punchex
 from punchex import cli, core, msf, symfun, tiling
-from punchex.boxcount import macmahon_box, theorem1_count, theorem4_count
+from punchex.boxcount import macmahon_box, theorem1_count
 from punchex.cli import BUDGET_S as VERIFY_BUDGET_S
 from punchex.symfun import seeded_points
 
@@ -179,66 +179,34 @@ def test_every_priced_command_goes_through_the_one_refusal(capsys, monkeypatch, 
     assert not (tmp_path / "x.svg").exists()
 
 
-# the files of reference-clock timings, earliest first: a later file's
-# timing of an input replaces an earlier one (the code it timed changed)
-TIMING_FILES = ("BENCH_14.json", "BENCH_16.json", "BENCH_17.json", "BENCH_20.json")
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _recorded_timings():
-    """Every input timed on the reference clock in the edges of
-    ``TIMING_FILES``, as (argv, ref_s), ref_s the slowest of an input's
-    runs, the latest file's where several timed it.
-    BENCH_14 names its sweep inputs by shape: ``count brute`` at the
-    default puncture, and ``render`` at its last index."""
-    timed = {}
-    for name in TIMING_FILES:
-        edges = json.loads((ROOT / name).read_text())["edges"]
-        for kind, edge in edges.items():
-            for run in edge["runs"]:
-                if "input" in run:
-                    argv = run["input"].split()
-                else:
-                    a, b, c = run["shape"]
-                    sides = ["--a", str(a), "--b", str(b), "--c", str(c)]
-                    if kind.startswith("render"):
-                        count = (theorem1_count if a % 2 == c % 2 else theorem4_count)(a, b, c)
-                        argv = ["render", *sides, "--index", str(count - 1), "-o", "tiling.svg"]
-                    else:
-                        argv = ["count", "brute", *sides]
-                timed[tuple(argv)] = run["ref_s"]
-    return timed
-
-
-def test_timings_the_weights_are_fitted_to_are_held_here():
-    # tools/fit_weights.py fits FS_PER to the files in its RECORDS; each
-    # must be one of TIMING_FILES, in the same order, or a refit could
-    # rest on timings the margin test below never reads
-    spec = importlib.util.spec_from_file_location("fit_weights", ROOT / "tools" / "fit_weights.py")
-    fit_weights = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fit_weights)
-    assert [name for name in TIMING_FILES if name in fit_weights.RECORDS] == list(fit_weights.RECORDS)
-
-
-# an admitted input is estimated at this many times its slowest recorded
-# run or more (tools/fit_weights.py fits the weights so)
-ADMIT_MARGIN = 1.1
+# tools/fit_weights.py states the admission check: which recorded inputs
+# the weights in cli.FS_PER must refuse or price with a margin
+_spec = importlib.util.spec_from_file_location(
+    "fit_weights", Path(__file__).resolve().parent.parent / "tools" / "fit_weights.py")
+fit_weights = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fit_weights)
 
 
 def test_recorded_edge_timings_keep_their_verdicts():
     # every input measured above the budget is refused, and every admitted
-    # one is estimated at ADMIT_MARGIN times what it took or more: a change
-    # of weight or of work function that underprices a recorded input
-    # fails here
-    budget = cli.BUDGET_S * 10 ** 15
-    timed = _recorded_timings()
-    assert len(timed) > 250
-    for argv, ref_s in timed.items():
-        fs = cli._estimated_fs(cli._parse(list(argv)))
-        if ref_s > cli.BUDGET_S:
-            assert fs > budget, (argv, ref_s)
-        elif fs <= budget:
-            assert fs >= ADMIT_MARGIN * ref_s * 10 ** 15, (argv, ref_s, fs / 10 ** 15)
+    # one is estimated at fit_weights.MARGIN times what it took or more: a
+    # change of weight or of work function that underprices a recorded
+    # input fails here
+    rows = fit_weights.recorded()
+    assert len(rows) > 250
+    assert fit_weights.violations(rows) == []
+
+
+def test_violations_flag_exactly_the_inputs_that_break_the_check():
+    cheap = ["count", "brute", "--a", "2", "--b", "2", "--c", "2"]
+    costly = ["count", "lgv", "--a", "81", "--b", "81", "--c", "81"]
+    est = cli._estimated_fs(cli._parse(cheap)) / 10 ** 15
+    assert est <= cli.BUDGET_S < cli._estimated_fs(cli._parse(costly)) / 10 ** 15
+    rows = [(cheap, cli.BUDGET_S + 0.2, True),   # admitted, measured above the budget
+            (cheap, est / 1.05, True),           # admitted, estimated at 1.05x its time
+            (costly, 30.0, True),                # refused, measured above the budget
+            (cheap, est / 2, False)]             # admitted with room to spare
+    assert [row[:2] for row in fit_weights.violations(rows)] == [row[:2] for row in rows[:2]]
 
 
 # the work functions memoised per process (core.cached_work)
@@ -256,7 +224,7 @@ def test_memoised_work_changes_no_estimate(monkeypatch):
     # every recorded and every costly input: each estimate cold (every
     # cache cleared before it), warm (each cache holding all the inputs')
     # and through the uncached functions alone
-    parsed = [cli._parse(list(argv)) for argv in _recorded_timings()]
+    parsed = [cli._parse(argv) for argv, _, _ in fit_weights.recorded()]
     parsed += [cli._parse(["verify", *args]) for args in COSTLY_VERIFY]
     cold = []
     for args in parsed:

@@ -291,12 +291,10 @@ def test_determinant_route_matches_closed_form():
 
 def test_determinant_route_matches_brute_force():
     cases = 0
-    for h in _every_puncture(3, 3):
+    for h in _every_puncture(4, 5):
         assert count_via_path_determinants(h) == enumerate_tilings(h), h
         cases += 1
-    assert cases == 240
-    h = PuncturedHexagon(2, 4, 2)
-    assert count_via_path_determinants(h) == enumerate_tilings(h)
+    assert cases == 1470
 
 
 # ---------------------------------------------------------------------------
