@@ -78,18 +78,25 @@ class Partition(tuple):
         return self[h - 1] if h <= len(self) else 0
 
 
-def conjugate(p: Partition) -> Partition:
-    """Transpose the Young diagram of ``p``.
+def conjugate(p: Sequence[int]) -> Partition:
+    """Transpose the Young diagram of ``p``, a ``Partition`` or any sequence
+    of parts (zero parts allowed); parts that are not weakly decreasing and
+    nonnegative raise ``ValueError`` as ``Partition`` does.
 
     The j-th part of the conjugate is the number of parts of ``p`` that
     are >= j, so i occurs p_i - p_(i+1) times.  conjugate(conjugate(p)) == p.
     """
-    parts = p if isinstance(p, Partition) else Partition(p)
-    out: List[int] = []
+    parts = p if isinstance(p, (tuple, list)) else list(p)
+    # grown as a tuple: the copies grow as the distinct parts times p_1, fewer
+    # than a list's (built, then copied twice into a Partition) for few of them
+    out: Tuple[int, ...] = ()
     below = 0
     for i in range(len(parts), 0, -1):
         x = parts[i - 1]
-        out += [i] * (x - below)
+        if x < below:
+            raise ValueError("partition parts must be "
+                             + ("nonnegative" if below == 0 else "weakly decreasing"))
+        out += (i,) * (x - below)
         below = x
     # weakly decreasing and positive by construction: no second validation
     return tuple.__new__(Partition, out)

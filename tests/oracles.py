@@ -7,12 +7,13 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from punchex import msf
-from punchex.core import ExactMatrix, Partition, SkewMatrix, pfaffian
+from punchex.core import ExactMatrix, Partition, SkewMatrix, conjugate, pfaffian
 from punchex.msf import IndexSets
-from punchex.symfun import _DRAW_MAX, EvalPoint, RabPair, _elementary_all, as_points, schur_eval
+from punchex.symfun import (_DRAW_MAX, EvalPoint, RabIndex, RabPair, _check_rab, _colex_subsets,
+                            _elementary_all, as_points, schur_eval)
 
 def transpose(m: ExactMatrix) -> ExactMatrix:
     return [list(row) for row in zip(*m)] if m else []
@@ -191,3 +192,38 @@ def lemma8_check_by_lists(pair: RabPair) -> bool:
         return False
     expected = {a + b - j for j in J if j != s}
     return set(Jp) == expected
+
+
+def _index_vectors(a: int, b: int):
+    """Yield every index (k, i) of R(a,b) in ``generate_rab``'s order."""
+    _check_rab(a, b)
+    half = (a + b) // 2
+    for k in range(max(0, a - half), min(a, half) + 1):
+        positives = _colex_subsets(range(1, half + 1), a - k)
+        for negs in _colex_subsets(range(-half, 0), k):
+            for poss in positives:
+                yield k, negs + (0,) + poss
+
+
+def _conjugate_shapes(a: int, b: int, k: int, i: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(lambda', mu') of the pair at index (k; i), weakly decreasing lists of
+    a and a+1 parts, zero parts included: lambda'_h = (b-a)/2 + j_{a+1-h} + h
+    over the a entries j of i other than its 0, and
+    mu'_h = (b-a)/2 - i_h + h - 1."""
+    half_diff = (b - a) // 2
+    rest = i[:k] + i[k + 1:]
+    lam_conj = [half_diff + x + h for h, x in enumerate(reversed(rest), 1)]
+    mu_conj = [half_diff - x + h for h, x in enumerate(i)]
+    return lam_conj, mu_conj
+
+
+def generate_rab_by_pairs(a: int, b: int) -> List[RabPair]:
+    """``symfun.generate_rab`` as it was first written: each pair's two
+    conjugate shapes built from its whole index vector, validated as
+    ``Partition``s and conjugated on their own."""
+    out = []
+    for k, i in _index_vectors(a, b):
+        lam_conj, mu_conj = _conjugate_shapes(a, b, k, i)
+        out.append(RabPair(conjugate(Partition(lam_conj)), conjugate(Partition(mu_conj)),
+                           RabIndex(a, b, k, i)))
+    return out

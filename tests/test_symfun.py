@@ -6,8 +6,8 @@ from fractions import Fraction
 from operator import mul
 
 from counting import Counted, counted
-from oracles import (elementary_sym, lemma8_check_by_lists, rect_product_decomposition_check,
-                     seeded_points_by_fractions)
+from oracles import (elementary_sym, generate_rab_by_pairs, lemma8_check_by_lists,
+                     rect_product_decomposition_check, seeded_points_by_fractions)
 from punchex import symfun
 from punchex.core import (Partition, binomial, conjugate, determinant, elimination_work,
                           product_digits)
@@ -301,6 +301,31 @@ def test_generate_rab_deterministic():
     assert once == again
 
 
+def test_generate_rab_matches_the_pair_by_pair_oracle():
+    # every same-parity (a, b) with a + b <= 16, and thin and wide shapes:
+    # at (1, 301) and (301, 1) one side of every k has a single subset,
+    # at (2, 120), (120, 2) and (3, 41) both sides of some k have many
+    shapes = [(a, s - a) for s in range(2, 17, 2) for a in range(1, s)]
+    shapes += [(1, 301), (301, 1), (2, 120), (120, 2), (3, 41)]
+    for a, b in shapes:
+        pairs, expected = generate_rab(a, b), generate_rab_by_pairs(a, b)
+        assert len(pairs) == len(expected) == binomial(a + b, a), (a, b)
+        for p, q in zip(pairs, expected):
+            assert type(p.lam) is Partition and type(p.mu) is Partition, (a, b, p)
+            assert (p.lam, p.mu, p.source.k, p.source.i) == \
+                (q.lam, q.mu, q.source.k, q.source.i), (a, b, p, q)
+
+
+def test_conjugating_a_half_checks_its_parts():
+    # generate_rab conjugates each half's rows as a plain list, so conjugate
+    # rejects what Partition(...) rejects and reads zero parts as it does
+    for rows in ([1, 2], [3, 3, 4], [2, 0, 1], [2, -1], [-1], [0, -2]):
+        _expect_value_error(Partition, rows)
+        _expect_value_error(conjugate, rows)
+    assert conjugate([3, 1, 0, 0]) == conjugate(Partition([3, 1])) == (2, 1, 1)
+    assert type(conjugate([2, 2])) is Partition
+
+
 def _per_pair_sum(pairs, big, small, schur=schur_bidet):
     """The R(a,b) sum pair by pair, each Schur value from ``schur``."""
     return sum(schur(pr.lam, big) * schur(pr.mu, small) for pr in pairs)
@@ -537,3 +562,18 @@ def test_lemma8_work_counts_the_pairs():
                                               "product": 4 * pairs * (b + 1)}, (a, b)
     # past the limit, a+b pairs stand in for C(a+b, a): no huge binomial
     assert lemma8_work(1, 10 ** 12, 10 ** 6)["call"] == 2 * (10 ** 12 + 1)
+
+
+def test_rab_index_rejects_with_its_messages():
+    for args, message in (((1, 1, 0, (0,)), "index vector must have a+1 entries"),
+                          ((1, 1, 2, (0, 1)), "k out of range"),
+                          ((1, 1, 1, (0, 1)), "entry k+1 must be 0"),
+                          ((2, 2, 1, (-1, 0, 0)), "index vector must be strictly increasing"),
+                          ((2, 2, 1, (-2, 0, -1)), "index vector must be strictly increasing"),
+                          ((1, 1, 0, (0, 7)), "index vector out of bounds")):
+        try:
+            RabIndex(*args)
+        except ValueError as e:
+            assert str(e) == message, (args, e)
+        else:
+            raise AssertionError(f"expected ValueError from RabIndex{args}")

@@ -45,7 +45,7 @@ MARGIN = 1.1
 # and timings (BENCH_16.json, BENCH_17.json) did not change since their fit
 HELD = ("call", "product", "step", "digit", "pfaffian_digit", "binomial")
 # the timings held to the check, earliest first
-RECORDS = ("BENCH_14.json", "BENCH_16.json", "BENCH_17.json", "BENCH_20.json")
+RECORDS = ("BENCH_14.json", "BENCH_16.json", "BENCH_17.json", "BENCH_20.json", "BENCH_23.json")
 
 
 def recorded():
