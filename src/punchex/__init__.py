@@ -28,6 +28,7 @@ from .msf import (
     lemma9_check,
     lemma10_check,
     minor_summation,
+    theorem3_check,
     theorem3_lhs,
     theorem3_rhs,
 )
@@ -39,6 +40,7 @@ from .symfun import (
     schur_bidet,
     schur_eval,
     schur_nk,
+    seeded_pairs,
     seeded_points,
     vandermonde_product,
 )
@@ -82,6 +84,7 @@ __all__ = [
     "schur_nk",
     "schur_bidet",
     "schur_eval",
+    "seeded_pairs",
     "seeded_points",
     "vandermonde_product",
     "RabIndex",
@@ -91,6 +94,7 @@ __all__ = [
     "IndexSets",
     "minor_summation",
     "lemma9_check",
+    "theorem3_check",
     "theorem3_lhs",
     "theorem3_rhs",
     "conjecture5_check",

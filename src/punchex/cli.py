@@ -25,8 +25,8 @@ from .boxcount import macmahon_box, theorem1_count, theorem4_count
 from .core import Work, binomial, total
 from .msf import (chain53_work, chain_5_3_check, conjecture5_check, conjecture5_work,
                   lemma9_check, lemma9_work, lemma10_check, lemma10_work, minor_summation,
-                  minor_summation_work, theorem3_lhs, theorem3_rhs, theorem3_work)
-from .symfun import generate_rab, lemma8_check, lemma8_work, seeded_points
+                  minor_summation_work, theorem3_check, theorem3_work)
+from .symfun import generate_rab, lemma8_check, lemma8_work, seeded_pairs
 from .tiling import (PuncturedHexagon, count_via_path_determinants, enumerate_tilings,
                      path_determinant_work, render_tiling_svg, sweep_updates, tiling_family,
                      unranking_updates)
@@ -48,11 +48,10 @@ MAX_COLUMNS = 6
 ENTRIES = (-3, 3)
 
 # The targets checked at seeded points: how many points beyond n each draws,
-# its check on (a, b, n, points) and its work on (a, b, n).  The lambdas look
-# the checks up at call time, so a tracer's wrapper sees every call.
+# its check on (a, b, n, (p, q) pairs) and its work on (a, b, n).  The lambdas
+# look the checks up at call time, so a tracer's wrapper sees every call.
 POINT_TARGETS = {
-    "theorem3": (1, lambda a, b, n, pts: theorem3_lhs(a, b, n, pts, pts[:n])
-                 == theorem3_rhs(a, b, n, pts, pts[:n]), theorem3_work),
+    "theorem3": (1, lambda a, b, n, pts: theorem3_check(a, b, n, pts, pts[:n]), theorem3_work),
     "conjecture5": (2, lambda a, b, n, pts: conjecture5_check(a, b, n, pts), conjecture5_work),
     "chain53": (1, lambda a, b, n, pts: chain_5_3_check(a, b, n, pts, pts[:n]), chain53_work),
     "lemma10": (0, lambda a, b, n, pts: lemma10_check(a, b, n, pts), lemma10_work),
@@ -235,7 +234,10 @@ def _verify(args):
     if target in ("lemma8", *POINT_TARGETS) and a % 2 != b % 2:
         raise ValueError(f"verify {target} needs --a and --b of equal parity "
                          f"(got --a {a}, --b {b})")
-    _admit(f"verify {target}", _estimated_fs(args), a=a, b=b, n=nn, trials=t)
+    # the inputs the target reads, as its report names them
+    params = ({"a": a, "b": b} if target == "lemma8" else {"trials": t} if target in (
+        "minor-summation", "lemma9") else {"a": a, "b": b, "n": nn, "trials": t})
+    _admit(f"verify {target}", _estimated_fs(args), **params)
     # sides the library refuses keep its own message
     if target in LEAST_N and min(a, b) > 0 and nn < LEAST_N[target](b):
         raise ValueError(f"verify {target} at --b {b} needs --n of at least "
@@ -243,7 +245,7 @@ def _verify(args):
                          f"are 0 at every point")
     if target == "lemma8":
         pairs = generate_rab(a, b)
-        params = {"a": a, "b": b, "pairs": len(pairs)}
+        params["pairs"] = len(pairs)
         bad = [p for p in pairs if not lemma8_check(p)]
         if bad or len(pairs) != binomial(a + b, a):
             ce = {"pairs": len(pairs), "expected_pairs": binomial(a + b, a)}
@@ -254,7 +256,6 @@ def _verify(args):
 
     if target == "minor-summation":
         rng = random.Random(seed)
-        params = {"trials": t}
         for trial in range(t):
             size = rng.randrange(MINOR_SUMMATION_SIZES.start, MINOR_SUMMATION_SIZES.stop)
             q = rng.choice([x for x in (0, 1, 2) if (size + x) % 2 == 0 and x <= size])
@@ -269,7 +270,6 @@ def _verify(args):
 
     if target == "lemma9":
         rng = random.Random(seed)
-        params = {"trials": t}
         for trial in range(t):
             size = rng.randrange(LEMMA9_SIZES.start, LEMMA9_SIZES.stop)
             A = _random_skew(rng, size)
@@ -282,12 +282,12 @@ def _verify(args):
 
     # the remaining targets are parameterized by (a, b, n) and seeded points
     extra, check, _ = POINT_TARGETS[target]
-    params = {"a": a, "b": b, "n": nn, "trials": t}
     for trial in range(t):
-        pts = seeded_points(nn + extra, seed + trial)
+        pts = seeded_pairs(nn + extra, seed + trial)
         if not check(a, b, nn, pts):
-            ce = {"trial": trial, "seed": seed + trial, "points": [str(x) for x in pts]}
-            return params, False, ce
+            # each point as str(Fraction) prints it: p/q, or p when q is 1
+            return params, False, {"trial": trial, "seed": seed + trial,
+                                   "points": [f"{p}/{q}".removesuffix("/1") for p, q in pts]}
     return params, True, None
 
 

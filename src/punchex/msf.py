@@ -29,6 +29,11 @@ The Vandermonde products cancel and leave Theorem 3: the R(a,b) sum
 s_{R_C}(X_{n+1}) (``theorem3_rhs``).  ``lemma9_check`` verifies the
 bordered-determinant factorization of skew matrices, on integers too: both
 of its sides are homogeneous, so one common denominator clears them.
+
+The checks at points (``theorem3_check``, ``conjecture5_check``,
+``chain_5_3_check``, ``lemma10_check``) read them once into (p, q) int pairs
+(``symfun.as_pairs``), hold every side as an unreduced (numerator,
+denominator) pair of ints and decide by one cross-multiplication (``_same``).
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from typing import Iterable, List, Sequence, Tuple
 from .core import (ExactMatrix, Partition, Work, _check_rectangular, _check_skew, _cleared,
                    binomial, cached_work, elimination_work, integer_determinant, integer_pfaffian,
                    poly_mul, poly_sum, product_digits, total)
-from .symfun import (_POINT_BITS, EvalPoint, _rab_sum, as_points, distinct, rab_sum_work,
-                     schur_eval, schur_work, vandermonde_product)
+from .symfun import (_POINT_BITS, Alphabet, _denominator, _rab_sum, _schur, _vandermonde, as_pairs,
+                     distinct, rab_sum_work, schur_work)
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +85,10 @@ class IndexSets:
         return f"IndexSets(a={self.a}, b={self.b}, n={self.n})"
 
 
-def _moment_rows(I: Sequence[int], pts: EvalPoint, E: int) -> List[List[int]]:
+def _moment_rows(I: Sequence[int], pts: Alphabet, E: int) -> List[List[int]]:
     """The moment matrix M_I(pts) with row k scaled by q_k^E, x_k = p_k/q_k,
     as ``int`` rows p_k^e q_k^(E-e) (e in I); E is at least max(I)."""
-    return [[x.numerator ** e * x.denominator ** (E - e) for e in I] for x in pts]
+    return [[p ** e * q ** (E - e) for e in I] for p, q in pts]
 
 
 def _pairing(a: int, b: int) -> List[int]:
@@ -116,7 +121,7 @@ def _skew_border(m: ExactMatrix, cols: ExactMatrix) -> ExactMatrix:
     return out
 
 
-def _n_block(a: int, b: int, n: int, xs: EvalPoint, ys: EvalPoint) -> List[List[int]]:
+def _n_block(a: int, b: int, n: int, xs: Alphabet, ys: Alphabet) -> List[List[int]]:
     """N = M_P(xs) B M_P(ys)^T over ``int``, with P the index set of
     (a, b, n), B the off-diagonal block of the structured skew matrix and
     row k of each moment matrix scaled by q_k^(n+a), x_k = p_k / q_k, n+a
@@ -261,17 +266,27 @@ def _rectangles(a: int, b: int) -> Tuple[Partition, Partition, Partition]:
     return tuple(Partition([w] * r) for w, r in _rectangle_sides(a, b))
 
 
-def _rect_product(a: int, b: int, xa, xb1, xb2, xc) -> Fraction:
-    """s_{R_A}(xa) * s_{R_B}(xb1) * s_{R_B}(xb2) * s_{R_C}(xc)."""
+def _times(*values: Tuple[int, int]) -> Tuple[int, int]:
+    """The product of unreduced (numerator, denominator) pairs."""
+    return tuple(map(prod, zip(*values)))
+
+
+def _same(lhs: Tuple[int, int], rhs: Tuple[int, int]) -> bool:
+    """Whether two unreduced (numerator, denominator) pairs are one value:
+    a verdict by one cross-multiplication, ln rd = rn ld."""
+    return lhs[0] * rhs[1] == rhs[0] * lhs[1]
+
+
+def _rect_product(a: int, b: int, xa, xb1, xb2, xc) -> Tuple[int, int]:
+    """s_{R_A}(xa) * s_{R_B}(xb1) * s_{R_B}(xb2) * s_{R_C}(xc), over ``Alphabet``s."""
     ra, rb, rc = _rectangles(a, b)
-    return schur_eval(ra, xa) * schur_eval(rb, xb1) * schur_eval(rb, xb2) * schur_eval(rc, xc)
+    return _times(_schur(ra, xa), _schur(rb, xb1), _schur(rb, xb2), _schur(rc, xc))
 
 
-def _nested(n: int, pts1: Iterable, pts0: Iterable) -> Tuple[EvalPoint, EvalPoint]:
-    """(X_{n+1}, X_n) as point tuples, checked to hold n+1 and n values
+def _nested(n: int, pts1: Iterable, pts0: Iterable) -> Tuple[Alphabet, Alphabet]:
+    """(X_{n+1}, X_n) as ``Alphabet``s, checked to hold n+1 and n values
     with X_n the first n values of X_{n+1}."""
-    p1 = as_points(pts1)
-    p0 = as_points(pts0)
+    p1, p0 = as_pairs(pts1), as_pairs(pts0)
     if len(p1) != n + 1 or len(p0) != n:
         raise ValueError("need n+1 points for X_{n+1} and n points for X_n")
     if p0 != p1[:n]:
@@ -282,8 +297,7 @@ def _nested(n: int, pts1: Iterable, pts0: Iterable) -> Tuple[EvalPoint, EvalPoin
 def theorem3_lhs(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> Fraction:
     """sum over (lambda, mu) in R(a,b) of s_lambda(X_{n+1}) * s_mu(X_n),
     where pts0 (X_n) must be the first n values of pts1 (X_{n+1})."""
-    p1, p0 = _nested(n, pts1, pts0)
-    return _rab_sum(a, b, p1, p0)
+    return Fraction(*_rab_sum(a, b, *_nested(n, pts1, pts0)))
 
 
 def theorem3_rhs(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> Fraction:
@@ -292,7 +306,14 @@ def theorem3_rhs(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> Frac
     with R_A, R_B and R_C as in the module docstring.
     """
     p1, p0 = _nested(n, pts1, pts0)
-    return _rect_product(a, b, p0, p0, p1, p1)
+    return Fraction(*_rect_product(a, b, p0, p0, p1, p1))
+
+
+def theorem3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> bool:
+    """Whether ``theorem3_lhs`` equals ``theorem3_rhs`` at the points: both
+    sides as integer pairs, compared by one cross-multiplication."""
+    p1, p0 = _nested(n, pts1, pts0)
+    return _same(_rab_sum(a, b, p1, p0), _rect_product(a, b, p0, p0, p1, p1))
 
 
 def conjecture5_check(a: int, b: int, n: int, pts2: Iterable) -> bool:
@@ -306,12 +327,11 @@ def conjecture5_check(a: int, b: int, n: int, pts2: Iterable) -> bool:
     where pts2 supplies x_1..x_{n+2}.  This equality is unproven in
     general; the function reports whether it holds at the given points.
     """
-    p2 = as_points(pts2)
+    p2 = as_pairs(pts2)
     if len(p2) != n + 2:
         raise ValueError("need n+2 points")
     p0 = p2[:n]
-    lhs = _rab_sum(a, b, p2, p0)
-    return lhs == _rect_product(a, b, p0, p0 + (p2[n],), p0 + (p2[n + 1],), p2)
+    return _same(_rab_sum(a, b, p2, p0), _rect_product(a, b, p0, p2[:n + 1], p0 + p2[n + 1:], p2))
 
 
 def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> bool:
@@ -346,29 +366,30 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
                           [(range(n + 1), range(2 * n + 1, 2 * n + 1 + q)),
                            (range(n + 1, 2 * n + 1), range(2 * n + 1 + q, 2 * n + 1 + q + r))])
     sign = -1 if (b * n + n - b) % 2 else 1
-    d = prod(x.denominator for x in p1 + p0) ** E
-    rhs = Fraction(sign * pf, d) / (vandermonde_product(p1) * vandermonde_product(p0))
-    return theorem3_lhs(a, b, n, p1, p0) == rhs
+    d = (_denominator(p1) * _denominator(p0)) ** E
+    # dividing by a Vandermonde product multiplies by its pair reversed
+    rhs = _times((sign * pf, d), _vandermonde(p1)[::-1], _vandermonde(p0)[::-1])
+    return _same(_rab_sum(a, b, p1, p0), rhs)
 
 
 # ---------------------------------------------------------------------------
 # closed evaluation of the structured moment-matrix Pfaffians
 # ---------------------------------------------------------------------------
 
-def _scaled_n_entry(x: Fraction, y: Fraction, s: int, shift: int) -> int:
+def _scaled_n_entry(x: Tuple[int, int], y: Tuple[int, int], s: int, shift: int) -> int:
     """The closed entry (x y)^shift (y^(s+1) - x^(s+1)) sum_{r<s} x^r y^(s-1-r)
     of N times (q v)^(shift+2s), for x = p/q and y = u/v: with A = p v and
     B = q u, the integer
     (p u)^shift * (B^(s+1) - A^(s+1)) * sum_{r<s} A^r B^(s-1-r).  The sum,
     s >= 1, is the divided difference (B^s - A^s) / (B - A), an exact
     division, or s A^(s-1) when A = B."""
-    p, q, u, v = x.numerator, x.denominator, y.numerator, y.denominator
+    (p, q), (u, v) = x, y
     A, B = p * v, q * u
     acc = (B ** s - A ** s) // (B - A) if A != B else s * A ** (s - 1)
     return (p * u) ** shift * (B ** (s + 1) - A ** (s + 1)) * acc
 
 
-def _lemma10_identity(a: int, b: int, ambient: int, pts: EvalPoint) -> bool:
+def _lemma10_identity(a: int, b: int, ambient: int, pts: Alphabet) -> bool:
     """Lemma 10 for the alphabet pts of L = ambient or ambient + 1 points."""
     L = len(pts)
     sets = IndexSets(a, b, ambient)
@@ -383,11 +404,10 @@ def _lemma10_identity(a: int, b: int, ambient: int, pts: EvalPoint) -> bool:
     s, shift = (a + b) // 2, ambient - b
     N = [[_scaled_n_entry(x, y, s, shift) for y in pts] for x in pts]
     M = _moment_rows(border, pts, ambient + a)
-    lhs = Fraction(_paired_pfaffian(_skew_border(N, M), [(range(L), range(L, L + t))]),
-                   prod(x.denominator for x in pts) ** (ambient + a))
+    pf = _paired_pfaffian(_skew_border(N, M), [(range(L), range(L, L + t))])
+    lhs = (-pf if e % 2 else pf, _denominator(pts) ** (ambient + a))
     R, R2 = _rectangles(a, b)[L - ambient:L - ambient + 2]
-    rhs = vandermonde_product(pts) * schur_eval(R, pts) * schur_eval(R2, pts)
-    return lhs == (-rhs if e % 2 else rhs)
+    return _same(lhs, _times(_vandermonde(pts), _schur(R, pts), _schur(R2, pts)))
 
 
 def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
@@ -406,7 +426,7 @@ def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
     ambient n and, when n-1 >= b, as X_{m+1} at ambient m = n-1.  With
     ``chain_5_3_check`` this gives Theorem 3 (see the module docstring).
     """
-    p = as_points(pts)
+    p = as_pairs(pts)
     if len(p) != n:
         raise ValueError("need n points")
     if not distinct(p):

@@ -1,26 +1,29 @@
 """Exact symmetric-function evaluation and the R(a,b) index family.
 
-Schur polynomials are evaluated two independent ways:
+Evaluations read the points x_j = p_j / q_j as an ``Alphabet`` of (p_j, q_j)
+int pairs (``as_pairs``, ``seeded_pairs``) and return unreduced (numerator,
+denominator) pairs of ints, which the public functions divide once into a
+``Fraction``.  Schur polynomials are evaluated two independent ways:
 
-* ``schur_nk`` — determinant of elementary symmetric functions over the
-  conjugate shape (the "dual" Jacobi-Trudi form), of size lambda_1.  With
-  x_j = p_j / q_j and Q = prod_j q_j, its entries come from the integer
-  table Q e_0, ..., Q e_n of the alphabet (``_elementary_all``, cached
-  per alphabet), so the determinant runs over ``int`` and divides
-  once, by Q^lambda_1.  A shape with l(lambda)^2 < lambda_1 takes the
+* ``schur_nk`` (``_schur``) — determinant of elementary symmetric functions
+  over the conjugate shape (the "dual" Jacobi-Trudi form), of size
+  lambda_1.  With Q = prod_j q_j, its entries come from the integer table
+  Q e_0, ..., Q e_n of the alphabet (``_elementary_all``, the one cache of
+  values, keyed by the pairs), so the determinant runs over ``int``, over
+  Q^lambda_1.  A shape with l(lambda)^2 < lambda_1 takes the
   Jacobi-Trudi determinant det(h_{lambda_i - i + j}) of size l(lambda)
   instead, its entries Q^k h_k built point by point (``_complete_table``).
   ``schur_eval`` calls it.  An R(a,b) sum reads each
   alphabet's table once and never visits the C(a+b, a) pairs: each pair's
   two minors are maximal minors of two fixed matrices on the same index
   rows, so by Cauchy-Binet the sum is one integer determinant of size a+1
-  (``_rab_sum``), divided once.  It accepts repeated points (all-ones
-  specializations); its cost grows with lambda_1, not with the points.
+  (``_rab_sum``) over a power of each Q.  It accepts repeated points
+  (all-ones specializations); its cost grows with lambda_1, not the points.
 * ``schur_bidet`` — ratio of two alternants det(x_j^(lam_i+n-i)) /
   det(x_j^(n-i)), both cleared of denominators so the determinant and the
-  Vandermonde product run over ``int`` and divide once.  Requires pairwise
-  distinct points.  Nothing in the package calls it: it is the independent
-  route the tests check ``schur_nk`` against.
+  Vandermonde product (``_vandermonde``) run over ``int`` and divide once.
+  Requires pairwise distinct points.  Nothing in the package calls it: it
+  is the independent route the tests check ``schur_nk`` against.
 
 ``generate_rab`` produces the family R(a,b) of partition pairs (lambda, mu)
 indexed by (k; i_1..i_{a+1}) that the summation identities range over, and
@@ -36,10 +39,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, repeat
 from math import gcd, prod
-from operator import add, lt, sub
+from operator import add, itemgetter, lt, sub
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import (_WORD, Partition, Work, binomial, cached_work, conjugate, elimination_work,
@@ -50,17 +53,39 @@ from .core import (_WORD, Partition, Work, binomial, cached_work, conjugate, eli
 # ratio divides by the Vandermonde; the e-determinant route has no such
 # restriction.
 EvalPoint = Tuple[Fraction, ...]
+# Alphabet: the points x_j = p_j / q_j as pairs (p_j, q_j) of ints in lowest
+# terms, q_j > 0; a tuple of int pairs hashes without a modular inverse.
+Alphabet = Tuple[Tuple[int, int], ...]
 
 
 def as_points(pts: Iterable) -> EvalPoint:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in pts)
 
 
+def as_pairs(pts: Iterable) -> Alphabet:
+    """The points as an ``Alphabet``.  Each is a number (anything ``Fraction``
+    reads) or a pair (p, q), which must be in lowest terms with q > 0."""
+    out = []
+    for x in pts:
+        if not isinstance(x, tuple):
+            x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+            x = x.numerator, x.denominator
+        elif x[1] < 1 or gcd(*x) != 1:
+            raise ValueError(f"a point pair (p, q) must be in lowest terms with q > 0, not {x}")
+        out.append(x)
+    return tuple(out)
+
+
 def distinct(pts: Sequence) -> bool:
     return len(set(pts)) == len(pts)
 
 
-# ``seeded_points`` draws p/q with 1 <= p, q <= _DRAW_MAX: _SEEDED_VALUES
+def _denominator(pts: Alphabet) -> int:
+    """Q = prod_j q_j, the alphabet's common denominator."""
+    return prod(map(itemgetter(1), pts))
+
+
+# ``seeded_pairs`` draws p/q with 1 <= p, q <= _DRAW_MAX: _SEEDED_VALUES
 # (115) distinct values, the coprime pairs
 _DRAW_MAX = 13
 _SEEDED_VALUES = sum(gcd(p, q) == 1 for p in range(1, _DRAW_MAX + 1)
@@ -69,27 +94,28 @@ _SEEDED_VALUES = sum(gcd(p, q) == 1 for p in range(1, _DRAW_MAX + 1)
 _POINT_BITS = _DRAW_MAX.bit_length()
 
 
-def seeded_points(count: int, seed: int) -> EvalPoint:
-    """Deterministic pseudo-random pairwise-distinct positive rationals.
-
-    Numerators and denominators are drawn from 1.._DRAW_MAX with
-    ``random.Random(seed)``; duplicates are re-drawn.  Fixed seeds make
-    every randomized identity check reproducible.  A draw is compared in
-    lowest terms, as a pair of ints (hashing a ``Fraction`` takes a modular
-    inverse), and only the values kept become ``Fraction``s.  A count above
-    the _SEEDED_VALUES distinct values p/q is refused rather than drawn
-    forever.
-    """
+def seeded_pairs(count: int, seed: int) -> Alphabet:
+    """Reproducible pairwise-distinct positive rationals in lowest terms, a
+    duplicate drawn again.  p and q are drawn from 1.._DRAW_MAX as
+    ``random.Random(seed).randint`` draws them (_POINT_BITS bits, drawn
+    again while _DRAW_MAX or more, plus 1).  A count above the
+    _SEEDED_VALUES distinct values p/q is refused, not drawn forever."""
     if count > _SEEDED_VALUES:
         raise ValueError(f"seeded points are the {_SEEDED_VALUES} distinct values p/q "
                          f"with 1 <= p, q <= {_DRAW_MAX}; {count} were asked for")
-    draw = random.Random(seed).randint
+    bits = partial(random.Random(seed).getrandbits, _POINT_BITS)
+    draws = (r + 1 for r in iter(bits, -1) if r < _DRAW_MAX)
     kept = {}  # (p, q) in lowest terms, in the order first drawn
     while len(kept) < count:
-        p, q = draw(1, _DRAW_MAX), draw(1, _DRAW_MAX)
+        p, q = next(draws), next(draws)
         g = gcd(p, q)
         kept[p // g, q // g] = None
-    return tuple(Fraction(p, q) for p, q in kept)
+    return tuple(kept)
+
+
+def seeded_points(count: int, seed: int) -> EvalPoint:
+    """``seeded_pairs`` as ``Fraction``s."""
+    return tuple(Fraction(p, q) for p, q in seeded_pairs(count, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +123,7 @@ def seeded_points(count: int, seed: int) -> EvalPoint:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _elementary_all(pts: EvalPoint) -> Tuple[int, ...]:
+def _elementary_all(pts: Alphabet) -> Tuple[int, ...]:
     """(Q e_0, Q e_1, ..., Q e_n) at pts, all integers, with Q = prod_j q_j.
 
     With x_j = p_j / q_j these are the coefficients of prod_j (q_j + p_j t),
@@ -105,8 +131,7 @@ def _elementary_all(pts: EvalPoint) -> Tuple[int, ...]:
     """
     e = [1] + [0] * len(pts)
     m = 0
-    for x in pts:
-        p, q = x.numerator, x.denominator
+    for p, q in pts:
         m += 1
         for s in range(m, 0, -1):
             e[s] = q * e[s] + p * e[s - 1]
@@ -132,16 +157,16 @@ def _jt_minor(parts: Sequence[int], table: Sequence[int]) -> int:
          for i, c in enumerate(parts)])
 
 
-def _complete_table(pts: EvalPoint, m: int) -> List[int]:
+def _complete_table(pts: Alphabet, m: int) -> List[int]:
     """(Q^0 h_0, Q^1 h_1, ..., Q^m h_m) at pts, Q = prod_j q_j, all integers,
     built one point at a time: with H_k = Q^k h_k over the points so far
     (Q still the product over all of them) and x = p/q the next,
     h_k(X + x) = h_k(X) + x h_(k-1)(X + x) reads H'_k = H_k + (p Q/q) H'_(k-1),
     one product of an integer of the size of Q per entry."""
-    Q = prod(x.denominator for x in pts)
+    Q = _denominator(pts)
     H = [1] + [0] * m
-    for x in pts:
-        c = x.numerator * (Q // x.denominator)
+    for p, q in pts:
+        c = p * (Q // q)
         for k in range(1, m + 1):
             H[k] += c * H[k - 1]
     return H
@@ -159,24 +184,23 @@ def _uses_h(rows: int, first: int) -> bool:
     return rows ** 2 < first
 
 
-def schur_nk(p, pts: Iterable) -> Fraction:
-    """Schur value via the dual Jacobi-Trudi determinant
-    s_lambda = det( e_{lambda'_i - i + j} ) of size lambda_1, its entries
-    the integer table Q e_k of ``_elementary_all``: the determinant runs
-    over ``int`` and is divided once by Q^lambda_1.  Works at any (possibly
-    repeated) points; a shape with more rows than points gives 0.  A shape
-    much wider than long (``_uses_h``, such as (200,)) takes
-    det(h_{lambda_i - i + j}) of size l(lambda) instead, row i scaled by
-    Q^(lambda_i - i) and column j by Q^j: its entries are the table
-    H_k = Q^k h_k of ``_complete_table``, divided once by Q^|lambda|."""
-    lam = p if isinstance(p, Partition) else Partition(p)
-    points = as_points(pts)
+def _schur(lam: Partition, pts: Alphabet) -> Tuple[int, int]:
+    """s_lambda(pts) as an unreduced pair: det(Q e_{lambda'_i - i + j}) of size
+    lambda_1 over Q^lambda_1, at any points (a shape longer than them gives
+    0).  A shape much wider than long (``_uses_h``, such as (200,)) takes
+    det(h_{lambda_i - i + j}), row i scaled by Q^(lambda_i - i) and column j
+    by Q^j, from ``_complete_table``'s H_k = Q^k h_k, over Q^|lambda|."""
     if _uses_h(len(lam), lam.part(1)):
-        return Fraction(_jt_minor(lam, _complete_table(points, lam[0] + len(lam) - 1)),
-                        prod(x.denominator for x in points) ** sum(lam))
-    ev = _elementary_all(points)
+        return (_jt_minor(lam, _complete_table(pts, lam[0] + len(lam) - 1)),
+                _denominator(pts) ** sum(lam))
+    ev = _elementary_all(pts)
     conj = conjugate(lam)
-    return Fraction(_jt_minor(conj, ev), ev[0] ** len(conj))
+    return _jt_minor(conj, ev), ev[0] ** len(conj)
+
+
+def schur_nk(p, pts: Iterable) -> Fraction:
+    """Schur value via the dual Jacobi-Trudi determinant (``_schur``)."""
+    return Fraction(*_schur(p if isinstance(p, Partition) else Partition(p), as_pairs(pts)))
 
 
 @cached_work
@@ -219,7 +243,7 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
     rejected (use schur_nk, which returns 0 for them).
     """
     lam = p if isinstance(p, Partition) else Partition(p)
-    points = as_points(pts)
+    points = as_pairs(pts)
     n = len(points)
     if not distinct(points):
         raise ValueError("schur_bidet requires pairwise distinct points")
@@ -227,8 +251,8 @@ def schur_bidet(p, pts: Iterable) -> Fraction:
         raise ValueError("schur_bidet requires at least length(lambda) points")
     top = lam.part(1) + n - 1
     exps = [lam.part(i + 1) + n - (i + 1) for i in range(n)]
-    num = [[x.numerator ** e * x.denominator ** (top - e) for x in points] for e in exps]
-    den = _vandermonde_numerator(points) * prod(x.denominator for x in points) ** lam.part(1)
+    num = [[u ** e * v ** (top - e) for u, v in points] for e in exps]
+    den = _vandermonde(points)[0] * _denominator(points) ** lam.part(1)
     return Fraction(integer_determinant(num), (-1) ** (n * (n - 1) // 2) * den)
 
 
@@ -237,21 +261,19 @@ def schur_eval(p, pts: Iterable) -> Fraction:
     return schur_nk(p, pts)
 
 
-def _vandermonde_numerator(points: EvalPoint) -> int:
-    """prod_{i<j} (p_j q_i - p_i q_j) for points x_i = p_i / q_i: the
-    Vandermonde product times prod_j q_j^(n-1), an integer."""
+def _vandermonde(pts: Alphabet) -> Tuple[int, int]:
+    """Delta(X_n) = prod_{i<j} (x_j - x_i) as an unreduced pair: the numerator
+    prod_{i<j} (p_j q_i - p_i q_j) over prod_j q_j^(n-1)."""
     out = 1
-    for i, xi in enumerate(points):
-        for xj in points[i + 1:]:
-            out *= xj.numerator * xi.denominator - xi.numerator * xj.denominator
-    return out
+    for i, (p, q) in enumerate(pts):
+        for u, v in pts[i + 1:]:
+            out *= u * q - p * v
+    return out, _denominator(pts) ** max(len(pts) - 1, 0)
 
 
 def vandermonde_product(pts: Iterable) -> Fraction:
     """Delta(X_n) = prod_{i<j} (x_j - x_i), over the integers and divided once."""
-    p = as_points(pts)
-    scale = prod(x.denominator for x in p) ** max(len(p) - 1, 0)
-    return Fraction(_vandermonde_numerator(p), scale)
+    return Fraction(*_vandermonde(as_pairs(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +405,10 @@ def _stacked(low: Partition, high: Partition) -> Partition:
     return tuple.__new__(Partition, low + high[cut:])
 
 
-def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
-    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small), as
-    one integer determinant of size a+1 (Cauchy-Binet).
+def _rab_sum(a: int, b: int, big: Alphabet, small: Alphabet) -> Tuple[int, int]:
+    """sum over (lambda, mu) in R(a,b) of s_lambda(big) * s_mu(small), as an
+    unreduced pair: one integer determinant of size a+1 (Cauchy-Binet) over
+    Q_X^a Q_Y^(a+1).
 
     Let h = (a+b)/2, hd = (b-a)/2, and read the integer e-tables ex, ey of
     the two alphabets (Q_X, Q_Y their first entries) as 0 outside their
@@ -407,7 +430,7 @@ def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
     det(F^T G) = (-1)^(a(a-1)/2) Q_X^a Q_Y^(a+1) times the sum.
     """
     _check_rab(a, b)
-    ex, ey = _elementary_all(as_points(big)), _elementary_all(as_points(small))
+    ex, ey = _elementary_all(big), _elementary_all(small)
     h, hd = (a + b) // 2, (b - a) // 2
 
     # the tables read 0 outside their range: index s sits at s + a, s >= -a
@@ -421,7 +444,7 @@ def _rab_sum(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
     ftg = [py[hd + a:hd + 2 * a + 1]]
     ftg += [[sum(f[i] * g[j] for f, g in fg) for j in range(a + 1)] for i in range(a)]
     sign = -1 if a * (a - 1) // 2 % 2 else 1
-    return Fraction(sign * integer_determinant(ftg), ex[0] ** a * ey[0] ** (a + 1))
+    return sign * integer_determinant(ftg), ex[0] ** a * ey[0] ** (a + 1)
 
 
 @cached_work

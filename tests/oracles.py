@@ -10,10 +10,10 @@ from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
 from punchex import msf
-from punchex.core import ExactMatrix, Partition, SkewMatrix, conjugate, pfaffian
+from punchex.core import ExactMatrix, Partition, SkewMatrix, conjugate, matmul, pfaffian
 from punchex.msf import IndexSets
 from punchex.symfun import (_DRAW_MAX, EvalPoint, RabIndex, RabPair, _check_rab, _colex_subsets,
-                            _elementary_all, as_points, schur_eval)
+                            _elementary_all, as_pairs, as_points, schur_eval)
 
 def transpose(m: ExactMatrix) -> ExactMatrix:
     return [list(row) for row in zip(*m)] if m else []
@@ -38,7 +38,7 @@ def pfaffian_minor(m: SkewMatrix, K: Sequence[int]) -> Fraction:
 
 def elementary_sym(s: int, pts: Iterable) -> Fraction:
     """e_s evaluated at pts; e_0 = 1 and e_s = 0 outside 0 <= s <= n."""
-    p = as_points(pts)
+    p = as_pairs(pts)
     if s < 0 or s > len(p):
         return Fraction(0)
     ev = _elementary_all(p)
@@ -142,12 +142,13 @@ def n_matrix_entry_check(a: int, b: int, xs: Iterable, ys: Iterable) -> bool:
 
     B is the off-diagonal block of the structured skew matrix.  Both sides
     are compared scaled by (q_i v_j)^(n+a), x_i = p_i / q_i, y_j = u_j / v_j:
-    ``_n_block``'s entries against ``_scaled_n_entry``.  Requires
-    x_i != y_j throughout (the closed form is the divided difference
-    (y^s - x^s)(y^(s+1) - x^(s+1)) / (y - x) cleared of its denominator).
+    ``_n_block``'s entries against ``_scaled_n_entry``, both read from the
+    points' (p, q) pairs.  Requires x_i != y_j throughout (the closed form
+    is the divided difference (y^s - x^s)(y^(s+1) - x^(s+1)) / (y - x)
+    cleared of its denominator).
     """
-    x = as_points(xs)
-    y = as_points(ys)
+    x = as_pairs(xs)
+    y = as_pairs(ys)
     n = len(x)
     for xi in x:
         for yj in y:
@@ -227,3 +228,70 @@ def generate_rab_by_pairs(a: int, b: int) -> List[RabPair]:
         out.append(RabPair(conjugate(Partition(lam_conj)), conjugate(Partition(mu_conj)),
                            RabIndex(a, b, k, i)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the identity verdicts as first decided: each side a Fraction, compared by ==
+# ---------------------------------------------------------------------------
+# Each reads ``msf._rab_sum``, ``msf._rectangles`` and ``msf._vandermonde``
+# and this module's ``pfaffian`` at call time, as the checks they mirror
+# read their own names, so one corruption can be patched into both.
+
+def _rab_sum_by_fractions(a: int, b: int, big: Iterable, small: Iterable) -> Fraction:
+    return Fraction(*msf._rab_sum(a, b, as_pairs(big), as_pairs(small)))
+
+
+def _vandermonde_by_fractions(pts: Iterable) -> Fraction:
+    return Fraction(*msf._vandermonde(as_pairs(pts)))
+
+
+def _rect_product_by_fractions(a: int, b: int, xa, xb1, xb2, xc) -> Fraction:
+    """s_{R_A}(xa) s_{R_B}(xb1) s_{R_B}(xb2) s_{R_C}(xc), a product of Fractions."""
+    ra, rb, rc = msf._rectangles(a, b)
+    return schur_eval(ra, xa) * schur_eval(rb, xb1) * schur_eval(rb, xb2) * schur_eval(rc, xc)
+
+
+def theorem3_check_by_fractions(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> bool:
+    p1, p0 = as_points(pts1), as_points(pts0)
+    return _rab_sum_by_fractions(a, b, p1, p0) == _rect_product_by_fractions(a, b, p0, p0, p1, p1)
+
+
+def conjecture5_check_by_fractions(a: int, b: int, n: int, pts2: Iterable) -> bool:
+    p2 = as_points(pts2)
+    p0 = p2[:n]
+    return _rab_sum_by_fractions(a, b, p2, p0) == _rect_product_by_fractions(
+        a, b, p0, p0 + (p2[n],), p0 + (p2[n + 1],), p2)
+
+
+def chain53_check_by_fractions(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> bool:
+    """The R(a,b) sum against (-1)^(bn + n - b) Pf([[G A G^T, H], [-H^T, 0]])
+    / (Delta(X_{n+1}) Delta(X_n)), the Pfaffian taken over Fractions of the
+    unscaled matrices of ``build_msf_instance``."""
+    G, H, A = build_msf_instance(a, b, n, pts1, pts0)
+    sign = -1 if (b * n + n - b) % 2 else 1
+    pf = pfaffian(msf._skew_border(matmul(matmul(G, A), transpose(G)), H))
+    rhs = sign * pf / (_vandermonde_by_fractions(pts1) * _vandermonde_by_fractions(pts0))
+    return _rab_sum_by_fractions(a, b, pts1, pts0) == rhs
+
+
+def lemma10_check_by_fractions(a: int, b: int, n: int, pts: Iterable) -> bool:
+    """Lemma 10 at ambient n and, when n-1 >= b, n-1, as ``msf.lemma10_check``
+    states it: Pf([[N, M], [-M^T, 0]]) = (-1)^e Delta(X) s_R(X) s_R'(X), the
+    Pfaffian taken over Fractions of N = M_P(X) B M_P(X)^T, B the block of
+    ``structured_skew``, and M the moment columns of R or Q."""
+    x = as_points(pts)
+    p = a + b
+    B = [row[p:] for row in structured_skew(a, b)[:p]]
+    for ambient in (n, n - 1) if n - 1 >= b else (n,):
+        sets = IndexSets(a, b, ambient)
+        border = sets.R if (n + len(sets.R)) % 2 == 0 else sets.Q
+        t = len(border)
+        e = (n - t) * t + t * (t - 1) // 2 + ((n - t) // 2 if border is sets.Q else 0)
+        MP = moment_matrix(sets.P, x)
+        N = matmul(matmul(MP, B), transpose(MP))
+        lhs = pfaffian(msf._skew_border(N, moment_matrix(border, x)))
+        R, R2 = msf._rectangles(a, b)[n - ambient:n - ambient + 2]
+        rhs = _vandermonde_by_fractions(x) * schur_eval(R, x) * schur_eval(R2, x)
+        if lhs != (-rhs if e % 2 else rhs):
+            return False
+    return True

@@ -24,7 +24,7 @@ import punchex
 from punchex import cli, core, msf, symfun, tiling
 from punchex.boxcount import macmahon_box, theorem1_count
 from punchex.cli import BUDGET_S as VERIFY_BUDGET_S
-from punchex.symfun import seeded_points
+from punchex.symfun import seeded_pairs, seeded_points
 
 # the subprocess imports the same punchex as this test run, installed or not
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -178,6 +178,21 @@ def test_every_priced_command_goes_through_the_one_refusal(capsys, monkeypatch, 
                             err), (args, err)
     assert not (tmp_path / "x.svg").exists()
 
+
+
+def test_verify_refusals_name_only_the_inputs_the_target_reads(capsys):
+    # lemma8 reads --a and --b, minor-summation and lemma9 --trials: a
+    # refusal names those, the keys of the target's report, in _admit's form
+    for args, named in ((("lemma9", "--a", "5", "--trials", "100000000"), "trials=100000000"),
+                        (("minor-summation", "--n", "3", "--trials", "10000000"), "trials=10000000"),
+                        (("lemma8", "--a", "41", "--b", "41", "--n", "7"), "a=41, b=41"),
+                        (("theorem3", "--a", "41", "--b", "41", "--n", "60"),
+                         "a=41, b=41, n=60, trials=3")):
+        code = cli.run(["verify", *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", args
+        assert re.fullmatch(rf"error: verify {args[0]} at {named} would take about \S+ s, "
+                            rf"more than the {VERIFY_BUDGET_S} s verify admits\n", err), err
 
 # tools/fit_weights.py states the admission check: which recorded inputs
 # the weights in cli.FS_PER must refuse or price with a margin
@@ -430,9 +445,9 @@ def test_least_n_is_where_the_sums_stop_vanishing():
         for b in range(a % 2 or 2, 7, 2):
             for n in range(b + 1):
                 for seed in (0, 1):
-                    p1, p2 = seeded_points(n + 1, seed), seeded_points(n + 2, seed)
+                    p1, p2 = seeded_pairs(n + 1, seed), seeded_pairs(n + 2, seed)
                     for target, pts in (("theorem3", p1), ("conjecture5", p2)):
-                        vanishes = msf._rab_sum(a, b, pts, pts[:n]) == 0
+                        vanishes = msf._rab_sum(a, b, pts, pts[:n])[0] == 0
                         assert vanishes == (n < cli.LEAST_N[target](b)), (target, a, b, n)
 
 
@@ -527,8 +542,8 @@ def test_report_bytes_are_pinned(capsys, monkeypatch, tmp_path):
 
 
 def test_counterexample_report_bytes_are_pinned(capsys, monkeypatch):
-    # POINT_TARGETS looks theorem3_rhs up at call time, so this forces exit 1
-    monkeypatch.setattr(cli, "theorem3_rhs", lambda *args: 0)
+    # POINT_TARGETS looks theorem3_check up at call time, so this forces exit 1
+    monkeypatch.setattr(cli, "theorem3_check", lambda *args: False)
     assert _run_in_process(capsys, "verify", "theorem3", "--a", "1", "--b", "1", "--n", "1",
                            "--trials", "2", "--seed", "4") == (
         1,
@@ -538,6 +553,20 @@ def test_counterexample_report_bytes_are_pinned(capsys, monkeypatch):
         "",
     )
 
+
+
+def test_counterexample_points_print_as_their_fractions_do(capsys, monkeypatch):
+    # drawn as (p, q) pairs, each point prints as str(Fraction(p, q)) does:
+    # p/q, or p alone when q is 1
+    monkeypatch.setattr(cli, "theorem3_check", lambda *args: False)
+    integers = 0
+    for seed in range(12):
+        code, out, _ = _run_in_process(capsys, "verify", "theorem3", "--n", "40", "--seed",
+                                       str(seed), "--trials", "1")
+        points = json.loads(out)["params"]["counterexample"]["points"]
+        assert code == 1 and points == [str(x) for x in seeded_points(41, seed)], seed
+        integers += sum("/" not in x for x in points)
+    assert integers > 12
 
 def test_minor_summation_counterexample_bytes_are_pinned(capsys, monkeypatch):
     # the drawn instances, through both sides of the identity: a right side

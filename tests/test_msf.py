@@ -9,9 +9,12 @@ from math import comb
 
 import pytest
 
+import oracles
 from punchex import msf
-from oracles import (build_msf_instance, moment_matrix, n_matrix_entry_check, pfaffian_minor,
-                     structured_skew, sub_pfaffian_sign)
+from oracles import (build_msf_instance, chain53_check_by_fractions, conjecture5_check_by_fractions,
+                     lemma10_check_by_fractions, moment_matrix, n_matrix_entry_check,
+                     pfaffian_minor, structured_skew, sub_pfaffian_sign,
+                     theorem3_check_by_fractions)
 from punchex.core import determinant, integer_pfaffian, pfaffian
 from punchex.msf import (
     IndexSets,
@@ -20,12 +23,14 @@ from punchex.msf import (
     lemma9_check,
     lemma10_check,
     minor_summation,
+    theorem3_check,
     theorem3_lhs,
     theorem3_rhs,
 )
 from counting import Counted, counted
 from punchex.core import Partition, elimination_work
-from punchex.symfun import rab_sum_work, schur_eval, schur_work, seeded_points, vandermonde_product
+from punchex.symfun import (rab_sum_work, schur_eval, schur_work, seeded_pairs, seeded_points,
+                            vandermonde_product)
 
 F = Fraction
 
@@ -532,6 +537,111 @@ def test_n_matrix_entry_check_detects_a_wrong_entry(monkeypatch):
     pairing = msf._pairing
     monkeypatch.setattr(msf, "_pairing", lambda a, b: [-v for v in pairing(a, b)])
     assert not n_matrix_entry_check(2, 2, xs, ys)
+
+
+
+# ---------------------------------------------------------------------------
+# the integer verdicts against the Fraction comparisons they replaced
+# ---------------------------------------------------------------------------
+
+# each target's integer verdict on (a, b, n, (p, q) pairs) and its Fraction
+# oracle on (a, b, n, Fractions), at n + 2 drawn points
+VERDICTS = {
+    "theorem3": (lambda a, b, n, p: theorem3_check(a, b, n, p[:n + 1], p[:n]),
+                 lambda a, b, n, x: theorem3_check_by_fractions(a, b, n, x[:n + 1], x[:n])),
+    "conjecture5": (conjecture5_check, conjecture5_check_by_fractions),
+    "chain53": (lambda a, b, n, p: chain_5_3_check(a, b, n, p[:n + 1], p[:n]),
+                lambda a, b, n, x: chain53_check_by_fractions(a, b, n, x[:n + 1], x[:n])),
+    "lemma10": (lambda a, b, n, p: lemma10_check(a, b, n, p[:n]),
+                lambda a, b, n, x: lemma10_check_by_fractions(a, b, n, x[:n])),
+}
+
+
+def _both_verdicts(target, a, b, n, seed):
+    check, oracle = VERDICTS[target]
+    return check(a, b, n, seeded_pairs(n + 2, seed)), oracle(a, b, n, seeded_points(n + 2, seed))
+
+
+def test_integer_verdicts_match_the_fraction_oracles():
+    # every same-parity a, b <= 4, n in {b, b+1, b+2}, seeds 0..20: one
+    # cross-multiplication decides as comparing the Fractions did, and the
+    # identities hold at all 2016
+    verdicts = [_both_verdicts(target, a, b, n, seed) for target in VERDICTS
+                for a in range(1, 5) for b in range(a % 2 or 2, 5, 2)
+                for n in (b, b + 1, b + 2) for seed in range(21)]
+    assert len(verdicts) == 2016
+    assert all(check == oracle for check, oracle in verdicts)
+    assert all(check for check, _ in verdicts)
+
+
+def _moved(pts):
+    """pts with its last point x moved to x + 1000, past every drawn value."""
+    *head, (p, q) = pts
+    return (*head, (p + 1000 * q, q))
+
+
+def _corrupt(monkeypatch, corruption, target):
+    """Patch ``corruption`` into the names both a check and its oracle read."""
+    rectangles, rab_sum, vandermonde = msf._rectangles, msf._rab_sum, msf._vandermonde
+    paired, pfaffian_ = msf._paired_pfaffian, oracles.pfaffian
+
+    def swapped(a, b):
+        ra, rb, rc = rectangles(a, b)
+        return ra, rc, rb
+
+    def sum_at_moved_point(a, b, big, small):
+        return rab_sum(a, b, _moved(big), small)
+
+    def sum_plus_one(a, b, big, small):
+        num, den = rab_sum(a, b, big, small)
+        return num + den, den
+
+    if corruption == "R_B and R_C swapped":
+        monkeypatch.setattr(msf, "_rectangles", swapped)
+    elif corruption == "one point perturbed":
+        monkeypatch.setattr(msf, "_rab_sum", sum_at_moved_point)
+        monkeypatch.setattr(msf, "_vandermonde", lambda pts: vandermonde(_moved(pts)))
+    elif target == "lemma10":  # its left side is the Pfaffian
+        monkeypatch.setattr(msf, "_paired_pfaffian", lambda m, groups: paired(m, groups) + 1)
+        monkeypatch.setattr(oracles, "pfaffian", lambda m: pfaffian_(m) + 1)
+    else:  # the left side is the R(a,b) sum
+        monkeypatch.setattr(msf, "_rab_sum", sum_plus_one)
+
+
+def test_integer_and_fraction_verdicts_reject_the_same_corruptions(monkeypatch):
+    # each corruption is seen by both sides and refused by both; chain53
+    # compares no rectangle, so the swap does not apply to it.  n > 1, as a
+    # Vandermonde product of one point is 1 wherever the point is
+    for corruption in ("R_B and R_C swapped", "one point perturbed", "left side off by one"):
+        for target in VERDICTS:
+            if target == "chain53" and corruption == "R_B and R_C swapped":
+                continue
+            _corrupt(monkeypatch, corruption, target)
+            for a, b in ((1, 1), (2, 2), (1, 3), (3, 1), (4, 2)):
+                for n, seed in ((b + 1, 1), (b + 2, 2)):
+                    assert _both_verdicts(target, a, b, n, seed) == (False, False), (
+                        corruption, target, a, b, n)
+            monkeypatch.undo()
+            assert all(_both_verdicts(target, 2, 2, 3, 1))
+
+
+def test_point_pairs_must_be_in_lowest_terms():
+    # a pair is read as it is, so one that is not reduced or has q <= 0 is
+    # refused: (1, 0) would make both sides' denominators 0 and a
+    # cross-multiplication true, and (2, 4) would pass as distinct from (1, 2)
+    for bad in ((1, 0), (2, 4), (1, -2), (0, 3)):
+        pts = ((1, 2), (3, 1), bad)
+        for check in (lambda: theorem3_check(1, 1, 2, pts, pts[:2]),
+                      lambda: conjecture5_check(1, 1, 1, pts),
+                      lambda: chain_5_3_check(1, 1, 2, pts, pts[:2]),
+                      lambda: lemma10_check(1, 1, 3, pts),
+                      lambda: theorem3_lhs(1, 1, 2, pts, pts[:2])):
+            with pytest.raises(ValueError, match="lowest terms"):
+                check()
+    pts = ((1, 2), (3, 1), (0, 1), (-5, 7))
+    assert theorem3_check(1, 1, 3, pts, pts[:3])
+    assert theorem3_lhs(1, 1, 3, pts, pts[:3]) == theorem3_lhs(
+        1, 1, 3, (F(1, 2), 3, 0, F(-5, 7)), (F(1, 2), 3, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from punchex.symfun import (
     _complete_table,
     _elementary_all,
     _rab_sum,
+    as_pairs,
     as_points,
     generate_rab,
     lemma8_check,
@@ -28,6 +29,7 @@ from punchex.symfun import (
     schur_eval,
     schur_nk,
     schur_work,
+    seeded_pairs,
     seeded_points,
     table_work,
     vandermonde_product,
@@ -122,7 +124,7 @@ def test_elementary_table_is_denominator_cleared():
     rng = random.Random(41)
     for _ in range(60):
         pts = as_points(rng.choices(MIXED_POINTS, k=rng.randint(0, 7)))
-        table = _elementary_all(pts)
+        table = _elementary_all(as_pairs(pts))
         Q = 1
         for x in pts:
             Q *= x.denominator
@@ -331,6 +333,13 @@ def _per_pair_sum(pairs, big, small, schur=schur_bidet):
     return sum(schur(pr.lam, big) * schur(pr.mu, small) for pr in pairs)
 
 
+def _rab_value(a, b, big, small):
+    """``_rab_sum`` at two alphabets of points, its integer pair divided."""
+    num, den = _rab_sum(a, b, as_pairs(big), as_pairs(small))
+    assert type(num) is int and type(den) is int and den
+    return Fraction(num, den)
+
+
 def test_rab_sum_matches_alternants_and_fraction_oracle():
     # two independent distinct alphabets, each with 0 and a negative point,
     # against schur_bidet; all-ones alphabets against the Fraction oracle.
@@ -347,10 +356,10 @@ def test_rab_sum_matches_alternants_and_fraction_oracle():
             big = as_points([0, -3] + rng.sample(rest, n - 1))
             small = as_points(([-1, 0] + rng.sample(rest, n))[:n])
             expected = _per_pair_sum(pairs, big, small)
-            assert _rab_sum(a, b, big, small) == expected, (a, b, n, big, small)
+            assert _rab_value(a, b, big, small) == expected, (a, b, n, big, small)
             ones_big, ones_small = (F(1),) * (n + 1), (F(1),) * n
             expected = _per_pair_sum(pairs, ones_big, ones_small, _oracle_schur_nk)
-            assert _rab_sum(a, b, ones_big, ones_small) == expected, (a, b, n)
+            assert _rab_value(a, b, ones_big, ones_small) == expected, (a, b, n)
             cases += 1
     assert cases == 39
 
@@ -370,9 +379,9 @@ def test_rab_sum_determinant_matches_per_pair_sum():
             small = as_points(rng.sample(MIXED_POINTS, n))
             assert any(x < 0 for x in small), (a, b, n, small)
             expected = _per_pair_sum(pairs, big, small)
-            assert _rab_sum(a, b, big, small) == expected, (a, b, n, big, small)
+            assert _rab_value(a, b, big, small) == expected, (a, b, n, big, small)
             swapped = _per_pair_sum(pairs, small, big, schur_nk)
-            assert _rab_sum(a, b, small, big) == swapped != expected, (a, b, n)
+            assert _rab_value(a, b, small, big) == swapped != expected, (a, b, n)
 
 
 def test_lemma8_holds_on_generated_pairs():
@@ -469,21 +478,15 @@ def test_complete_table_point_by_point_matches_the_recurrence_in_e():
     # longer than the alphabet
     rng = random.Random(61)
     for trial in range(200):
-        pts = as_points(rng.choices(MIXED_POINTS, k=rng.randint(0, 8)))
+        pts = as_pairs(rng.choices(MIXED_POINTS, k=rng.randint(0, 8)))
         m = rng.randint(0, 25)
         assert _complete_table(pts, m) == _oracle_complete_table(_elementary_all(pts), m), (
             trial, pts, m)
 
 
-class _CountedPoint:
-    """A seeded point whose numerator and denominator count their products."""
-
-    def __init__(self, x):
-        self.numerator, self.denominator = Counted(x.numerator), Counted(x.denominator)
-
-
 def _counted_points(count, seed):
-    return tuple(map(_CountedPoint, seeded_points(count, seed)))
+    """Seeded points as (p, q) pairs whose ints count their products."""
+    return tuple((Counted(p), Counted(q)) for p, q in seeded_pairs(count, seed))
 
 
 def test_table_work_counts_the_tables_products():
@@ -531,7 +534,7 @@ def test_rab_sum_work_counts_the_products_of_f_and_g(monkeypatch):
     monkeypatch.setattr(symfun, "sum", counting_sum, raising=False)
     monkeypatch.setattr(symfun, "integer_determinant", lambda rows: seen.append(len(rows)) or 1)
     for a, b, L in ((1, 1, 2), (2, 4, 3), (3, 7, 5), (4, 2, 6), (6, 6, 1), (5, 9, 4)):
-        pts = seeded_points(L + 1, a + b)
+        pts = seeded_pairs(L + 1, a + b)
         terms.clear()
         _rab_sum(a, b, pts, pts[:L])
         work = rab_sum_work(a, b, L + 1, L)
