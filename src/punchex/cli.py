@@ -13,12 +13,13 @@ on stderr, no JSON).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import random
+import re
 import sys
 import time
+import types
 from decimal import Decimal
 
 from .boxcount import macmahon_box, theorem1_count, theorem4_count
@@ -63,106 +64,105 @@ POINT_TARGETS = {
 LEAST_N = {"theorem3": lambda b: (b + 1) // 2, "conjecture5": lambda b: b // 2}
 
 
-def _sides(parser: argparse.ArgumentParser) -> None:
-    """The hexagon's sides, ``--a --b --c``."""
-    for side in ("--a", "--b", "--c"):
-        parser.add_argument(side, type=int, required=True)
-
-
-def _closed_arguments(parser: argparse.ArgumentParser) -> None:
-    _sides(parser)
-    parser.add_argument("--theorem", type=int, choices=(1, 4), default=None,
-                        help="force the same-parity (1) or mixed-parity (4) formula")
-
-
-def _box_arguments(parser: argparse.ArgumentParser) -> None:
-    for side in ("--x", "--y", "--z"):
-        parser.add_argument(side, type=int, required=True)
-
-
-def _brute_arguments(parser: argparse.ArgumentParser) -> None:
-    _sides(parser)
-    parser.add_argument("--puncture", type=int, nargs=2, default=(0, 0), metavar=("DX", "DY"),
-                        help="offset of the removed triangle from its default position")
-
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("target", choices=(
-        "theorem3", "conjecture5", "minor-summation", "lemma9",
-        "lemma10", "chain53", "lemma8",
-    ))
-    parser.add_argument("--a", type=int, default=1)
-    parser.add_argument("--b", type=int, default=1)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=None)
-
-
-def _render_arguments(parser: argparse.ArgumentParser) -> None:
-    _sides(parser)
-    parser.add_argument("--index", type=int, required=True,
-                        help="0-based index into the deterministic enumeration order")
-    parser.add_argument("-o", "--output", required=True)
-
-
+_SIDES = tuple(((side,), {"type": int, "required": True}) for side in ("--a", "--b", "--c"))
 # Every command: the words that name it, its help line in the command list
-# and the function that adds its arguments to its parser.  Every default is
-# immutable (``--puncture`` a tuple, the rest ints or None), so a parser can
-# be shared by every call in a process.
+# and its arguments, each the flags and keywords of one ``add_argument``.
+# ``_build_parser`` builds argparse's tree from this table and ``_read``
+# reads a plain argv with it.  Every default is immutable (``--puncture`` a
+# tuple, the rest ints or None), so a parser can be shared by every call in
+# a process.
 COMMANDS = {
-    ("count", "closed"): ("closed-form product count", _closed_arguments),
-    ("count", "box"): ("plane partitions in a box", _box_arguments),
-    ("count", "brute"): ("exact diagonal sweep over path families", _brute_arguments),
-    ("count", "lgv"): ("lattice-path determinant count", _sides),
-    ("verify",): ("check an identity exactly", _verify_arguments),
-    ("render",): ("write one tiling as SVG", _render_arguments),
+    ("count", "closed"): ("closed-form product count", (*_SIDES, (("--theorem",), {
+        "type": int, "choices": (1, 4), "default": None,
+        "help": "force the same-parity (1) or mixed-parity (4) formula"}))),
+    ("count", "box"): ("plane partitions in a box", tuple(
+        ((side,), {"type": int, "required": True}) for side in ("--x", "--y", "--z"))),
+    ("count", "brute"): ("exact diagonal sweep over path families", (*_SIDES, (("--puncture",), {
+        "type": int, "nargs": 2, "default": (0, 0), "metavar": ("DX", "DY"),
+        "help": "offset of the removed triangle from its default position"}))),
+    ("count", "lgv"): ("lattice-path determinant count", _SIDES),
+    ("verify",): ("check an identity exactly", (
+        (("target",), {"choices": ("theorem3", "conjecture5", "minor-summation", "lemma9",
+                                   "lemma10", "chain53", "lemma8")}),
+        *(((f"--{name}",), {"type": int, "default": default})
+          for name, default in (("a", 1), ("b", 1), ("n", None), ("seed", 0), ("trials", None))))),
+    ("render",): ("write one tiling as SVG", (*_SIDES, (("--index",), {
+        "type": int, "required": True,
+        "help": "0-based index into the deterministic enumeration order"}),
+        (("-o", "--output"), {"required": True}))),
 }
+
+# argparse's pattern for an argument that looks like a negative number: as
+# no option string looks like one, such an argument is a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The whole command line as one tree of parsers, built on the first call
-    and shared by every caller in the process after it.  ``_parse`` uses it
-    only for an argv that names no command (``--help``, ``count --help``,
-    unknown words) and to report leftover arguments.  Callers may parse with
-    it but must not add arguments or call ``set_defaults``; ``parse_args``
-    returns a fresh ``Namespace`` and leaves the parser as it was."""
-    parser = argparse.ArgumentParser(
-        prog="punchex",
-        description="Exact counts and identity checks for rhombus tilings of punctured hexagons",
-    )
+def _build_parser():
+    """The whole command line as one tree of argparse parsers, built from
+    COMMANDS on the first call and shared by every caller in the process
+    after it; only it prints help pages and usage errors.  Callers may parse
+    with it but must not add arguments or call ``set_defaults``."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="punchex", description=(
+        "Exact counts and identity checks for rhombus tilings of punctured hexagons"))
     sub = parser.add_subparsers(dest="command", required=True)
     count = sub.add_parser("count", help="compute a tiling or box count")
     modes = count.add_subparsers(dest="mode", required=True)
-    for words, (line, add_arguments) in COMMANDS.items():
-        add_arguments((modes if words[0] == "count" else sub).add_parser(words[-1], help=line))
+    for words, (line, arguments) in COMMANDS.items():
+        command = (modes if words[0] == "count" else sub).add_parser(words[-1], help=line)
+        for flags, keywords in arguments:
+            command.add_argument(*flags, **keywords)
     return parser
 
 
-@functools.cache
-def _command_parser(words: tuple) -> argparse.ArgumentParser:
-    """The parser of the command named by ``words``, built on first use and
-    kept for the process: a twin of the one ``_build_parser`` places under
-    those words, with the same prog and arguments."""
-    parser = argparse.ArgumentParser(prog=" ".join(("punchex", *words)))
-    COMMANDS[words][1](parser)
-    return parser
-
-
-def _parse(argv) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, with the same namespace, output
-    and exit, but an argv that names a command is parsed by that command's
-    parser alone: the tree would run one full parse per level."""
+def _parse(argv):
+    """``_build_parser().parse_args(argv)``, with the same ``vars``, output
+    and exit; ``_read`` reads a plain argv that names a command without it."""
     argv = list(argv)
     words = tuple(argv[:2] if argv[:1] == ["count"] else argv[:1])
-    if words not in COMMANDS:
-        return _build_parser().parse_args(argv)
-    args, extras = _command_parser(words).parse_known_args(
-        argv[len(words):], argparse.Namespace(**dict(zip(("command", "mode"), words))))
-    if extras:
-        # the tree reports leftover arguments with the top-level usage
-        _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = _read(words, argv[len(words):]) if words in COMMANDS else None
+    return _build_parser().parse_args(argv) if args is None else args
+
+
+def _read(words, rest):
+    """What argparse makes of ``rest`` under the command ``words``, or None
+    (argparse must parse it) unless each option is spelt out with its number
+    of values, none like an option but a negative number, each converted and
+    in its choices; at most one positional; every required argument given."""
+    # each flag's dest is its last, long, form without the dashes
+    arguments = {flag: (flags[-1].lstrip("-"), keywords)
+                 for flags, keywords in COMMANDS[words][1] for flag in flags}
+    positionals = [flag for flag in arguments if flag[0] != "-"]
+    values = dict(zip(("command", "mode"), words))
+    values.update((dest, keywords.get("default")) for dest, keywords in arguments.values())
+    missing = {dest for dest, keywords in arguments.values() if keywords.get("required")}
+    missing.update(positionals)
+    i = 0
+    while i < len(rest):
+        if rest[i][:1] != "-":
+            if not positionals:
+                return None
+            flag = positionals.pop()
+        elif rest[i] in arguments:
+            flag, i = rest[i], i + 1
+        else:
+            return None
+        dest, keywords = arguments[flag]
+        count = keywords.get("nargs", 1)
+        raw, i = rest[i:i + count], i + count
+        if len(raw) < count or any(v[:1] == "-" and not _NEGATIVE.match(v) for v in raw):
+            return None
+        try:
+            got = [keywords.get("type", str)(v) for v in raw]
+        except ValueError:
+            return None
+        if any(v not in keywords.get("choices", (v,)) for v in got):
+            return None
+        values[dest] = got if "nargs" in keywords else got[0]
+        missing.discard(dest)
+    return None if missing else types.SimpleNamespace(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +178,15 @@ def _sizes(args):
 
 def _work(args) -> Work:
     """The work of the parsed command, as its modules count it in closed
-    form, with the command's own: 1500 calls for building the command's
-    parser (once per process), parsing and the report.  That is an upper
-    bound, timed in a fresh process for the edges of BENCH_16.json and
-    BENCH_17.json when a parse built every command's parser; a repeated
-    in-process call costs less again.  A count past the budget may be only
-    a lower bound (``limit``)."""
+    form, with the command's own: 1500 calls for the parse and the report.
+    That is an upper bound, timed in a fresh process for the edges of
+    BENCH_16.json and BENCH_17.json when every parse built argparse's whole
+    tree; the plain reader, which builds no parser, costs less again.  A
+    count past the budget may be only a lower bound (``limit``)."""
     def limit(unit: str) -> int:
         return BUDGET_S * 10 ** 15 // FS_PER[unit]
 
-    own = {"call": 1500}  # its parser, once per process, the parse and the report
+    own = {"call": 1500}  # the parse and the report
     if args.command != "verify":
         hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
         if getattr(args, "mode", "") == "lgv":

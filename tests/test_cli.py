@@ -592,9 +592,10 @@ def test_minor_summation_counterexample_bytes_are_pinned(capsys, monkeypatch):
 
 
 def test_shared_parser_carries_nothing_between_runs(capsys, monkeypatch):
-    # run parses with one parser per process: a puncture, a usage error, a
-    # help page and explicit --n/--trials must leave the next call's
-    # defaults as they were, and every call prints what a fresh process does
+    # run reads plain argv from one table and parses the rest with one
+    # parser per process: a puncture, a usage error, a help page and
+    # explicit --n/--trials must leave the next call's defaults as they
+    # were, and every call prints what a fresh process does
     assert cli._build_parser() is cli._build_parser()
     # argparse wraps help at the terminal's width
     monkeypatch.setenv("COLUMNS", "80")
@@ -647,6 +648,12 @@ PARSE_CONTRACT = (
     ("verify", "theorem3", "--a", "3", "--b", "1", "--n", "4", "--seed", "2", "--trials", "5"),
     ("render", *_SIDES, "--index", "0", "-o", "x.svg"),
     ("render", *_SIDES, "--index", "0", "--output=x.svg"),
+    ("count", "brute", *_SIDES, "--puncture", "-1", "0"),               # negative values
+    ("count", "lgv", "--a", "-1", "--b", "1", "--c", "1"),
+    ("count", "brute", *_SIDES, "--puncture", "0", "--a", "1"),          # too few values
+    ("count", "brute", *_SIDES, "--puncture", "1", "0", "--puncture", "0", "1"),
+    ("render", *_SIDES, "--index", "0", "-o", ""),
+    ("render", *_SIDES, "--index", "0", "-o", "-x"),                    # a value like an option
 )
 
 
@@ -662,13 +669,27 @@ def _parse_outcome(parse, argv):
     return code, out.getvalue(), err.getvalue(), namespace
 
 
-def test_command_parsers_match_the_tree(monkeypatch):
-    # run parses an argv that names a command with that command's parser
-    # alone; it must exit, print and return what the whole tree does
+def test_plain_reader_matches_the_tree(monkeypatch):
+    # run reads a plain argv that names a command from cli.COMMANDS and
+    # leaves the rest to argparse; it must exit, print and return what the
+    # whole tree does
     monkeypatch.setenv("COLUMNS", "80")
     for argv in PARSE_CONTRACT:
         assert _parse_outcome(cli._parse, argv) == _parse_outcome(
             cli._build_parser().parse_args, argv), argv
+
+
+def test_plain_argv_does_not_import_argparse():
+    # a fresh process that runs a plain command never imports argparse; one
+    # that asks for help imports it and prints argparse's help page
+    script = ("import sys; from punchex import cli; before = 'argparse' in sys.modules; "
+              "code = cli.run(sys.argv[1:]); print(before, 'argparse' in sys.modules, code)")
+    for args, imported in ((("count", "closed", *_SIDES), False), (("--help",), True)):
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *args], capture_output=True,
+                              text=True, timeout=120, env=_ENV)
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == f"False {imported} 0", (args, proc.stdout, proc.stderr)
+        assert lines[0].startswith("usage: punchex" if imported else '{"command":"count closed"')
 
 
 def test_render_writes_svg():

@@ -1,15 +1,20 @@
 """Property tests: Lemma 10, the block-Pfaffian chain and Theorem 3 at
-drawn distinct rational points, 0 and negative values included; and the
-counting routes against each other at drawn hexagons and punctures."""
+drawn distinct rational points, 0 and negative values included; the
+counting routes against each other at drawn hexagons and punctures; and the
+command line's plain reader against argparse at drawn argv."""
 
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from test_cli import _parse_outcome  # noqa: E402
 
+from punchex import cli  # noqa: E402
 from punchex.boxcount import theorem1_count, theorem4_count  # noqa: E402
 from punchex.core import Partition, conjugate  # noqa: E402
 from punchex.msf import (  # noqa: E402
@@ -99,3 +104,45 @@ def test_conjugate_is_a_partition_and_an_involution(parts):
     assert conj == Partition(conj)  # weakly decreasing, positive parts
     assert sum(conj) == sum(p) and len(conj) == (p[0] if p else 0)
     assert conjugate(conj) == p
+
+
+# option strings spelt out, abbreviated and with "=v"; values, negative,
+# malformed and blank ones; positionals, "--" and help
+_FLAGS = sorted({flag for _, arguments in cli.COMMANDS.values()
+                 for flags, _ in arguments for flag in flags if flag[0] == "-"})
+_VALUES = ("0", "1", "4", "-1", "-12", "-2.5", "x", "", " 3", "-x")
+_TOKENS = (*_FLAGS, *_VALUES, "--the", "--pun", "--ind", "--out", "--tri", "--se", "--h",
+           "--a=1", "--puncture=-1", "--output=x.svg", "--theorem=4", "--", "-h", "--help",
+           "theorem3", "lemma8", "theorem12")
+
+
+@st.composite
+def argvs(draw):
+    """A command's words, then in drawn order: its required arguments with
+    valid values (in about half the draws), some of its options each with
+    its number of values, and a few chunks of any tokens: one token, or an
+    option string with one or two values."""
+    words = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    arguments = cli.COMMANDS[words][1]
+    chunks = [((keywords["choices"][0],) if flags[0][0] != "-" else (flags[-1], "1"))
+              for flags, keywords in arguments
+              if flags[0][0] != "-" or keywords.get("required")] if draw(st.booleans()) else []
+    own = [(flags[-1], keywords.get("nargs", 1)) for flags, keywords in arguments
+           if flags[0][0] == "-"]
+    chunks += draw(st.lists(st.sampled_from(own).flatmap(lambda option: st.tuples(
+        st.just(option[0]), *[st.sampled_from(("1", "-1", "-x"))] * option[1])), max_size=3))
+    chunks += draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(_TOKENS)),
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)),
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES), st.sampled_from(_VALUES))),
+        max_size=2))
+    return [*words, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(argvs())
+def test_plain_reader_matches_the_tree_on_drawn_argv(argv):
+    # argparse wraps help at the terminal's width
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(
+            cli._build_parser().parse_args, argv)
