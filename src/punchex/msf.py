@@ -464,9 +464,10 @@ def conjecture5_work(a: int, b: int, n: int) -> Work:
 @cached_work
 def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False) -> Work:
     """The work of ``_paired_pfaffian`` on L = ``points`` rows of E-bit
-    moments and t = ``border`` columns paired with them.  An entry after
-    step u is a Pfaffian over the indices taken and two more, 0 when it
-    has more columns than points: a paired step leaves C(L-u, 2) +
+    moments and t = ``border`` columns paired with them, K = L + t even
+    (both callers choose the border so).  An entry after step u is a
+    Pfaffian over the indices taken and two more, 0 when it has more
+    columns than points: a paired step leaves C(L-u, 2) +
     (L-u)(t-u) nonzero entries, a point step after the pairs C(L+t-2u, 2).
     Instrumented runs show them near 2E bits at first, growing 2E/5 a
     paired step and 5E/4 a point step.  ``sparse``: chain53's points meet
@@ -476,8 +477,6 @@ def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False
     the time per bit squared fell as the cube root of 300 / E in timings
     at 200 to 9600 bits a step."""
     L, t, K = points, min(border, points), points + border
-    if K % 2:
-        return {"call": 1}
     # twice the paired steps' entries, (L-u)(L+2t-1-3u), of (E/5)(2u+10) bits
     paired = poly_sum(poly_mul((L * (L + 2 * t - 1), 1 - 4 * L - 2 * t, 3), (100, 40, 4)), 1, t)
     grown = (40 - 17 * t, 25)  # a point step's entries, of (E/20)(25u+40-17t) bits

@@ -502,8 +502,3 @@ def lemma8_check(pair: RabPair) -> bool:
     J.remove(s)
     return Jp == set(map(sub, repeat(a + b), J))
 
-
-# ---------------------------------------------------------------------------
-# rectangular-shape product decomposition
-# ---------------------------------------------------------------------------
-

@@ -221,69 +221,61 @@ def tiling_family(h: PuncturedHexagon, index: int) -> PathFamily:
 
 
 def sweep_updates(h: PuncturedHexagon, limit: int) -> int:
-    """The work of one ``_sweep`` over h from every start: the sum over the
-    diagonals d it steps from, -c-1 <= d < b, of C(w_d, k_d) * k_d.  The
-    k_d paths present step one at a time, so a state met on the way holds
-    them in distinct x positions of d or d+1: w_d is the number of x
-    admissible on d, plus one.  Every diagonal holds at least a paths, so
-    a(b+c+1) is returned, as a lower bound, when it passes ``limit`` (a
-    cheap refusal for huge sides).
-
-    k_d changes only at the puncture's diagonal, and w_d is linear between
-    d = 0 and d = b-c, rising, falling or constant by one a diagonal, so
-    each run between those sums in closed form: sum_{w=m..M} C(w, k) =
-    C(M+1, k+1) - C(m, k+1).
-    """
+    """The work of one ``_sweep`` over h from every start: ``_carrying``
+    its a paths.  Every diagonal holds at least a paths, so a(b+c+1) is
+    returned, as a lower bound, when it passes ``limit`` (a cheap refusal
+    for huge sides)."""
     a, b, c = h.a, h.b, h.c
     if a * (b + c + 1) > limit:
         return a * (b + c + 1)
+    return _carrying(a, _diagonal_runs(h))
+
+
+def _carrying(a: int, runs: Sequence[Tuple[int, int, int, int]]) -> int:
+    """The work of a sweep that carries a paths from A_1..A_a and the
+    puncture's over the ``_diagonal_runs``: the sum over the diagonals d it
+    steps from, -c-1 <= d < b, of C(w_d, k_d) * k_d.  The k_d = a + pi_d
+    paths present step one at a time, so a state met on the way holds them
+    in distinct x positions of d or d+1: w_d = a + u_d is the number of x
+    admissible on d, plus one.  w_d rises, falls or stays by one a diagonal
+    within a run, which sums in closed form: sum_{w=m..M} C(w, k) =
+    C(M+1, k+1) - C(m, k+1)."""
     total = 0
-    for n, pi, u0, u1 in _diagonal_runs(h):
+    for n, pi, u0, u1 in runs:
         k, w0, w1 = a + pi, a + u0, a + u1
         total += k * (n * binomial(w0, k) if w0 == w1
                       else binomial(w1 + 1, k + 1) - binomial(w0, k + 1))
     return total
 
 
-def _diagonal_runs(h: PuncturedHexagon):
+def _diagonal_runs(h: PuncturedHexagon) -> List[Tuple[int, int, int, int]]:
     """The runs of diagonals a sweep over h steps from, split at the
     puncture's diagonal and where the width turns (d = 0 and d = b-c), as
     (length, pi, u0, u1): pi = 1 from the puncture's diagonal on, and
     u0 <= u1 the run's first and last u_d = min(b, c+d) - max(d, 0) + 2
-    (``sweep_updates``' w_d - a), linear in d within a run."""
+    (``_carrying``'s w_d - a), linear in d within a run."""
     b, c = h.b, h.c
     p = h.puncture_point()
     dp = p.x - p.y
     bounds = sorted({-c - 1, dp, b} | {e for e in (0, b - c) if -c - 1 < e < b})
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield (hi - lo, int(lo >= dp),
-               *sorted(min(b, c + d) - max(d, 0) + 2 for d in (lo, hi - 1)))
+    return [(hi - lo, int(lo >= dp), *sorted(min(b, c + d) - max(d, 0) + 2 for d in (lo, hi - 1)))
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def unranking_updates(h: PuncturedHexagon, limit: int) -> int:
     """A bound on the work of ``tiling_family(h, index)``, in
     ``sweep_updates``' units: its first sweep, then at most b+c+1 for each
-    path fixed.  With i paths fixed a sweep carries at most the a-i later
-    ones and avoids the i fixed vertices of each diagonal: the work of a
-    full sweep with a' = a-i paths, w_d = m_d + a' + pi_d, k_d = a' + pi_d
-    (pi_d = [d >= the puncture's diagonal]).  Over a' = 0..a each diagonal
-    sums to (m+1) C(m+N, N-2), N = a+pi+1 (hockey stick), and that is
-    (N-1) C(m+N+1, N-1) - N C(m+N, N-2), which sums in closed form over
-    each run of diagonals with m_d linear.  Past ``limit``, as
-    ``sweep_updates``."""
-    a, b, c = h.a, h.b, h.c
+    path fixed.  With i paths fixed a sweep carries at most the a' = a-i
+    later ones and avoids the i fixed vertices of each diagonal: at most
+    ``_carrying`` a' paths, for a' = 0..a.  Past ``limit``, as
+    ``sweep_updates``.  The loop is short: below the limit, diagonal d = 0
+    alone costs the first sweep at least a^3/2 (u_0 = min(b, c)+2 >= 3),
+    so a <= 220 at a limit of 5,376,344."""
     first = sweep_updates(h, limit)
     if first > limit:
         return first
-    runs = 0
-    for n, pi, u0, u1 in _diagonal_runs(h):
-        N, m0, m1 = a + pi + 1, u0 - pi, u1 - pi
-        if m0 == m1:
-            runs += n * (m0 + 1) * binomial(m0 + N, N - 2)
-        else:
-            runs += ((N - 1) * (binomial(m1 + N + 2, N) - binomial(m0 + N + 1, N))
-                      - N * (binomial(m1 + N + 1, N - 1) - binomial(m0 + N, N - 1)))
-    return first + (b + c + 1) * runs
+    runs = _diagonal_runs(h)
+    return first + (h.b + h.c + 1) * sum(_carrying(k, runs) for k in range(h.a + 1))
 
 
 def validate_family(h: PuncturedHexagon, family: PathFamily) -> None:

@@ -224,6 +224,27 @@ def test_violations_flag_exactly_the_inputs_that_break_the_check():
     assert [row[:2] for row in fit_weights.violations(rows)] == [row[:2] for row in rows[:2]]
 
 
+def test_weights_are_the_ones_fit_weights_fits():
+    # a hand-edited weight that breaks no check still fails here; the fit
+    # needs scipy, which only this test and the tool read
+    pytest.importorskip("scipy")
+    assert fit_weights.fit(fit_weights.recorded()) == cli.FS_PER
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # bench/tracing.py wraps these when the benchmark runs traced, and its
+    # hooks read count_paths, Partition and as_points; read, not installed
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: importlib.import_module(name) for name in tracing.MODULES}
+    wrapped = [(modules[f"punchex.{owner}"], name) for owner, name in tracing.SPANNED]
+    wrapped += [(core, name) for name in tracing.CORE_SPANNED]
+    wrapped += [(tiling, "count_paths"), (symfun, "Partition"), (symfun, "as_points")]
+    assert [f"{m.__name__}.{name}" for m, name in wrapped if not callable(getattr(m, name, None))] == []
+
+
 # the work functions memoised per process (core.cached_work)
 CACHED_WORK = (core.elimination_work, symfun.table_work, symfun.schur_work, symfun.rab_sum_work,
                symfun.lemma8_work, msf._rect_product_work, msf._paired_pfaffian_work,

@@ -8,7 +8,7 @@ from math import comb
 from typing import List
 
 from counting import Counted, counted
-from punchex import tiling
+from punchex import cli, tiling
 from punchex.boxcount import theorem1_count, theorem4_count
 from punchex.core import elimination_work, integer_determinant, product_digits
 from punchex.tiling import (
@@ -364,13 +364,29 @@ def test_sweep_updates_sums_every_diagonal():
 
 
 def test_unranking_updates_sums_every_sweep_and_bounds_them():
-    # against the sum over the paths carried and the diagonals, at every
-    # puncture: a sweep with a' = 0..a paths, b+c+1 of each, and the first
-    for h in _every_puncture(3, 5):
+    # against the sum over the paths carried and the diagonals: a sweep
+    # with a' = 0..a paths, b+c+1 of each, and the first
+    def every_sweep(h):
         a, b, c, p = h.a, h.b, h.c, h.puncture_point()
         total = sum(comb(min(b, c + d) - max(d, 0) + 2 + k, k + (d >= p.x - p.y))
                     * (k + (d >= p.x - p.y)) for k in range(a + 1) for d in range(-c - 1, b))
-        assert unranking_updates(h, 10 ** 30) == sweep_updates(h, 10 ** 30) + (b + c + 1) * total, h
+        return sweep_updates(h, 10 ** 30) + (b + c + 1) * total
+
+    for h in _every_puncture(3, 5):
+        assert unranking_updates(h, 10 ** 30) == every_sweep(h), h
+    # across the CLI's limit on thin shapes: in full below it, only the
+    # first sweep past it; the first sweep alone passes it by a = 220
+    limit = cli.BUDGET_S * 10 ** 15 // cli.FS_PER["sweep"]
+    in_full = []
+    for a in range(1, 251):
+        h = PuncturedHexagon(a, 2 - a % 2, 2 - a % 2)
+        first = sweep_updates(h, limit)
+        if first <= limit:
+            assert unranking_updates(h, limit) == every_sweep(h), h
+            in_full.append(a)
+        else:
+            assert unranking_updates(h, limit) == first, h
+    assert 1 in in_full and max(in_full) <= 220, max(in_full)
     # above the states tiling_family's sweeps step, at the first and the
     # last index: every dict whose items ``_sweep`` reads, whatever its
     # type, counted once (a step reads its states for the south steps and
