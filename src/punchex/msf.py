@@ -16,14 +16,15 @@ moment matrices over two nested point sets and a fixed skew matrix of
 +-1 entries, it turns the sum over R(a,b) of products of Schur values
 into a single Pfaffian (``chain_5_3_check``).  There G A G^T is
 [[0, N], [-N^T, 0]], so only the block N = M_P(X_{n+1}) B M_P(X_n)^T is
-computed, from the +-1 pairing B of A, over integer moment rows, and the
-bordered matrix goes to ``core.integer_pfaffian`` with each point's row
-paired with a border column.  Up to sign that
-Pfaffian is the product of two moment Pfaffians, and Lemma 10
-(``lemma10_check``, also on integer rows through ``integer_pfaffian``)
-evaluates each as Delta(X) s_R(X) s_R'(X): (R, R') = (R_A, R_B) on X_n
-and (R_B, R_C) on X_{n+1}, where R_A = (ceil((a+1)/2))^(floor(b/2)),
-R_B = (ceil(a/2))^(ceil(b/2)) and R_C = (floor(a/2))^(ceil((b+1)/2)).
+computed, B the +-1 block of A, each entry in the closed form of
+``_scaled_n_entry`` over integers, and the bordered matrix goes to
+``core.integer_pfaffian`` with each point's row paired with a border
+column.  Up to sign that Pfaffian is the product of two moment Pfaffians,
+and Lemma 10 (``lemma10_check``, on the same closed block ``_n_block``
+over one alphabet) evaluates each as Delta(X) s_R(X) s_R'(X):
+(R, R') = (R_A, R_B) on X_n and (R_B, R_C) on X_{n+1}, where
+R_A = (ceil((a+1)/2))^(floor(b/2)), R_B = (ceil(a/2))^(ceil(b/2)) and
+R_C = (floor(a/2))^(ceil((b+1)/2)).
 The Vandermonde products cancel and leave Theorem 3: the R(a,b) sum
 (``theorem3_lhs``) is s_{R_A}(X_n) s_{R_B}(X_n) s_{R_B}(X_{n+1})
 s_{R_C}(X_{n+1}) (``theorem3_rhs``).  ``lemma9_check`` verifies the
@@ -91,13 +92,6 @@ def _moment_rows(I: Sequence[int], pts: Alphabet, E: int) -> List[List[int]]:
     return [[p ** e * q ** (E - e) for e in I] for p, q in pts]
 
 
-def _pairing(a: int, b: int) -> List[int]:
-    """The +-1 pairing B of the structured skew matrix: row i of its
-    unbarred block pairs with barred column p-1-i, p = a+b (the values k
-    and a+b-k of Gamma), with entry +1 for i < p/2 and -1 for i >= p/2."""
-    return [1 if 2 * i < a + b else -1 for i in range(a + b)]
-
-
 def _block_diag(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
     tc = len(top[0]) if top else 0
     bc = len(bottom[0]) if bottom else 0
@@ -121,17 +115,27 @@ def _skew_border(m: ExactMatrix, cols: ExactMatrix) -> ExactMatrix:
     return out
 
 
+def _scaled_n_entry(x: Tuple[int, int], y: Tuple[int, int], s: int, shift: int) -> int:
+    """The closed entry (x y)^shift (y^(s+1) - x^(s+1)) sum_{r<s} x^r y^(s-1-r)
+    of N times (q v)^(shift+2s), for x = p/q and y = u/v: with A = p v and
+    B = q u, the integer
+    (p u)^shift * (B^(s+1) - A^(s+1)) * sum_{r<s} A^r B^(s-1-r).  The sum,
+    s >= 1, is the divided difference (B^s - A^s) / (B - A), an exact
+    division, or s A^(s-1) when A = B."""
+    (p, q), (u, v) = x, y
+    A, B = p * v, q * u
+    acc = (B ** s - A ** s) // (B - A) if A != B else s * A ** (s - 1)
+    return (p * u) ** shift * (B ** (s + 1) - A ** (s + 1)) * acc
+
+
 def _n_block(a: int, b: int, n: int, xs: Alphabet, ys: Alphabet) -> List[List[int]]:
     """N = M_P(xs) B M_P(ys)^T over ``int``, with P the index set of
     (a, b, n), B the off-diagonal block of the structured skew matrix and
     row k of each moment matrix scaled by q_k^(n+a), x_k = p_k / q_k, n+a
-    being the largest exponent in P.  B has one +-1 per row (``_pairing``),
-    so each entry is a sum of a+b products."""
-    P = IndexSets(a, b, n).P
-    # N_rc = sum_i M_P(xs)_ri v_i M_P(ys)_{c, p-1-i}
-    paired = [[v * y for v, y in zip(_pairing(a, b), reversed(row))]
-              for row in _moment_rows(P, ys, n + a)]
-    return [[sum(map(mul, row, w)) for w in paired] for row in _moment_rows(P, xs, n + a)]
+    being the largest exponent in P: each entry the closed form
+    ``_scaled_n_entry`` with s = (a+b)/2 and shift n-b."""
+    s, shift = (a + b) // 2, n - b
+    return [[_scaled_n_entry(x, y, s, shift) for y in ys] for x in xs]
 
 
 def _paired_pfaffian(m: List[List[int]], groups: Sequence[Tuple[range, range]]) -> int:
@@ -342,11 +346,11 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
         * Pf([[G A G^T, H], [-H^T, 0]])
 
     with G = diag(M_P(X_{n+1}), M_P(X_n)), H = diag(M_Q(X_{n+1}), M_R(X_n))
-    and A = [[0, B], [B, 0]], B the +-1 pairing (``_pairing``).  Needs
-    pairwise distinct points (the right side divides by both Vandermonde
-    products).  G A G^T = [[0, N], [-N^T, 0]] with
-    N = M_P(X_{n+1}) B M_P(X_n)^T, and only N is computed (``_n_block``),
-    each entry a sum of a+b products.  Row
+    and A = [[0, B], [B, 0]], B skew with one +-1 a row, pairing the
+    values k and a+b-k of Gamma.  Needs pairwise distinct points (the right
+    side divides by both Vandermonde products).  G A G^T = [[0, N], [-N^T, 0]]
+    with N = M_P(X_{n+1}) B M_P(X_n)^T, and only N is computed, entry by
+    entry in closed form (``_n_block``).  Row
     k of the moment matrices is scaled by d_k = q_k^(n+a), x_k = p_k / q_k,
     n+a being the largest exponent in P, Q and R.  That makes the bordered
     matrix integer: it becomes diag(D, I) M diag(D, I), whose Pfaffian
@@ -376,19 +380,6 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
 # closed evaluation of the structured moment-matrix Pfaffians
 # ---------------------------------------------------------------------------
 
-def _scaled_n_entry(x: Tuple[int, int], y: Tuple[int, int], s: int, shift: int) -> int:
-    """The closed entry (x y)^shift (y^(s+1) - x^(s+1)) sum_{r<s} x^r y^(s-1-r)
-    of N times (q v)^(shift+2s), for x = p/q and y = u/v: with A = p v and
-    B = q u, the integer
-    (p u)^shift * (B^(s+1) - A^(s+1)) * sum_{r<s} A^r B^(s-1-r).  The sum,
-    s >= 1, is the divided difference (B^s - A^s) / (B - A), an exact
-    division, or s A^(s-1) when A = B."""
-    (p, q), (u, v) = x, y
-    A, B = p * v, q * u
-    acc = (B ** s - A ** s) // (B - A) if A != B else s * A ** (s - 1)
-    return (p * u) ** shift * (B ** (s + 1) - A ** (s + 1)) * acc
-
-
 def _lemma10_identity(a: int, b: int, ambient: int, pts: Alphabet) -> bool:
     """Lemma 10 for the alphabet pts of L = ambient or ambient + 1 points."""
     L = len(pts)
@@ -401,10 +392,9 @@ def _lemma10_identity(a: int, b: int, ambient: int, pts: Alphabet) -> bool:
     # row and column k of N, and row k of the border, scaled by
     # d_k = q_k^(ambient+a), the largest power of x_k in either: the bordered
     # matrix is integer and its Pfaffian is prod_k d_k times the unscaled one
-    s, shift = (a + b) // 2, ambient - b
-    N = [[_scaled_n_entry(x, y, s, shift) for y in pts] for x in pts]
     M = _moment_rows(border, pts, ambient + a)
-    pf = _paired_pfaffian(_skew_border(N, M), [(range(L), range(L, L + t))])
+    pf = _paired_pfaffian(_skew_border(_n_block(a, b, ambient, pts, pts), M),
+                          [(range(L), range(L, L + t))])
     lhs = (-pf if e % 2 else pf, _denominator(pts) ** (ambient + a))
     R, R2 = _rectangles(a, b)[L - ambient:L - ambient + 2]
     return _same(lhs, _times(_vandermonde(pts), _schur(R, pts), _schur(R2, pts)))
@@ -415,7 +405,7 @@ def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
     the given n distinct points.
 
     For an alphabet X of L points at ambient n' >= b, with L = n' or n'+1,
-    let N = M_P(X) B M_P(X)^T (see ``_scaled_n_entry``) and let M be
+    let N = M_P(X) B M_P(X)^T (see ``_n_block``) and let M be
     the t columns of M_R(X) when L + |R| is even and of M_Q(X) otherwise:
 
         Pf([[N, M], [-M^T, 0]]) = (-1)^e Delta(X) s_R(X) s_R'(X),
@@ -439,11 +429,11 @@ def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the work of each check at seeded points, in closed form, each priced once
-# per process for its arguments (``core.cached_work``)
+# the work of each check at seeded points, in closed form; those that one
+# process reaches again with the same arguments priced once
+# (``core.cached_work``)
 # ---------------------------------------------------------------------------
 
-@cached_work
 def _rect_product_work(a: int, b: int, sizes: Sequence[int]) -> Work:
     ra, rb, rc = _rectangle_sides(a, b)
     return total(*(schur_work(w, r, L) for (w, r), L in zip((ra, rb, rb, rc), sizes)))
@@ -465,7 +455,9 @@ def conjecture5_work(a: int, b: int, n: int) -> Work:
 def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False) -> Work:
     """The work of ``_paired_pfaffian`` on L = ``points`` rows of E-bit
     moments and t = ``border`` columns paired with them, K = L + t even
-    (both callers choose the border so).  An entry after step u is a
+    and t <= L (both callers choose the border so, for every b >= 0:
+    chain53 pairs 2n-2b+1 columns with 2n+1 points, Lemma 10 ambient-b or
+    ambient-b+1 with ambient or ambient+1).  An entry after step u is a
     Pfaffian over the indices taken and two more, 0 when it has more
     columns than points: a paired step leaves C(L-u, 2) +
     (L-u)(t-u) nonzero entries, a point step after the pairs C(L+t-2u, 2).
@@ -476,7 +468,7 @@ def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False
     bits a step (CPython multiplies past 70 digits by Karatsuba's method)
     the time per bit squared fell as the cube root of 300 / E in timings
     at 200 to 9600 bits a step."""
-    L, t, K = points, min(border, points), points + border
+    L, t, K = points, border, points + border
     # twice the paired steps' entries, (L-u)(L+2t-1-3u), of (E/5)(2u+10) bits
     paired = poly_sum(poly_mul((L * (L + 2 * t - 1), 1 - 4 * L - 2 * t, 3), (100, 40, 4)), 1, t)
     grown = (40 - 17 * t, 25)  # a point step's entries, of (E/20)(25u+40-17t) bits
@@ -487,29 +479,33 @@ def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False
     return {"call": 1, "step": elimination_work(K, 0, True)["step"], "pfaffian_digit": digit}
 
 
+def _n_block_work(rows: int, cols: int, E: int) -> Work:
+    """The work of ``_n_block`` on rows x cols entries of E-bit points: a
+    call and two E-bit products an entry."""
+    return {"call": rows * cols, "digit": 2 * rows * cols * product_digits(E, E)}
+
+
 @cached_work
 def chain53_work(a: int, b: int, n: int) -> Work:
     """The work of ``chain_5_3_check`` at n+1 points: the R(a,b) sum, the
-    moment rows, the (n+1) n (a+b) products of N, of entries of
-    E = (n+a) _POINT_BITS bits, and the Pfaffian over the 2n+1 points and
-    |Q| + |R| = 2n-2b+1 columns of H (``IndexSets``)."""
-    E, cells, L = (n + a) * _POINT_BITS, (n + 1) * n * (a + b), 2 * n + 1
+    (n+1) x n entries of N and the moment rows, of E = (n+a) _POINT_BITS
+    bits, and the Pfaffian over the 2n+1 points and |Q| + |R| = 2n-2b+1
+    columns of H (``IndexSets``)."""
+    E, L = (n + a) * _POINT_BITS, 2 * n + 1
     return total(rab_sum_work(a, b, n + 1, n), _paired_pfaffian_work(L, 2 * n - 2 * b + 1, E, True),
-                 {"product": cells + 2 * L * (n + a + 1) + (4 * n - 2 * b + 2) ** 2,
-                  "digit": cells * product_digits(E, E)})
+                 _n_block_work(n + 1, n, E),
+                 {"product": 2 * L * (n + a + 1) + (4 * n - 2 * b + 2) ** 2})
 
 
-@cached_work
 def _lemma10_identity_work(a: int, b: int, ambient: int, L: int) -> Work:
-    """The work of ``_lemma10_identity`` on L points: the L^2 entries of N
-    (a call and two products of E = (ambient+a) _POINT_BITS bits), the t
-    border columns, the Pfaffian of size L+t and the two rectangles."""
+    """The work of ``_lemma10_identity`` on L points: the L^2 entries of N,
+    of E = (ambient+a) _POINT_BITS bits, the t border columns, the Pfaffian
+    of size L+t and the two rectangles."""
     t = ambient - b + (L + ambient - b) % 2  # |R|, or |Q| = |R| + 1
     E, K = (ambient + a) * _POINT_BITS, L + t
     (w, r), (w2, r2) = _rectangle_sides(a, b)[L - ambient:L - ambient + 2]
     return total(_paired_pfaffian_work(L, t, E), schur_work(w, r, L), schur_work(w2, r2, L),
-                 {"call": L * L, "product": 2 * L * t + K * K,
-                  "digit": 2 * L * L * product_digits(E, E)})
+                 _n_block_work(L, L, E), {"product": 2 * L * t + K * K})
 
 
 @cached_work

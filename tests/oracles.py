@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from punchex import msf
@@ -78,19 +79,26 @@ def moment_matrix(I: Sequence[int], pts: Iterable) -> ExactMatrix:
     return [[x ** e for e in exps] for x in points]
 
 
+def pairing(a: int, b: int) -> List[int]:
+    """The +-1 pairing B of the structured skew matrix: row i of its
+    unbarred block pairs with barred column p-1-i, p = a+b (the values k
+    and a+b-k of Gamma), with entry +1 for i < p/2 and -1 for i >= p/2."""
+    return [1 if 2 * i < a + b else -1 for i in range(a + b)]
+
+
 def structured_skew(a: int, b: int) -> ExactMatrix:
     """The fixed skew matrix A on Gamma + barred-Gamma (unbarred block
     first, both blocks in ascending order).
 
     Its only nonzero entries pair k with bar(a+b-k): +1 for k <= (a+b)/2 - 1
     and -1 for k >= (a+b)/2 + 1, making A = [[0, B], [B, 0]] with B skew
-    (``_pairing``).
+    (``pairing``).
     """
     if a < 1 or b < 1 or a % 2 != b % 2:
         raise ValueError("structured skew matrix requires positive same-parity a, b")
     p = a + b
     m = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
-    for i, v in enumerate(msf._pairing(a, b)):
+    for i, v in enumerate(pairing(a, b)):
         m[i][2 * p - 1 - i], m[2 * p - 1 - i][i] = Fraction(v), Fraction(-v)
     return m
 
@@ -121,7 +129,7 @@ def sub_pfaffian_sign(K: Sequence[int], a: int, b: int) -> int:
     unbarred positions i_1 < ... < i_m and barred positions p + i'_1 < ...
     < p + i'_m with each i_h paired with i'_(m+1-h) = p-1-i_h; in that case
     it is the product of the pairs' entries, -1 for each i_h >= p/2
-    (``_pairing``).
+    (``pairing``).
     """
     p = a + b
     idx = tuple(sorted(K))
@@ -133,7 +141,19 @@ def sub_pfaffian_sign(K: Sequence[int], a: int, b: int) -> int:
     unbarred = [i for i in idx if i < p]
     barred = [i - p for i in idx if i >= p]
     paired = barred == [p - 1 - i for i in reversed(unbarred)]
-    return prod(msf._pairing(a, b)[i] for i in unbarred) if paired else 0
+    return prod(pairing(a, b)[i] for i in unbarred) if paired else 0
+
+
+def n_block_by_products(a: int, b: int, n: int, xs: Iterable, ys: Iterable) -> List[List[int]]:
+    """``msf._n_block`` as it was first written: N = M_P(xs) B M_P(ys)^T over
+    ``int``, row k of each moment matrix scaled by q_k^(n+a), x_k = p_k / q_k,
+    and each entry a sum of a+b products read from ``pairing``."""
+    x, y = as_pairs(xs), as_pairs(ys)
+    P = IndexSets(a, b, n).P
+    # N_rc = sum_i M_P(xs)_ri v_i M_P(ys)_{c, p-1-i}
+    paired = [[v * m for v, m in zip(pairing(a, b), reversed(row))]
+              for row in msf._moment_rows(P, y, n + a)]
+    return [[sum(map(mul, row, w)) for w in paired] for row in msf._moment_rows(P, x, n + a)]
 
 
 def n_matrix_entry_check(a: int, b: int, xs: Iterable, ys: Iterable) -> bool:
@@ -142,25 +162,12 @@ def n_matrix_entry_check(a: int, b: int, xs: Iterable, ys: Iterable) -> bool:
 
     B is the off-diagonal block of the structured skew matrix.  Both sides
     are compared scaled by (q_i v_j)^(n+a), x_i = p_i / q_i, y_j = u_j / v_j:
-    ``_n_block``'s entries against ``_scaled_n_entry``, both read from the
-    points' (p, q) pairs.  Requires x_i != y_j throughout (the closed form
-    is the divided difference (y^s - x^s)(y^(s+1) - x^(s+1)) / (y - x)
-    cleared of its denominator).
+    ``n_block_by_products`` against ``msf._n_block``, whose entries are
+    ``msf._scaled_n_entry``'s.  Points may be shared (x_i = y_j), as they
+    are in chain53's nested alphabets and in Lemma 10's single one.
     """
-    x = as_pairs(xs)
-    y = as_pairs(ys)
-    n = len(x)
-    for xi in x:
-        for yj in y:
-            if xi == yj:
-                raise ValueError("requires x_i != y_j for all pairs")
-    s = (a + b) // 2
-    product = msf._n_block(a, b, n, x, y)
-    for i in range(len(x)):
-        for j in range(len(y)):
-            if product[i][j] != msf._scaled_n_entry(x[i], y[j], s, n - b):
-                return False
-    return True
+    x, y = as_pairs(xs), as_pairs(ys)
+    return n_block_by_products(a, b, len(x), x, y) == msf._n_block(a, b, len(x), x, y)
 
 
 def seeded_points_by_fractions(count: int, seed: int) -> EvalPoint:

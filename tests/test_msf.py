@@ -12,8 +12,8 @@ import pytest
 import oracles
 from punchex import msf
 from oracles import (build_msf_instance, chain53_check_by_fractions, conjecture5_check_by_fractions,
-                     lemma10_check_by_fractions, moment_matrix, n_matrix_entry_check,
-                     pfaffian_minor, structured_skew, sub_pfaffian_sign,
+                     lemma10_check_by_fractions, moment_matrix, n_block_by_products,
+                     n_matrix_entry_check, pfaffian_minor, structured_skew, sub_pfaffian_sign,
                      theorem3_check_by_fractions)
 from punchex.core import determinant, integer_pfaffian, pfaffian
 from punchex.msf import (
@@ -385,24 +385,36 @@ def test_chain53_instances():
     assert chain_5_3_check(1, 3, 3, pts1, pts1[:3])
 
 
-def test_chain53_reads_the_pairing_of_structured_skew(monkeypatch):
-    # flipping the sign of one +-1 pair of A (and of its mirror entry) must
-    # break the identity: the block G A G^T is computed from the pairing
-    # that structured_skew reads, not assumed
-    real = msf._pairing
+def test_chain53_reads_the_closed_n_block_and_its_oracle_the_pairing(monkeypatch):
+    # the two links between chain53 and the pairing of A: the integer check
+    # builds N from the closed entries, so a wrong entry must break it; its
+    # Fraction oracle builds G A G^T from structured_skew, so flipping the
+    # sign of one +-1 pair of A (and of its mirror entry) must break the
+    # oracle, and the product form that n_matrix_entry_check holds the
+    # closed entries to, which reads the same pairing
+    instances = [(a, b, n, seeded_points(n + 1, a + b + n))
+                 for a, b in ((1, 1), (1, 3), (3, 1), (3, 3), (2, 2)) for n in (b, b + 1)]
+    assert all(chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances)
+    assert all(chain53_check_by_fractions(a, b, n, pts, pts[:n]) for a, b, n, pts in instances)
+    assert all(n_matrix_entry_check(a, b, pts[:n], pts) for a, b, n, pts in instances)
+    entry = msf._scaled_n_entry
+    monkeypatch.setattr(msf, "_scaled_n_entry", lambda x, y, s, shift: entry(x, y, s, shift) + 1)
+    verdicts = [chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances]
+    assert not any(verdicts), verdicts
+    monkeypatch.undo()
+    real = oracles.pairing
 
     def flipped(a, b):
         signs = real(a, b)
         signs[0] = -signs[0]
         return signs
 
-    instances = [(a, b, n, seeded_points(n + 1, a + b + n))
-                 for a, b in ((1, 1), (1, 3), (3, 1), (3, 3), (2, 2)) for n in (b, b + 1)]
-    assert all(chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances)
     A = structured_skew(3, 1)
-    monkeypatch.setattr(msf, "_pairing", flipped)
+    monkeypatch.setattr(oracles, "pairing", flipped)
     assert structured_skew(3, 1)[0][7] == -A[0][7] == -1
-    verdicts = [chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances]
+    verdicts = [chain53_check_by_fractions(a, b, n, pts, pts[:n]) for a, b, n, pts in instances]
+    assert not any(verdicts), verdicts
+    verdicts = [n_matrix_entry_check(a, b, pts[:n], pts) for a, b, n, pts in instances]
     assert not any(verdicts), verdicts
 
 
@@ -524,7 +536,26 @@ def test_n_matrix_entry_formula():
     assert n_matrix_entry_check(1, 1, (F(2),), (F(3),))
     assert n_matrix_entry_check(2, 2, (F(1), F(2), F(3)), (F(5), F(7), F(11)))
     assert n_matrix_entry_check(1, 3, (F(1, 2), F(3), F(4)), (F(5), F(7), F(9)))
-    _expect_value_error(n_matrix_entry_check, 1, 1, (F(2),), (F(2),))
+    # shared points, x_i = y_j, take the closed entry's A = B branch
+    assert n_matrix_entry_check(1, 1, (F(2),), (F(2),))
+    assert n_matrix_entry_check(2, 2, (F(1), F(2), F(3)), (F(3), F(1), F(7)))
+    assert n_matrix_entry_check(1, 3, (F(-1, 2), F(0), F(4)), (F(-1, 2), F(0), F(4)))
+
+
+def test_closed_n_block_equals_the_products_on_the_alphabets_the_checks_take():
+    # chain53's (X_{n+1}, X_n), where x_1..x_n sit in both, and Lemma 10's
+    # (X_n, X_n), at every same-parity a, b <= 4 and n in {b, b+1, b+2}
+    blocks = 0
+    for a in range(1, 5):
+        for b in range(a % 2 or 2, 5, 2):
+            for n in (b, b + 1, b + 2):
+                for seed in range(3):
+                    p1 = seeded_pairs(n + 1, seed)
+                    for xs, ys in ((p1, p1[:n]), (p1[:n], p1[:n])):
+                        assert msf._n_block(a, b, n, xs, ys) == n_block_by_products(a, b, n, xs, ys), (
+                            a, b, n, seed, len(xs))
+                        blocks += 1
+    assert blocks == 144
 
 
 def test_n_matrix_entry_check_detects_a_wrong_entry(monkeypatch):
@@ -534,8 +565,8 @@ def test_n_matrix_entry_check_detects_a_wrong_entry(monkeypatch):
     monkeypatch.setattr(msf, "_scaled_n_entry", lambda x, y, s, shift: real(x, y, s, shift) + 1)
     assert not n_matrix_entry_check(2, 2, xs, ys)
     monkeypatch.setattr(msf, "_scaled_n_entry", real)
-    pairing = msf._pairing
-    monkeypatch.setattr(msf, "_pairing", lambda a, b: [-v for v in pairing(a, b)])
+    pairing = oracles.pairing
+    monkeypatch.setattr(oracles, "pairing", lambda a, b: [-v for v in pairing(a, b)])
     assert not n_matrix_entry_check(2, 2, xs, ys)
 
 

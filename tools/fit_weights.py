@@ -36,7 +36,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from punchex import cli  # noqa: E402
-from punchex.boxcount import theorem1_count, theorem4_count  # noqa: E402
 
 KEEP_S = 4.5
 # an admitted input is estimated at this many times its slowest run or more
@@ -52,23 +51,15 @@ def recorded():
     """(argv, ref_s, admitted_before) for each input in ``RECORDS``; a later
     file's timing of an input replaces an earlier one (the code it timed
     changed).  A record without ``admitted_before`` counts as admitted
-    before.  BENCH_14 names its sweep inputs by shape: ``count brute`` at
-    the default puncture, and ``render`` at its last index."""
+    before.  A record without ``input`` (BENCH_14 names its sweep inputs by
+    shape) is skipped: a later file re-timed each of them."""
     rows = {}
     for name in RECORDS:
-        for kind, edge in json.loads((ROOT / name).read_text())["edges"].items():
+        for edge in json.loads((ROOT / name).read_text())["edges"].values():
             for run in edge["runs"]:
                 if "input" in run:
                     argv = run["input"].split()
-                else:
-                    a, b, c = run["shape"]
-                    sides = ["--a", str(a), "--b", str(b), "--c", str(c)]
-                    if kind.startswith("render"):
-                        count = (theorem1_count if a % 2 == c % 2 else theorem4_count)(a, b, c)
-                        argv = ["render", *sides, "--index", str(count - 1), "-o", "tiling.svg"]
-                    else:
-                        argv = ["count", "brute", *sides]
-                rows[tuple(argv)] = (argv, run["ref_s"], run.get("admitted_before") is not False)
+                    rows[tuple(argv)] = (argv, run["ref_s"], run.get("admitted_before") is not False)
     return list(rows.values())
 
 
