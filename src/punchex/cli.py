@@ -126,19 +126,27 @@ def _parse(argv):
     return _build_parser().parse_args(argv) if args is None else args
 
 
+@functools.cache
+def _arguments(words):
+    """The table ``_read`` reads the command ``words`` with, built once: each
+    flag's dest (its last, long, form without the dashes) and keywords, the
+    positionals, the values before any argument and the required dests."""
+    arguments = {flag: (flags[-1].lstrip("-"), keywords)
+                 for flags, keywords in COMMANDS[words][1] for flag in flags}
+    positionals = tuple(flag for flag in arguments if flag[0] != "-")
+    values = dict(zip(("command", "mode"), words))
+    values.update((dest, keywords.get("default")) for dest, keywords in arguments.values())
+    required = {dest for dest, keywords in arguments.values() if keywords.get("required")}
+    return arguments, positionals, values, frozenset(required.union(positionals))
+
+
 def _read(words, rest):
     """What argparse makes of ``rest`` under the command ``words``, or None
     (argparse must parse it) unless each option is spelt out with its number
     of values, none like an option but a negative number, each converted and
     in its choices; at most one positional; every required argument given."""
-    # each flag's dest is its last, long, form without the dashes
-    arguments = {flag: (flags[-1].lstrip("-"), keywords)
-                 for flags, keywords in COMMANDS[words][1] for flag in flags}
-    positionals = [flag for flag in arguments if flag[0] != "-"]
-    values = dict(zip(("command", "mode"), words))
-    values.update((dest, keywords.get("default")) for dest, keywords in arguments.values())
-    missing = {dest for dest, keywords in arguments.values() if keywords.get("required")}
-    missing.update(positionals)
+    arguments, positionals, values, missing = _arguments(words)
+    positionals, values, missing = list(positionals), dict(values), set(missing)
     i = 0
     while i < len(rest):
         if rest[i][:1] != "-":

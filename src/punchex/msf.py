@@ -17,11 +17,14 @@ moment matrices over two nested point sets and a fixed skew matrix of
 into a single Pfaffian (``chain_5_3_check``).  There G A G^T is
 [[0, N], [-N^T, 0]], so only the block N = M_P(X_{n+1}) B M_P(X_n)^T is
 computed, B the +-1 block of A, each entry in the closed form of
-``_scaled_n_entry`` over integers, and the bordered matrix goes to
+``_scaled_n_entry`` over integers.  Every nonzero entry of the bordered
+matrix then joins one side of a bipartition to the other, so its
+Pfaffian is a signed determinant of half the size, which goes to
+``core.integer_determinant``.  Up to sign that Pfaffian is the product of
+two moment Pfaffians, and Lemma 10 (``lemma10_check``, on the same closed
+block ``_n_block`` over one alphabet, its Pfaffian taken by
 ``core.integer_pfaffian`` with each point's row paired with a border
-column.  Up to sign that Pfaffian is the product of two moment Pfaffians,
-and Lemma 10 (``lemma10_check``, on the same closed block ``_n_block``
-over one alphabet) evaluates each as Delta(X) s_R(X) s_R'(X):
+column) evaluates each as Delta(X) s_R(X) s_R'(X):
 (R, R') = (R_A, R_B) on X_n and (R_B, R_C) on X_{n+1}, where
 R_A = (ceil((a+1)/2))^(floor(b/2)), R_B = (ceil(a/2))^(ceil(b/2)) and
 R_C = (floor(a/2))^(ceil((b+1)/2)).
@@ -92,17 +95,6 @@ def _moment_rows(I: Sequence[int], pts: Alphabet, E: int) -> List[List[int]]:
     return [[p ** e * q ** (E - e) for e in I] for p, q in pts]
 
 
-def _block_diag(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
-    tc = len(top[0]) if top else 0
-    bc = len(bottom[0]) if bottom else 0
-    out = []
-    for row in top:
-        out.append(list(row) + [0] * bc)
-    for row in bottom:
-        out.append([0] * tc + list(row))
-    return out
-
-
 def _skew_border(m: ExactMatrix, cols: ExactMatrix) -> ExactMatrix:
     """[[m, cols], [-cols^T, 0]] — skew whenever m is."""
     n = len(m)
@@ -138,24 +130,19 @@ def _n_block(a: int, b: int, n: int, xs: Alphabet, ys: Alphabet) -> List[List[in
     return [[_scaled_n_entry(x, y, s, shift) for y in ys] for x in xs]
 
 
-def _paired_pfaffian(m: List[List[int]], groups: Sequence[Tuple[range, range]]) -> int:
-    """Pf(m) by ``integer_pfaffian``, with the indices reordered first: each
-    (points, border) range pair in ``groups`` contributes p_0, b_0, p_1,
-    b_1, ..., the longer range's tail last, and the reordering's sign is
-    applied.  The point rows of a chain53 or Lemma 10 matrix meet in a
-    block of rank at most 2(a+b), so in the given order most pivots are
-    zero and need a swap; pairing each point with a border column avoids
-    that and keeps the entries smaller (the Pfaffians of chain53 at
-    n = 20..30 ran 1.1-2.8x faster, those of Lemma 10 at a = b = 1,
-    n = 45 about 1.3x)."""
-    order = []
-    for points, border in groups:
-        for k in range(max(len(points), len(border))):
-            order += points[k:k + 1]
-            order += border[k:k + 1]
-    inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1:])
+def _paired_pfaffian(m: List[List[int]], border: int) -> int:
+    """Pf(m) by ``integer_pfaffian`` for m of L points and then t =
+    ``border`` <= L columns, with the indices reordered first to p_0, b_0,
+    p_1, b_1, ..., p_(t-1), b_(t-1), p_t, ..., p_(L-1) and that reordering's
+    sign, (-1)^(t(L-1) - t(t-1)/2), applied.  The point rows of a Lemma 10
+    matrix meet in a block of rank at most 2(a+b), so in the given order
+    most pivots are zero and need a swap; pairing each point with a border
+    column avoids that and keeps the entries smaller (at a = b = 1, n = 45
+    about 1.3x faster)."""
+    t, L = border, len(m) - border
+    order = [i for k in range(t) for i in (k, L + k)] + list(range(t, L))
     pf = integer_pfaffian([[m[i][j] for j in order] for i in order])
-    return -pf if inversions % 2 else pf
+    return -pf if (t * (L - 1) - t * (t - 1) // 2) % 2 else pf
 
 
 # ---------------------------------------------------------------------------
@@ -344,35 +331,41 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
     sum s_lambda(X_{n+1}) s_mu(X_n)
       = (-1)^(bn + n - b) / (Delta(X_{n+1}) Delta(X_n))
         * Pf([[G A G^T, H], [-H^T, 0]])
+      = (-1)^(n + floor(b/2)) det(C) / (Delta(X_{n+1}) Delta(X_n))
 
     with G = diag(M_P(X_{n+1}), M_P(X_n)), H = diag(M_Q(X_{n+1}), M_R(X_n))
     and A = [[0, B], [B, 0]], B skew with one +-1 a row, pairing the
     values k and a+b-k of Gamma.  Needs pairwise distinct points (the right
     side divides by both Vandermonde products).  G A G^T = [[0, N], [-N^T, 0]]
-    with N = M_P(X_{n+1}) B M_P(X_n)^T, and only N is computed, entry by
-    entry in closed form (``_n_block``).  Row
-    k of the moment matrices is scaled by d_k = q_k^(n+a), x_k = p_k / q_k,
-    n+a being the largest exponent in P, Q and R.  That makes the bordered
-    matrix integer: it becomes diag(D, I) M diag(D, I), whose Pfaffian
-    (``integer_pfaffian``, each point paired with a column of H by
-    ``_paired_pfaffian``) is prod d_k Pf(M), divided out once.
+    with N = M_P(X_{n+1}) B M_P(X_n)^T, so every nonzero entry of the
+    bordered matrix joins X_{n+1} or a column of M_R(X_n) to X_n or a
+    column of M_Q(X_{n+1}).  Such a Pfaffian is a signed determinant of
+    half the size, Pf([[0, C], [-C^T, 0]]) = (-1)^(m(m-1)/2) det C: here C
+    is the (2n-b+1)-square [[0, -M_R(X_n)^T], [M_Q(X_{n+1}), N]], its rows
+    the n-b columns of M_R(X_n) and then X_{n+1}, its columns the n-b+1
+    of M_Q(X_{n+1}) and then X_n.  The sign (-1)^(n + floor(b/2)) takes in
+    (-1)^(bn + n - b), that one and the sign of moving the blocks into this
+    order (counted for every b < 60 and b <= n < b+60).  Laid out the
+    other way, C = [[N, M_Q], [-M_R^T, 0]], the elimination ran 1.03-3.6x
+    slower at seven shapes (631 ms against 177 ms at (9, 9, 30),
+    BENCH_28.json).  N is computed entry by entry in closed form
+    (``_n_block``).  Row k of the moment matrices is scaled by
+    d_k = q_k^(n+a), x_k = p_k / q_k, n+a being the largest exponent in P,
+    Q and R.  Scaling C's row of each point of X_{n+1} and column of each
+    point of X_n so makes it integer and multiplies det C
+    (``integer_determinant``) by prod d_k, divided out once.
     """
     p1, p0 = _nested(n, pts1, pts0)
     if not distinct(p1):
         raise ValueError("requires pairwise distinct points")
     sets = IndexSets(a, b, n)
-    E, q, r = n + a, len(sets.Q), len(sets.R)
-    N = _n_block(a, b, n, p1, p0)
-    gag = _skew_border([[0] * (n + 1) for _ in range(n + 1)], N)  # [[0, N], [-N^T, 0]]
-    H = _block_diag(_moment_rows(sets.Q, p1, E), _moment_rows(sets.R, p0, E))
-    # rows: X_{n+1}, X_n, then the columns of M_Q(X_{n+1}) and M_R(X_n)
-    pf = _paired_pfaffian(_skew_border(gag, H),
-                          [(range(n + 1), range(2 * n + 1, 2 * n + 1 + q)),
-                           (range(n + 1, 2 * n + 1), range(2 * n + 1 + q, 2 * n + 1 + q + r))])
-    sign = -1 if (b * n + n - b) % 2 else 1
+    E, q = n + a, len(sets.Q)
+    C = [[0] * q + [-x for x in column] for column in zip(*_moment_rows(sets.R, p0, E))]
+    C += [mq + row for mq, row in zip(_moment_rows(sets.Q, p1, E), _n_block(a, b, n, p1, p0))]
+    sign = -1 if (n + b // 2) % 2 else 1
     d = (_denominator(p1) * _denominator(p0)) ** E
     # dividing by a Vandermonde product multiplies by its pair reversed
-    rhs = _times((sign * pf, d), _vandermonde(p1)[::-1], _vandermonde(p0)[::-1])
+    rhs = _times((sign * integer_determinant(C), d), _vandermonde(p1)[::-1], _vandermonde(p0)[::-1])
     return _same(_rab_sum(a, b, p1, p0), rhs)
 
 
@@ -393,8 +386,7 @@ def _lemma10_identity(a: int, b: int, ambient: int, pts: Alphabet) -> bool:
     # d_k = q_k^(ambient+a), the largest power of x_k in either: the bordered
     # matrix is integer and its Pfaffian is prod_k d_k times the unscaled one
     M = _moment_rows(border, pts, ambient + a)
-    pf = _paired_pfaffian(_skew_border(_n_block(a, b, ambient, pts, pts), M),
-                          [(range(L), range(L, L + t))])
+    pf = _paired_pfaffian(_skew_border(_n_block(a, b, ambient, pts, pts), M), t)
     lhs = (-pf if e % 2 else pf, _denominator(pts) ** (ambient + a))
     R, R2 = _rectangles(a, b)[L - ambient:L - ambient + 2]
     return _same(lhs, _times(_vandermonde(pts), _schur(R, pts), _schur(R2, pts)))
@@ -452,28 +444,25 @@ def conjecture5_work(a: int, b: int, n: int) -> Work:
 
 
 @cached_work
-def _paired_pfaffian_work(points: int, border: int, E: int, sparse: bool = False) -> Work:
+def _paired_pfaffian_work(points: int, border: int, E: int) -> Work:
     """The work of ``_paired_pfaffian`` on L = ``points`` rows of E-bit
     moments and t = ``border`` columns paired with them, K = L + t even
-    and t <= L (both callers choose the border so, for every b >= 0:
-    chain53 pairs 2n-2b+1 columns with 2n+1 points, Lemma 10 ambient-b or
-    ambient-b+1 with ambient or ambient+1).  An entry after step u is a
-    Pfaffian over the indices taken and two more, 0 when it has more
-    columns than points: a paired step leaves C(L-u, 2) +
-    (L-u)(t-u) nonzero entries, a point step after the pairs C(L+t-2u, 2).
+    and t <= L (Lemma 10 chooses the border so, for every b >= 0: it pairs
+    ambient-b or ambient-b+1 columns with ambient or ambient+1 points).  An
+    entry after step u is a Pfaffian over the indices taken and two more,
+    0 when it has more columns than points: a paired step leaves C(L-u, 2)
+    + (L-u)(t-u) nonzero entries, a point step after the pairs C(L+t-2u, 2).
     Instrumented runs show them near 2E bits at first, growing 2E/5 a
-    paired step and 5E/4 a point step.  ``sparse``: chain53's points meet
-    only the other alphabet's points and their own columns; counted, its
-    bits squared came to 0.45-0.73 (mean 0.6) of this form's.  Past 300
-    bits a step (CPython multiplies past 70 digits by Karatsuba's method)
-    the time per bit squared fell as the cube root of 300 / E in timings
-    at 200 to 9600 bits a step."""
+    paired step and 5E/4 a point step.  Past 300 bits a step (CPython
+    multiplies past 70 digits by Karatsuba's method) the time per bit
+    squared fell as the cube root of 300 / E in timings at 200 to 9600
+    bits a step."""
     L, t, K = points, border, points + border
     # twice the paired steps' entries, (L-u)(L+2t-1-3u), of (E/5)(2u+10) bits
     paired = poly_sum(poly_mul((L * (L + 2 * t - 1), 1 - 4 * L - 2 * t, 3), (100, 40, 4)), 1, t)
     grown = (40 - 17 * t, 25)  # a point step's entries, of (E/20)(25u+40-17t) bits
     point = poly_sum(poly_mul((K * (K - 1) // 2, 1 - 2 * K, 2), poly_mul(grown, grown)), t + 1, K // 2)
-    digit = E * E * (8 * paired + point) * (3 if sparse else 5) // 500
+    digit = E * E * (8 * paired + point) // 100
     if E > 300:  # past 10**12 bits a step the estimate is far over any budget
         digit = digit * 300 // round((min(E, 10 ** 12) * 300 ** 2) ** (1 / 3))
     return {"call": 1, "step": elimination_work(K, 0, True)["step"], "pfaffian_digit": digit}
@@ -489,12 +478,30 @@ def _n_block_work(rows: int, cols: int, E: int) -> Work:
 def chain53_work(a: int, b: int, n: int) -> Work:
     """The work of ``chain_5_3_check`` at n+1 points: the R(a,b) sum, the
     (n+1) x n entries of N and the moment rows, of E = (n+a) _POINT_BITS
-    bits, and the Pfaffian over the 2n+1 points and |Q| + |R| = 2n-2b+1
-    columns of H (``IndexSets``)."""
-    E, L = (n + a) * _POINT_BITS, 2 * n + 1
-    return total(rab_sum_work(a, b, n + 1, n), _paired_pfaffian_work(L, 2 * n - 2 * b + 1, E, True),
-                 _n_block_work(n + 1, n, E),
-                 {"product": 2 * L * (n + a + 1) + (4 * n - 2 * b + 2) ** 2})
+    bits, the m^2 entries of C, m = 2n-b+1, and its determinant.  That runs
+    ``elimination_work``'s loop, (m-u)^2 updates at step u, each on minors
+    of order u, but its bits are priced as instrumented runs show them, not
+    at Hadamard's bound.  Over the first c = 2n-2b+1 steps each adds a
+    point to the minors (of X_{n+1} with a column of M_Q, or of X_n with a
+    column of M_R), and they came to about (u+1) E/2 bits; over the last
+    b-1 each adds a point of both alphabets, and they grew 3E/2 a step, to
+    (3u+1-2c) E/2 bits.  At the seed-0 points of 28 shapes with n from 6 to
+    50 the loop's operand bits squared (``Counted.product_bits``) came to
+    0.80-1.12 of this form's.  ``digit``'s weight was fitted to
+    eliminations priced at Hadamard's bound, which at 2E bits an entry
+    comes to 2-15 times these bits squared at n = 20..40.  At the bits
+    measured an update's two products and exact division are priced at
+    9/2 of its operands' bits squared: that put the inputs of
+    BENCH_28.json that spend most of their estimate here at 0.62-0.94 of
+    it (at 3, one an operation, at 0.92-1.39)."""
+    E, m = (n + a) * _POINT_BITS, 2 * n - b + 1
+    c, to_m = m - b, (m * m, -2 * m, 1)  # (m-u)^2 updates at step u
+    # 4/E^2 times each update's operand bits squared, over both stretches
+    grown = (poly_sum(poly_mul(to_m, (1, 2, 1)), 1, c)
+             + poly_sum(poly_mul(to_m, poly_mul((1 - 2 * c, 3), (1 - 2 * c, 3))), c + 1, m - 1))
+    determinant = {"call": 1, "step": elimination_work(m, 0)["step"], "digit": 9 * E * E * grown // 8}
+    return total(rab_sum_work(a, b, n + 1, n), determinant, _n_block_work(n + 1, n, E),
+                 {"product": 2 * (2 * n + 1) * (n + a + 1) + m * m})
 
 
 def _lemma10_identity_work(a: int, b: int, ambient: int, L: int) -> Work:

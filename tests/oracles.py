@@ -103,6 +103,13 @@ def structured_skew(a: int, b: int) -> ExactMatrix:
     return m
 
 
+def block_diag(top: ExactMatrix, bottom: ExactMatrix) -> ExactMatrix:
+    """[[top, 0], [0, bottom]]."""
+    tc = len(top[0]) if top else 0
+    bc = len(bottom[0]) if bottom else 0
+    return [list(row) + [0] * bc for row in top] + [[0] * tc + list(row) for row in bottom]
+
+
 def build_msf_instance(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable):
     """The (G, H, A) triple feeding the minor summation formula.
 
@@ -115,8 +122,8 @@ def build_msf_instance(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable):
     if len(p1) != n + 1 or len(p0) != n:
         raise ValueError("need n+1 points for X_{n+1} and n points for X_n")
     sets = IndexSets(a, b, n)
-    G = msf._block_diag(moment_matrix(sets.P, p1), moment_matrix(sets.P, p0))
-    H = msf._block_diag(moment_matrix(sets.Q, p1), moment_matrix(sets.R, p0))
+    G = block_diag(moment_matrix(sets.P, p1), moment_matrix(sets.P, p0))
+    H = block_diag(moment_matrix(sets.Q, p1), moment_matrix(sets.R, p0))
     return G, H, structured_skew(a, b)
 
 

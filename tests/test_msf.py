@@ -15,7 +15,7 @@ from oracles import (build_msf_instance, chain53_check_by_fractions, conjecture5
                      lemma10_check_by_fractions, moment_matrix, n_block_by_products,
                      n_matrix_entry_check, pfaffian_minor, structured_skew, sub_pfaffian_sign,
                      theorem3_check_by_fractions)
-from punchex.core import determinant, integer_pfaffian, pfaffian
+from punchex.core import determinant, integer_determinant, integer_pfaffian, pfaffian
 from punchex.msf import (
     IndexSets,
     chain_5_3_check,
@@ -419,25 +419,48 @@ def test_chain53_reads_the_closed_n_block_and_its_oracle_the_pairing(monkeypatch
 
 
 def test_paired_pfaffian_equals_the_pfaffian_in_the_given_order():
-    # two groups laid out as in chain53: points, points, border, border;
-    # the reordering's sign is applied
+    # Lemma 10's layout: L points, then t <= L border columns; the
+    # reordering's sign is applied
     rng = random.Random(19)
     nonzero = 0
     for _ in range(120):
-        sizes = [rng.randint(0, 4) for _ in range(4)]
-        ends = [sum(sizes[:k]) for k in range(5)]
-        n = ends[4]
+        L = rng.randint(0, 6)
+        t = rng.randint(0, L)
+        n = L + t
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 m[i][j] = rng.randint(-3, 3)
                 m[j][i] = -m[i][j]
-        groups = [(range(ends[0], ends[1]), range(ends[2], ends[3])),
-                  (range(ends[1], ends[2]), range(ends[3], ends[4]))]
         expected = integer_pfaffian([list(row) for row in m])
-        assert msf._paired_pfaffian(m, groups) == expected, (sizes, m)
+        assert msf._paired_pfaffian(m, t) == expected, (L, t, m)
         nonzero += expected != 0
     assert nonzero >= 40
+
+
+def test_a_bipartite_pfaffian_is_a_signed_determinant_of_half_the_size():
+    # the identity chain53 rests on: Pf([[0, C], [-C^T, 0]]) =
+    # (-1)^(m(m-1)/2) det C for any m x m C
+    rng = random.Random(28)
+    for m in range(7):
+        for _ in range(20):
+            C = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(m)]
+            bordered = [[0] * m + row for row in C] + [[-x for x in col] + [0] * m for col in zip(*C)]
+            sign = -1 if m * (m - 1) // 2 % 2 else 1
+            assert integer_pfaffian(bordered) == sign * integer_determinant([list(row) for row in C])
+
+
+def test_chain53_reads_the_sign_of_its_determinant(monkeypatch):
+    # chain53's right side is det C: negating the determinant breaks it on
+    # every instance of test_chain53_reads_the_closed_n_block_and_its_oracle_the_pairing,
+    # while Lemma 10, which takes Pfaffians only, still holds
+    instances = [(a, b, n, seeded_points(n + 1, a + b + n))
+                 for a, b in ((1, 1), (1, 3), (3, 1), (3, 3), (2, 2)) for n in (b, b + 1)]
+    determinant_ = msf.integer_determinant
+    monkeypatch.setattr(msf, "integer_determinant", lambda rows: -determinant_(rows))
+    verdicts = [chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances]
+    assert not any(verdicts), verdicts
+    assert all(lemma10_check(a, b, n + 1, pts) for a, b, n, pts in instances)
 
 
 def test_chain53_validation():
@@ -505,14 +528,18 @@ def test_chain53_and_both_lemma10_alphabets_at_zero_and_negative_points():
 
 def test_moment_pfaffians_run_on_integer_matrices(monkeypatch):
     # chain53 and Lemma 10 scale row k by q_k^E, E the largest power of x_k
-    # in the row, so every entry handed to the Pfaffian is an int
+    # in the row, so every entry handed to chain53's determinant and to
+    # Lemma 10's Pfaffians is an int
     seen = []
 
-    def recording_pfaffian(rows):
-        seen.append(all(type(x) is int for row in rows for x in row))
-        return integer_pfaffian(rows)
+    def recording(kernel):
+        def record(rows):
+            seen.append(all(type(x) is int for row in rows for x in row))
+            return kernel(rows)
+        return record
 
-    monkeypatch.setattr(msf, "integer_pfaffian", recording_pfaffian)
+    monkeypatch.setattr(msf, "integer_pfaffian", recording(integer_pfaffian))
+    monkeypatch.setattr(msf, "integer_determinant", recording(integer_determinant))
     pts = (F(-3, 2), F(0), F(5, 3), F(7, 4), F(-2, 5), F(9, 7), F(4), F(-11, 6))
     for a in range(1, 6):
         for b in range(1, 6):
@@ -680,23 +707,27 @@ def test_point_pairs_must_be_in_lowest_terms():
 # ---------------------------------------------------------------------------
 
 def test_chain53_and_lemma10_work_price_the_pfaffians_they_take(monkeypatch):
-    # each Pfaffian's size (IndexSets' |Q| + |R| border columns with the
-    # points) and the operations of its loop
+    # chain53's determinant (size 2n-b+1) and each Lemma 10 Pfaffian's size
+    # (IndexSets' |Q| or |R| border columns with the points) and the
+    # operations of its loop
     log = []
 
-    def counting(rows):
-        Counted.reset()
-        value = integer_pfaffian(counted(rows))
-        log.append((len(rows), Counted.ops - 1))
-        return int(value)
+    def counting(kernel):
+        def count(rows):
+            Counted.reset()
+            value = kernel(counted(rows))
+            log.append((len(rows), Counted.ops - 1))
+            return int(value)
+        return count
 
-    monkeypatch.setattr(msf, "integer_pfaffian", counting)
+    monkeypatch.setattr(msf, "integer_pfaffian", counting(integer_pfaffian))
+    monkeypatch.setattr(msf, "integer_determinant", counting(integer_determinant))
     for a, b, n in ((1, 1, 3), (2, 2, 4), (3, 5, 6), (4, 2, 5), (5, 3, 3), (1, 3, 5)):
         pts = seeded_points(n + 1, a + n)
         log.clear()
         assert chain_5_3_check(a, b, n, pts, pts[:n])
-        K = 4 * n - 2 * b + 2
-        assert log == [(K, elimination_work(K, 0, True)["step"])], (a, b, n)
+        m = 2 * n - b + 1
+        assert log == [(m, elimination_work(m, 0)["step"])], (a, b, n)
         assert msf.chain53_work(a, b, n)["step"] == log[0][1] + rab_sum_work(a, b, n + 1, n)["step"]
         log.clear()
         assert lemma10_check(a, b, n, pts[:n])
@@ -708,6 +739,31 @@ def test_chain53_and_lemma10_work_price_the_pfaffians_they_take(monkeypatch):
                 schur_steps += schur_work(w, r, n)["step"]
         assert log == [(K, elimination_work(K, 0, True)["step"]) for K in sizes], (a, b, n)
         assert msf.lemma10_work(a, b, n)["step"] == sum(ops for _, ops in log) + schur_steps
+
+
+def test_chain53_work_prices_the_bits_its_determinant_multiplies(monkeypatch):
+    # chain53_work prices each update at 9/2 of its operands' bits squared,
+    # from the bits instrumented runs show: the two products' bits squared
+    # that the loop takes, at the seed-0 points the CLI draws first, stay
+    # within 0.7-1.3 of 4/9 of that price
+    bits = []
+
+    def counting(rows):
+        Counted.reset()
+        value = integer_determinant(counted(rows))
+        bits.append(Counted.product_bits)
+        return int(value)
+
+    monkeypatch.setattr(msf, "integer_determinant", counting)
+    for a, b, n in ((1, 1, 12), (2, 2, 10), (3, 3, 12), (3, 7, 12), (5, 9, 12), (3, 9, 9),
+                    (1, 11, 11), (9, 3, 6)):
+        bits.clear()
+        pts = seeded_pairs(n + 1, 0)
+        assert chain_5_3_check(a, b, n, pts, pts[:n])
+        E = (n + a) * 4
+        priced = (msf.chain53_work(a, b, n)["digit"] - rab_sum_work(a, b, n + 1, n).get("digit", 0)
+                  - msf._n_block_work(n + 1, n, E)["digit"])
+        assert 0.7 <= bits[0] / (priced * 4 / 9) <= 1.3, (a, b, n, bits[0] / (priced * 4 / 9))
 
 
 class _Quotient(int):
@@ -778,8 +834,6 @@ def test_paired_pfaffian_work_counts_the_nonzero_updates(monkeypatch):
             digit = sum(Fraction(4 * c * x * x, d * d) for c, (x, d) in zip(counts, bits))
             work = msf._paired_pfaffian_work(n, t, E)
             assert abs(work["pfaffian_digit"] - digit) <= 1, (a, b, n)  # E <= 300: unscaled
-            sparse = msf._paired_pfaffian_work(n, t, E, True)["pfaffian_digit"]
-            assert abs(sparse - digit * 3 / 5) <= 1, (a, b, n)
     # past 300 bits a step, scaled by the cube root of 300 / E: at 8 times
     # the bits, 64 times the bits squared at half the price
     assert msf._paired_pfaffian_work(8, 4, 2400)["pfaffian_digit"] \
