@@ -24,7 +24,8 @@ Pfaffian is a signed determinant of half the size, which goes to
 two moment Pfaffians, and Lemma 10 (``lemma10_check``, on the same closed
 block ``_n_block`` over one alphabet, its Pfaffian taken by
 ``core.integer_pfaffian`` with each point's row paired with a border
-column) evaluates each as Delta(X) s_R(X) s_R'(X):
+column, which leaves the sign (-1)^floor(b/2) with an M_Q border and +
+with an M_R border) evaluates each as Delta(X) s_R(X) s_R'(X):
 (R, R') = (R_A, R_B) on X_n and (R_B, R_C) on X_{n+1}, where
 R_A = (ceil((a+1)/2))^(floor(b/2)), R_B = (ceil(a/2))^(ceil(b/2)) and
 R_C = (floor(a/2))^(ceil((b+1)/2)).
@@ -128,21 +129,6 @@ def _n_block(a: int, b: int, n: int, xs: Alphabet, ys: Alphabet) -> List[List[in
     ``_scaled_n_entry`` with s = (a+b)/2 and shift n-b."""
     s, shift = (a + b) // 2, n - b
     return [[_scaled_n_entry(x, y, s, shift) for y in ys] for x in xs]
-
-
-def _paired_pfaffian(m: List[List[int]], border: int) -> int:
-    """Pf(m) by ``integer_pfaffian`` for m of L points and then t =
-    ``border`` <= L columns, with the indices reordered first to p_0, b_0,
-    p_1, b_1, ..., p_(t-1), b_(t-1), p_t, ..., p_(L-1) and that reordering's
-    sign, (-1)^(t(L-1) - t(t-1)/2), applied.  The point rows of a Lemma 10
-    matrix meet in a block of rank at most 2(a+b), so in the given order
-    most pivots are zero and need a swap; pairing each point with a border
-    column avoids that and keeps the entries smaller (at a = b = 1, n = 45
-    about 1.3x faster)."""
-    t, L = border, len(m) - border
-    order = [i for k in range(t) for i in (k, L + k)] + list(range(t, L))
-    pf = integer_pfaffian([[m[i][j] for j in order] for i in order])
-    return -pf if (t * (L - 1) - t * (t - 1) // 2) % 2 else pf
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +360,25 @@ def chain_5_3_check(a: int, b: int, n: int, pts1: Iterable, pts0: Iterable) -> b
 # ---------------------------------------------------------------------------
 
 def _lemma10_identity(a: int, b: int, ambient: int, pts: Alphabet) -> bool:
-    """Lemma 10 for the alphabet pts of L = ambient or ambient + 1 points."""
-    L = len(pts)
-    sets = IndexSets(a, b, ambient)
-    border = sets.R if (L + len(sets.R)) % 2 == 0 else sets.Q
-    t = len(border)
-    e = (L - t) * t + t * (t - 1) // 2
-    if border is sets.Q:
-        e += (L - t) // 2
+    """Lemma 10 for the alphabet pts of L = ambient or ambient + 1 points,
+    its Pfaffian taken in the order p_0, b_0, ..., p_(t-1), b_(t-1), p_t,
+    ..., p_(L-1) of points p and border columns b.  The point rows of N
+    meet in a block of rank at most a+b, so in the given order most pivots
+    are zero and need a swap; pairing each point with a border column
+    avoids that and keeps the entries smaller (at a = b = 1, n = 45 about
+    1.3x faster).  In that order the sign is (-1)^floor(b/2) with an M_Q
+    border and + with an M_R border (see ``lemma10_check``)."""
+    L, r = len(pts), ambient - b
+    t = r + (L + r) % 2  # |R|, or |Q| = |R| + 1, so that L + t is even
     # row and column k of N, and row k of the border, scaled by
     # d_k = q_k^(ambient+a), the largest power of x_k in either: the bordered
-    # matrix is integer and its Pfaffian is prod_k d_k times the unscaled one
-    M = _moment_rows(border, pts, ambient + a)
-    pf = _paired_pfaffian(_skew_border(_n_block(a, b, ambient, pts, pts), M), t)
-    lhs = (-pf if e % 2 else pf, _denominator(pts) ** (ambient + a))
+    # matrix is integer and its Pfaffian is prod_k d_k times the unscaled one.
+    # R is Q without its last entry
+    M = _moment_rows(IndexSets(a, b, ambient).Q[:t], pts, ambient + a)
+    m = _skew_border(_n_block(a, b, ambient, pts, pts), M)
+    order = [i for k in range(t) for i in (k, L + k)] + list(range(t, L))
+    pf = integer_pfaffian([[m[i][j] for j in order] for i in order])
+    lhs = (-pf if t > r and b // 2 % 2 else pf, _denominator(pts) ** (ambient + a))
     R, R2 = _rectangles(a, b)[L - ambient:L - ambient + 2]
     return _same(lhs, _times(_vandermonde(pts), _schur(R, pts), _schur(R2, pts)))
 
@@ -404,9 +395,13 @@ def lemma10_check(a: int, b: int, n: int, pts: Iterable) -> bool:
         e = (L-t) t + t(t-1)/2, plus (L-t)/2 when M is M_Q(X),
 
     with (R, R') = (R_A, R_B) when L = n' and (R_B, R_C) when L = n'+1
-    (the rectangles of ``theorem3_rhs``).  The points are checked as X_n at
-    ambient n and, when n-1 >= b, as X_{m+1} at ambient m = n-1.  With
-    ``chain_5_3_check`` this gives Theorem 3 (see the module docstring).
+    (the rectangles of ``theorem3_rhs``).  ``_lemma10_identity`` takes the
+    Pfaffian with each point paired with a border column, a reordering of
+    sign (-1)^(t(L-1) - t(t-1)/2); with it e collapses to (L-t)/2 =
+    floor(b/2) with an M_Q border and to 0 otherwise, as t(2L-t-1) is even.
+    The points are checked as X_n at ambient n and, when n-1 >= b, as
+    X_{m+1} at ambient m = n-1.  With ``chain_5_3_check`` this gives
+    Theorem 3 (see the module docstring).
     """
     p = as_pairs(pts)
     if len(p) != n:
@@ -445,13 +440,14 @@ def conjecture5_work(a: int, b: int, n: int) -> Work:
 
 @cached_work
 def _paired_pfaffian_work(points: int, border: int, E: int) -> Work:
-    """The work of ``_paired_pfaffian`` on L = ``points`` rows of E-bit
-    moments and t = ``border`` columns paired with them, K = L + t even
-    and t <= L (Lemma 10 chooses the border so, for every b >= 0: it pairs
-    ambient-b or ambient-b+1 columns with ambient or ambient+1 points).  An
-    entry after step u is a Pfaffian over the indices taken and two more,
-    0 when it has more columns than points: a paired step leaves C(L-u, 2)
-    + (L-u)(t-u) nonzero entries, a point step after the pairs C(L+t-2u, 2).
+    """The work of ``_lemma10_identity``'s Pfaffian on L = ``points``
+    rows of E-bit moments and t = ``border`` columns paired with them, K =
+    L + t even and t <= L (Lemma 10 chooses the border so, for every b >=
+    0: it pairs ambient-b or ambient-b+1 columns with ambient or ambient+1
+    points).  An entry after step u is a Pfaffian over the indices taken
+    and two more, 0 when it has more columns than points: a paired step
+    leaves C(L-u, 2) + (L-u)(t-u) nonzero entries, a point step after the
+    pairs C(L+t-2u, 2).
     Instrumented runs show them near 2E bits at first, growing 2E/5 a
     paired step and 5E/4 a point step.  Past 300 bits a step (CPython
     multiplies past 70 digits by Karatsuba's method) the time per bit

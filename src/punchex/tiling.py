@@ -68,8 +68,7 @@ class PuncturedHexagon:
 
     def _anchor(self) -> LatticePoint:
         a, b, c = self.a, self.b, self.c
-        if c % 2 == a % 2:
-            return LatticePoint((a + b) // 2, (a + c) // 2)
+        # when c and a share a parity a+c is even and (a+c+1)//2 is (a+c)//2
         return LatticePoint((a + b) // 2, (a + c + 1) // 2)
 
     def puncture_point(self) -> LatticePoint:

@@ -418,26 +418,6 @@ def test_chain53_reads_the_closed_n_block_and_its_oracle_the_pairing(monkeypatch
     assert not any(verdicts), verdicts
 
 
-def test_paired_pfaffian_equals_the_pfaffian_in_the_given_order():
-    # Lemma 10's layout: L points, then t <= L border columns; the
-    # reordering's sign is applied
-    rng = random.Random(19)
-    nonzero = 0
-    for _ in range(120):
-        L = rng.randint(0, 6)
-        t = rng.randint(0, L)
-        n = L + t
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i][j] = rng.randint(-3, 3)
-                m[j][i] = -m[i][j]
-        expected = integer_pfaffian([list(row) for row in m])
-        assert msf._paired_pfaffian(m, t) == expected, (L, t, m)
-        nonzero += expected != 0
-    assert nonzero >= 40
-
-
 def test_a_bipartite_pfaffian_is_a_signed_determinant_of_half_the_size():
     # the identity chain53 rests on: Pf([[0, C], [-C^T, 0]]) =
     # (-1)^(m(m-1)/2) det C for any m x m C
@@ -461,6 +441,21 @@ def test_chain53_reads_the_sign_of_its_determinant(monkeypatch):
     verdicts = [chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances]
     assert not any(verdicts), verdicts
     assert all(lemma10_check(a, b, n + 1, pts) for a, b, n, pts in instances)
+
+
+def test_lemma10_reads_the_sign_of_its_pfaffian(monkeypatch):
+    # Lemma 10's left side is its Pfaffian: negating the Pfaffian breaks it
+    # on every instance of same-parity a, b <= 5, n in {b, b+1, b+2}, which
+    # reach b mod 4 = 0..3 and so both borders and both signs, while
+    # chain53, which takes a determinant, still holds
+    instances = [(a, b, n, seeded_points(n + 1, seed))
+                 for a in range(1, 6) for b in range(a % 2 or 2, 6, 2)
+                 for n in (b, b + 1, b + 2) for seed in (0, 1)]
+    assert len(instances) == 78
+    monkeypatch.setattr(msf, "integer_pfaffian", lambda rows: -integer_pfaffian(rows))
+    verdicts = [lemma10_check(a, b, n, pts[:n]) for a, b, n, pts in instances]
+    assert not any(verdicts), verdicts
+    assert all(chain_5_3_check(a, b, n, pts, pts[:n]) for a, b, n, pts in instances)
 
 
 def test_chain53_validation():
@@ -641,7 +636,7 @@ def _moved(pts):
 def _corrupt(monkeypatch, corruption, target):
     """Patch ``corruption`` into the names both a check and its oracle read."""
     rectangles, rab_sum, vandermonde = msf._rectangles, msf._rab_sum, msf._vandermonde
-    paired, pfaffian_ = msf._paired_pfaffian, oracles.pfaffian
+    pfaffian_ = oracles.pfaffian
 
     def swapped(a, b):
         ra, rb, rc = rectangles(a, b)
@@ -660,7 +655,7 @@ def _corrupt(monkeypatch, corruption, target):
         monkeypatch.setattr(msf, "_rab_sum", sum_at_moved_point)
         monkeypatch.setattr(msf, "_vandermonde", lambda pts: vandermonde(_moved(pts)))
     elif target == "lemma10":  # its left side is the Pfaffian
-        monkeypatch.setattr(msf, "_paired_pfaffian", lambda m, groups: paired(m, groups) + 1)
+        monkeypatch.setattr(msf, "integer_pfaffian", lambda m: integer_pfaffian(m) + 1)
         monkeypatch.setattr(oracles, "pfaffian", lambda m: pfaffian_(m) + 1)
     else:  # the left side is the R(a,b) sum
         monkeypatch.setattr(msf, "_rab_sum", sum_plus_one)
