@@ -4,6 +4,12 @@ Three independent counting routes — closed-form products, one lattice-path
 determinant, and an exact diagonal sweep over non-intersecting path families —
 plus exact checks of the symmetric-function and Pfaffian identities behind
 them.  All arithmetic is exact (int / Fraction); nothing here floats.
+
+``import punchex`` loads the counting layer alone: ``boxcount``, ``core``
+and ``tiling``.  The identity layer, ``msf`` and ``symfun``, is imported on
+the first access to one of its names (``punchex.theorem3_check``,
+``from punchex import *``), so ``punchex count`` and ``punchex render``
+never load it and ``punchex verify`` loads it once.
 """
 
 from .boxcount import (
@@ -21,29 +27,6 @@ from .core import (
     integer_pfaffian,
     pfaffian,
 )
-from .msf import (
-    IndexSets,
-    chain_5_3_check,
-    conjecture5_check,
-    lemma9_check,
-    lemma10_check,
-    minor_summation,
-    theorem3_check,
-    theorem3_lhs,
-    theorem3_rhs,
-)
-from .symfun import (
-    RabIndex,
-    RabPair,
-    generate_rab,
-    lemma8_check,
-    schur_bidet,
-    schur_eval,
-    schur_nk,
-    seeded_pairs,
-    seeded_points,
-    vandermonde_product,
-)
 from .tiling import (
     LatticePoint,
     PathFamily,
@@ -58,6 +41,17 @@ from .tiling import (
 )
 
 __version__ = "0.1.0"
+
+# The identity layer's public names and the module that defines each; a
+# module ``__getattr__`` (PEP 562) imports that module on the first access.
+_IDENTITY_LAYER = {
+    **dict.fromkeys(("schur_nk", "schur_bidet", "schur_eval", "seeded_pairs", "seeded_points",
+                     "vandermonde_product", "RabIndex", "RabPair", "generate_rab",
+                     "lemma8_check"), "symfun"),
+    **dict.fromkeys(("IndexSets", "minor_summation", "lemma9_check", "theorem3_check",
+                     "theorem3_lhs", "theorem3_rhs", "conjecture5_check", "chain_5_3_check",
+                     "lemma10_check"), "msf"),
+}
 
 __all__ = [
     "Partition",
@@ -81,23 +75,21 @@ __all__ = [
     "validate_family",
     "count_via_path_determinants",
     "render_tiling_svg",
-    "schur_nk",
-    "schur_bidet",
-    "schur_eval",
-    "seeded_pairs",
-    "seeded_points",
-    "vandermonde_product",
-    "RabIndex",
-    "RabPair",
-    "generate_rab",
-    "lemma8_check",
-    "IndexSets",
-    "minor_summation",
-    "lemma9_check",
-    "theorem3_check",
-    "theorem3_lhs",
-    "theorem3_rhs",
-    "conjecture5_check",
-    "chain_5_3_check",
-    "lemma10_check",
+    *_IDENTITY_LAYER,
 ]
+
+
+def __getattr__(name):
+    """An identity-layer name, from its module, imported on first access;
+    the name is then bound in the package, so later accesses skip this."""
+    if name not in _IDENTITY_LAYER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_IDENTITY_LAYER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_IDENTITY_LAYER})

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 import re
 import sys
 import time
@@ -24,10 +23,6 @@ from decimal import Decimal
 
 from .boxcount import macmahon_box, theorem1_count, theorem4_count
 from .core import Work, binomial, total
-from .msf import (chain53_work, chain_5_3_check, conjecture5_check, conjecture5_work,
-                  lemma9_check, lemma9_work, lemma10_check, lemma10_work, minor_summation,
-                  minor_summation_work, theorem3_check, theorem3_work)
-from .symfun import generate_rab, lemma8_check, lemma8_work, seeded_pairs
 from .tiling import (PuncturedHexagon, count_via_path_determinants, enumerate_tilings,
                      path_determinant_work, render_tiling_svg, sweep_updates, tiling_family,
                      unranking_updates)
@@ -50,12 +45,17 @@ ENTRIES = (-3, 3)
 
 # The targets checked at seeded points: how many points beyond n each draws,
 # its check on (a, b, n, (p, q) pairs) and its work on (a, b, n).  The lambdas
-# look the checks up at call time, so a tracer's wrapper sees every call.
+# look both up in ``msf`` (bound by ``_load_identity_layer``) at call time, so
+# a tracer's wrapper sees every call.
 POINT_TARGETS = {
-    "theorem3": (1, lambda a, b, n, pts: theorem3_check(a, b, n, pts, pts[:n]), theorem3_work),
-    "conjecture5": (2, lambda a, b, n, pts: conjecture5_check(a, b, n, pts), conjecture5_work),
-    "chain53": (1, lambda a, b, n, pts: chain_5_3_check(a, b, n, pts, pts[:n]), chain53_work),
-    "lemma10": (0, lambda a, b, n, pts: lemma10_check(a, b, n, pts), lemma10_work),
+    "theorem3": (1, lambda a, b, n, pts: msf.theorem3_check(a, b, n, pts, pts[:n]),
+                 lambda a, b, n: msf.theorem3_work(a, b, n)),
+    "conjecture5": (2, lambda a, b, n, pts: msf.conjecture5_check(a, b, n, pts),
+                    lambda a, b, n: msf.conjecture5_work(a, b, n)),
+    "chain53": (1, lambda a, b, n, pts: msf.chain_5_3_check(a, b, n, pts, pts[:n]),
+                lambda a, b, n: msf.chain53_work(a, b, n)),
+    "lemma10": (0, lambda a, b, n, pts: msf.lemma10_check(a, b, n, pts),
+                lambda a, b, n: msf.lemma10_work(a, b, n)),
 }
 # The least n, on b, at which theorem3's and conjecture5's sides do not
 # vanish: below it a rectangle on the right has more rows than the points it
@@ -177,6 +177,18 @@ def _read(words, rest):
 # verify targets
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _load_identity_layer() -> None:
+    """Bind ``msf``, ``symfun`` and ``random`` in this module, once a process,
+    for the first ``verify``: ``count`` and ``render`` never import them.
+    ``_work`` calls it, and every ``verify`` is priced before it runs.  Every
+    use looks its function up on the module at call time."""
+    global msf, random, symfun
+    import random
+
+    from . import msf, symfun
+
+
 def _sizes(args):
     """(a, b, n, trials) of a ``verify``: n is b, trials 50 or 3 by default."""
     trials = 50 if args.target in ("minor-summation", "lemma9") else 3
@@ -202,9 +214,10 @@ def _work(args) -> Work:
         updates = (unranking_updates if args.command == "render" else sweep_updates)(
             hexagon, limit("sweep"))
         return total({"sweep": updates}, own)
+    _load_identity_layer()
     a, b, n, trials = _sizes(args)
     if args.target == "lemma8":
-        return total(lemma8_work(a, b, limit("call")), own)
+        return total(symfun.lemma8_work(a, b, limit("call")), own)
     if args.target in POINT_TARGETS:
         # a trial draws its points (a call each) and checks them
         extra, _, target_work = POINT_TARGETS[args.target]
@@ -216,12 +229,12 @@ def _work(args) -> Work:
     if args.target == "minor-summation":
         sizes = MINOR_SUMMATION_SIZES
         cols = [(max(1, size - size % 2) + MAX_COLUMNS) // 2 for size in sizes]
-        works = [total(minor_summation_work(size, p, size % 2, bits),
+        works = [total(msf.minor_summation_work(size, p, size % 2, bits),
                        {"call": 3 + size * (p + size % 2) + p * (p - 1) // 2})
                  for size, p in zip(sizes, cols)]
     else:
         sizes = LEMMA9_SIZES
-        works = [total(lemma9_work(size, bits), {"call": 2 + 2 * size + size * (size - 1) // 2})
+        works = [total(msf.lemma9_work(size, bits), {"call": 2 + 2 * size + size * (size - 1) // 2})
                  for size in sizes]
     return total({unit: trials * v // len(sizes) for unit, v in total(*works).items()}, own)
 
@@ -251,9 +264,9 @@ def _verify(args):
                          f"{LEAST_N[target](b)} (got --n {nn}): below it both sides "
                          f"are 0 at every point")
     if target == "lemma8":
-        pairs = generate_rab(a, b)
+        pairs = symfun.generate_rab(a, b)
         params["pairs"] = len(pairs)
-        bad = [p for p in pairs if not lemma8_check(p)]
+        bad = [p for p in pairs if not symfun.lemma8_check(p)]
         if bad or len(pairs) != binomial(a + b, a):
             ce = {"pairs": len(pairs), "expected_pairs": binomial(a + b, a)}
             if bad:
@@ -269,7 +282,7 @@ def _verify(args):
             p = rng.randint(max(1, size - q), MAX_COLUMNS)
             G = [[rng.randint(*ENTRIES) for _ in range(p)] for _ in range(size)]
             H = [[rng.randint(*ENTRIES) for _ in range(q)] for _ in range(size)]
-            lhs, rhs = minor_summation(G, H, _random_skew(rng, p))
+            lhs, rhs = msf.minor_summation(G, H, _random_skew(rng, p))
             if lhs != rhs:
                 return params, False, {"trial": trial, "n": size, "p": p, "q": q,
                                        "lhs": str(lhs), "rhs": str(rhs)}
@@ -283,14 +296,14 @@ def _verify(args):
             bvec = [rng.randint(*ENTRIES) for _ in range(size)]
             cvec = [rng.randint(*ENTRIES) for _ in range(size)]
             d = rng.randint(*ENTRIES)
-            if not lemma9_check(A, bvec, cvec, d):
+            if not msf.lemma9_check(A, bvec, cvec, d):
                 return params, False, {"trial": trial, "n": size}
         return params, True, None
 
     # the remaining targets are parameterized by (a, b, n) and seeded points
     extra, check, _ = POINT_TARGETS[target]
     for trial in range(t):
-        pts = seeded_pairs(nn + extra, seed + trial)
+        pts = symfun.seeded_pairs(nn + extra, seed + trial)
         if not check(a, b, nn, pts):
             # each point as str(Fraction) prints it: p/q, or p when q is 1
             return params, False, {"trial": trial, "seed": seed + trial,

@@ -25,7 +25,7 @@ inverts the bijection back to rhombi.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import mul
+from operator import index, mul
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .core import (Work, binomial, elimination_work, integer_determinant, poly_mul, poly_sum,
@@ -49,17 +49,18 @@ class PuncturedHexagon:
     __slots__ = ("a", "b", "c", "puncture_offset")
 
     def __init__(self, a: int, b: int, c: int, puncture_offset: Tuple[int, int] = (0, 0)):
+        # index refuses (TypeError) a float or Fraction, which int would truncate
+        a, b, c, dx, dy = map(index, (a, b, c, *puncture_offset))
         if a < 1 or b < 1 or c < 1:
             raise ValueError("side parameters must be positive")
         if a % 2 != b % 2:
             raise ValueError(
                 "puncture position undefined: a and b must have equal parity"
             )
-        dx, dy = puncture_offset
         self.a = a
         self.b = b
         self.c = c
-        self.puncture_offset = (int(dx), int(dy))
+        self.puncture_offset = (dx, dy)
         px, py = self.puncture_point()
         # strictly inside: between the two horizontal sides, the two
         # vertical extremes, and the two diagonal sides

@@ -297,8 +297,6 @@ def test_memoised_work_changes_no_estimate(monkeypatch):
         for module in (core, symfun, msf, tiling, cli):
             if vars(module).get(fn.__name__) is fn:
                 monkeypatch.setattr(module, fn.__name__, fn.__wrapped__)
-    for target, (extra, check, work) in cli.POINT_TARGETS.items():
-        monkeypatch.setitem(cli.POINT_TARGETS, target, (extra, check, work.__wrapped__))
     uncached = [cli._estimated_fs(args) for args in parsed]
     assert all(fn.cache_info().currsize == 0 for fn in CACHED_WORK)
     assert cold == warm == uncached
@@ -587,8 +585,8 @@ def test_report_bytes_are_pinned(capsys, monkeypatch, tmp_path):
 
 
 def test_counterexample_report_bytes_are_pinned(capsys, monkeypatch):
-    # POINT_TARGETS looks theorem3_check up at call time, so this forces exit 1
-    monkeypatch.setattr(cli, "theorem3_check", lambda *args: False)
+    # POINT_TARGETS looks theorem3_check up in msf at call time, so this forces exit 1
+    monkeypatch.setattr(msf, "theorem3_check", lambda *args: False)
     assert _run_in_process(capsys, "verify", "theorem3", "--a", "1", "--b", "1", "--n", "1",
                            "--trials", "2", "--seed", "4") == (
         1,
@@ -603,7 +601,7 @@ def test_counterexample_report_bytes_are_pinned(capsys, monkeypatch):
 def test_counterexample_points_print_as_their_fractions_do(capsys, monkeypatch):
     # drawn as (p, q) pairs, each point prints as str(Fraction(p, q)) does:
     # p/q, or p alone when q is 1
-    monkeypatch.setattr(cli, "theorem3_check", lambda *args: False)
+    monkeypatch.setattr(msf, "theorem3_check", lambda *args: False)
     integers = 0
     for seed in range(12):
         code, out, _ = _run_in_process(capsys, "verify", "theorem3", "--n", "40", "--seed",
@@ -616,13 +614,13 @@ def test_counterexample_points_print_as_their_fractions_do(capsys, monkeypatch):
 def test_minor_summation_counterexample_bytes_are_pinned(capsys, monkeypatch):
     # the drawn instances, through both sides of the identity: a right side
     # off by one forces exit 1 and reports the true left side
-    real = cli.minor_summation
+    real = msf.minor_summation
 
     def off_by_one(G, H, A):
         lhs, rhs = real(G, H, A)
         return lhs, rhs + 1
 
-    monkeypatch.setattr(cli, "minor_summation", off_by_one)
+    monkeypatch.setattr(msf, "minor_summation", off_by_one)
     for seed, ce in (
         (5, '{"trial":0,"n":3,"p":6,"q":1,"lhs":"102","rhs":"103"}'),
         (11, '{"trial":0,"n":4,"p":5,"q":2,"lhs":"103","rhs":"104"}'),
@@ -735,6 +733,52 @@ def test_plain_argv_does_not_import_argparse():
         lines = proc.stdout.splitlines()
         assert lines[-1] == f"False {imported} 0", (args, proc.stdout, proc.stderr)
         assert lines[0].startswith("usage: punchex" if imported else '{"command":"count closed"')
+
+
+def _fresh(script, *args):
+    """The last line ``script`` prints in a fresh ``python -S`` process, as JSON."""
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *args], capture_output=True,
+                          text=True, timeout=120, env=_ENV)
+    assert proc.returncode == 0, (args, proc.stdout, proc.stderr)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# run with "attribute" or "star": an unknown name is refused without loading
+# msf, dir covers __all__, and the __all__ names, each read by attribute or
+# by a star import, that are not their defining module's object
+PUBLIC_NAMES = """
+import importlib, json, sys
+import punchex
+refused = not hasattr(punchex, "theorem2_check") and "punchex.msf" not in sys.modules
+if sys.argv[1] == "star":
+    from punchex import *
+got = {name: globals()[name] if sys.argv[1] == "star" else getattr(punchex, name)
+       for name in punchex.__all__}
+print(json.dumps([refused, sorted(set(punchex.__all__) - set(dir(punchex))),
+                  [name for name, obj in got.items() if obj is not getattr(punchex, name)
+                   or obj is not getattr(importlib.import_module(obj.__module__), name)]]))
+"""
+
+
+def test_count_and_render_do_not_load_the_identity_layer(tmp_path):
+    # import punchex loads the counting layer alone; count and render run
+    # without msf and symfun, and the first verify loads both
+    assert _fresh("import json, sys, punchex; print(json.dumps(sorted(m for m in sys.modules "
+                  "if m.startswith('punchex.'))))") == [
+        "punchex.boxcount", "punchex.core", "punchex.tiling"]
+    script = ("import json, sys; from punchex import cli; code = cli.run(sys.argv[1:]); "
+              "print(json.dumps([code, 'punchex.msf' in sys.modules, 'punchex.symfun' in sys.modules]))")
+    for args, loaded in (
+        (("count", "closed", *_SIDES), False), (("count", "box", "--x", "2", "--y", "2", "--z", "2"), False),
+        (("count", "brute", *_SIDES), False), (("count", "lgv", *_SIDES), False),
+        (("render", *_SIDES, "--index", "0", "-o", str(tmp_path / "t.svg")), False),
+        (("verify", "theorem3"), True), (("verify", "lemma8"), True),
+    ):
+        assert _fresh(script, *args) == [0, loaded, loaded], args
+    for how in ("attribute", "star"):
+        assert _fresh(PUBLIC_NAMES, how) == [True, [], []], how
+    with pytest.raises(AttributeError, match="has no attribute 'theorem2_check'"):
+        punchex.theorem2_check
 
 
 def test_render_writes_svg():

@@ -4,8 +4,11 @@ the lattice-path determinant count, and SVG rendering."""
 import hashlib
 import inspect
 import sys
+from fractions import Fraction
 from math import comb
 from typing import List
+
+import pytest
 
 from counting import Counted, counted
 from punchex import cli, tiling
@@ -138,6 +141,17 @@ def test_hexagon_validation():
     _expect_value_error(PuncturedHexagon, 1, 1, 1, (-3, 0))
     # (2,1) sits on the path-end boundary line, not strictly inside
     _expect_value_error(PuncturedHexagon, 1, 1, 1, (1, 0))
+    _expect_value_error(PuncturedHexagon, 2, 2, 2, (1, 0, 0))
+
+
+def test_hexagon_refuses_non_integral_sides_and_offsets():
+    # truncated, the offset (0.9, -0.9) was the central puncture and both
+    # routes counted its 54 tilings; a float side failed later, in range
+    for args in ((2, 2, 2, (0.9, -0.9)), (2, 2, 2, (Fraction(1), 0)), (2.0, 2, 2), (2, 2, 2.5)):
+        with pytest.raises(TypeError):
+            PuncturedHexagon(*args)
+    h = PuncturedHexagon(2, 2, 2, (1, 0))
+    assert (h.a, h.b, h.c, h.puncture_offset) == (2, 2, 2, (1, 0))
 
 
 def test_puncture_positions():
