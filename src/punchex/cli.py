@@ -33,9 +33,10 @@ from .tiling import (PuncturedHexagon, count_via_path_determinants, enumerate_ti
 BUDGET_S = 5
 # Femtoseconds per unit of the work that the function next to each kernel
 # counts (README, "Admission"), fitted by ``tools/fit_weights.py`` to the
-# reference-clock timings in BENCH_16.json and, for ``sweep``, BENCH_20.json.
+# reference-clock timings in BENCH_16.json and, for ``sweep``, BENCH_20.json
+# and BENCH_32.json.
 FS_PER = {"call": 4_900_000_000, "product": 190_000_000, "step": 130_000_000, "digit": 1_900,
-          "pfaffian_digit": 2_500, "binomial": 81_000, "sweep": 930_000_000}
+          "pfaffian_digit": 2_500, "binomial": 81_000, "sweep": 750_000_000}
 
 # The random instances of minor-summation and lemma9: a size drawn from
 # these ranges, at most MAX_COLUMNS columns of G, entries from ENTRIES.
@@ -208,7 +209,7 @@ def _work(args) -> Work:
 
     own = {"call": 1500}  # the parse and the report
     if args.command != "verify":
-        hexagon = PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
+        hexagon = _hexagon(args)
         if getattr(args, "mode", "") == "lgv":
             return total(path_determinant_work(hexagon), own)
         updates = (unranking_updates if args.command == "render" else sweep_updates)(
@@ -335,6 +336,12 @@ def _random_skew(rng: random.Random, size: int):
 # dispatch
 # ---------------------------------------------------------------------------
 
+def _hexagon(args) -> PuncturedHexagon:
+    """The hexagon of a parsed ``count brute|lgv`` or ``render``, punctured
+    at ``--puncture``'s offset where the command takes one."""
+    return PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
+
+
 def _count(args):
     """Run one ``count`` mode; returns (params, value)."""
     if args.mode == "box":
@@ -355,10 +362,8 @@ def _count(args):
     if args.mode == "brute":
         params["puncture"] = list(args.puncture)
     _admit(f"count {args.mode}", _estimated_fs(args), **params)
-    if args.mode == "brute":
-        return params, enumerate_tilings(PuncturedHexagon(args.a, args.b, args.c,
-                                                          tuple(args.puncture)))
-    return params, count_via_path_determinants(PuncturedHexagon(args.a, args.b, args.c))
+    count = enumerate_tilings if args.mode == "brute" else count_via_path_determinants
+    return params, count(_hexagon(args))
 
 
 def _report(command: str, params, result, t0: float, seed=None) -> str:
@@ -390,7 +395,7 @@ def run(argv) -> int:
             print(_report(f"verify {args.target}", params, verdict, t0, seed=args.seed))
             return 0 if verdict else 1
 
-        hexagon = PuncturedHexagon(args.a, args.b, args.c)
+        hexagon = _hexagon(args)
         params = {"a": args.a, "b": args.b, "c": args.c, "index": args.index,
                   "output": args.output}
         _admit("render", _estimated_fs(args), **params)

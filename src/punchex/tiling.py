@@ -12,7 +12,12 @@ For the centrally removed triangle (a, b, c all of one parity) that start
 is ((a+b)/2, (a+c)/2).  In the mixed-parity case (a and b of one parity,
 c of the other) the removed triangle sits on the vertical mid-line, two
 units closer to the side of length b+1 and one unit closer to the side of
-length c+1, which in path coordinates is ((a+b)/2, (a+c+1)/2).
+length c+1, which in path coordinates is ((a+b)/2, (a+c+1)/2).  Any
+lattice point of the hexagon on the diagonals -c <= x - y <= b may be the
+puncture instead, the E points of x - y = b included: each leaves a
+tileable region.  ``PuncturedHexagon.span`` states the hexagon's lattice
+points diagonal by diagonal; the two path routes, their work estimates
+and the renderer read them from it.
 
 This module provides an exact combinatorial count of such families (a
 sweep over the diagonals x - y = d, independent of every closed formula
@@ -43,7 +48,8 @@ class PuncturedHexagon:
     ``puncture_offset`` shifts the removed triangle away from its default
     position (the parity-appropriate position described in the module
     docstring); the offset is in path coordinates (east, north).  The
-    resulting point must lie strictly inside the hexagon.
+    resulting point may be any lattice point of the hexagon on the
+    diagonals -c <= x - y <= b (``in``): each leaves a tileable region.
     """
 
     __slots__ = ("a", "b", "c", "puncture_offset")
@@ -61,21 +67,26 @@ class PuncturedHexagon:
         self.b = b
         self.c = c
         self.puncture_offset = (dx, dy)
-        px, py = self.puncture_point()
-        # strictly inside: between the two horizontal sides, the two
-        # vertical extremes, and the two diagonal sides
-        if not (0 <= px <= a + b and 0 <= py <= a + c and 1 <= px - py + c + 1 <= b + c):
-            raise ValueError("puncture must lie strictly inside the hexagon")
+        if self.puncture_point() not in self:
+            raise ValueError(f"puncture must lie in the hexagon on a diagonal {-c} <= x - y <= {b}")
 
-    def _anchor(self) -> LatticePoint:
-        a, b, c = self.a, self.b, self.c
-        # when c and a share a parity a+c is even and (a+c+1)//2 is (a+c)//2
-        return LatticePoint((a + b) // 2, (a + c + 1) // 2)
+    def span(self, d: int) -> range:
+        """The x of the hexagon's lattice points on the diagonal x - y = d:
+        0 <= x <= a+b, and 0 <= y <= a+c, that is d <= x <= a+c+d.  So
+        max(d, 0) <= x <= min(a+b, a+c+d), spelt with conditionals, as the
+        two builtin calls slowed a small ``count brute`` by a few percent."""
+        top, last = self.a + self.b, self.a + self.c + d
+        return range(d if d > 0 else 0, (top if top < last else last) + 1)
+
+    def __contains__(self, p) -> bool:
+        """Whether lattice point p may be the puncture: it lies on a
+        diagonal -c <= d <= b, at an x of ``span(d)``."""
+        return -self.c <= p[0] - p[1] <= self.b and p[0] in self.span(p[0] - p[1])
 
     def puncture_point(self) -> LatticePoint:
-        base = self._anchor()
         dx, dy = self.puncture_offset
-        return LatticePoint(base.x + dx, base.y + dy)
+        # when c and a share a parity a+c is even and (a+c+1)//2 is (a+c)//2
+        return LatticePoint((self.a + self.b) // 2 + dx, (self.a + self.c + 1) // 2 + dy)
 
     def __repr__(self) -> str:
         return (
@@ -109,10 +120,9 @@ class PathFamily(tuple):
 
 def start_end_points(h: PuncturedHexagon) -> Tuple[List[LatticePoint], List[LatticePoint]]:
     """Start points (A_1..A_a and the puncture) and end points E_1..E_{a+1}."""
-    a, b, c = h.a, h.b, h.c
-    starts = [LatticePoint(i - 1, c + i) for i in range(1, a + 1)]
+    starts = [LatticePoint(x, x + h.c + 1) for x in h.span(-h.c - 1)]
     starts.append(h.puncture_point())
-    ends = [LatticePoint(b + j - 1, j - 1) for j in range(1, a + 2)]
+    ends = [LatticePoint(x, x - h.b) for x in h.span(h.b)]
     return starts, ends
 
 
@@ -159,7 +169,7 @@ def _sweep(h: PuncturedHexagon, starts: Sequence[LatticePoint], forbidden=frozen
     states, width = {(): 1}, 0
     for d in range(min(joins, default=last), last + 1):
         for x in joins.get(d, ()):
-            if not d <= x <= top or x in blocked.get(d, ()):
+            if x not in h.span(d) or x in blocked.get(d, ()):
                 return 0
             states = {tuple(sorted(xs + (x,))): w for xs, w in states.items() if x not in xs}
             width += 1
@@ -239,12 +249,18 @@ def _carrying(a: int, runs: Sequence[Tuple[int, int, int, int]]) -> int:
     in distinct x positions of d or d+1: w_d = a + u_d is the number of x
     admissible on d, plus one.  w_d rises, falls or stays by one a diagonal
     within a run, which sums in closed form: sum_{w=m..M} C(w, k) =
-    C(M+1, k+1) - C(m, k+1)."""
+    C(M+1, k+1) - C(m, k+1).  A diagonal before the puncture's path joins
+    (pi_d = 0) is priced as two: there the states met fill 0.75-0.98 of
+    C(w_d, a) for a <= 4, while after the join the puncture's path holds
+    them to about half of C(w_d, a+1) at the central puncture.  A sweep
+    from a puncture on d = b-1 or d = b carries the a paths alone almost
+    to the end, and took 1.5-2.1 times as long a unit of the sum above as
+    one from the central puncture of the same shape (BENCH_32.json)."""
     total = 0
     for n, pi, u0, u1 in runs:
         k, w0, w1 = a + pi, a + u0, a + u1
-        total += k * (n * binomial(w0, k) if w0 == w1
-                      else binomial(w1 + 1, k + 1) - binomial(w0, k + 1))
+        total += (2 - pi) * k * (n * binomial(w0, k) if w0 == w1
+                                 else binomial(w1 + 1, k + 1) - binomial(w0, k + 1))
     return total
 
 
@@ -252,13 +268,13 @@ def _diagonal_runs(h: PuncturedHexagon) -> List[Tuple[int, int, int, int]]:
     """The runs of diagonals a sweep over h steps from, split at the
     puncture's diagonal and where the width turns (d = 0 and d = b-c), as
     (length, pi, u0, u1): pi = 1 from the puncture's diagonal on, and
-    u0 <= u1 the run's first and last u_d = min(b, c+d) - max(d, 0) + 2
+    u0 <= u1 the run's first and last u_d = len(span(d)) - a + 1
     (``_carrying``'s w_d - a), linear in d within a run."""
-    b, c = h.b, h.c
+    a, b, c = h.a, h.b, h.c
     p = h.puncture_point()
     dp = p.x - p.y
     bounds = sorted({-c - 1, dp, b} | {e for e in (0, b - c) if -c - 1 < e < b})
-    return [(hi - lo, int(lo >= dp), *sorted(min(b, c + d) - max(d, 0) + 2 for d in (lo, hi - 1)))
+    return [(hi - lo, int(lo >= dp), *sorted(len(h.span(d)) - a + 1 for d in (lo, hi - 1)))
             for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -270,7 +286,7 @@ def unranking_updates(h: PuncturedHexagon, limit: int) -> int:
     ``_carrying`` a' paths, for a' = 0..a.  Past ``limit``, as
     ``sweep_updates``.  The loop is short: below the limit, diagonal d = 0
     alone costs the first sweep at least a^3/2 (u_0 = min(b, c)+2 >= 3),
-    so a <= 220 at a limit of 5,376,344."""
+    so a <= 237 at a limit of 6,666,666."""
     first = sweep_updates(h, limit)
     if first > limit:
         return first
@@ -321,8 +337,7 @@ def count_via_path_determinants(h: PuncturedHexagon) -> int:
     starts, ends = start_end_points(h)
     p = starts[-1]
     diag = p.x - p.y
-    mids = [LatticePoint(x, x - diag)
-            for x in range(max(diag, 0), min(h.a + h.b, h.a + h.c + diag) + 1) if x != p.x]
+    mids = [LatticePoint(x, x - diag) for x in h.span(diag) if x != p.x]
     # each path count once: s_M paths(A_i -> M), and paths(M -> E_j)
     into = [[(-1 if m.x > p.x else 1) * count_paths(s, m) for m in mids] for s in starts[:-1]]
     out_of = [[count_paths(m, e) for m in mids] for e in ends]
@@ -344,9 +359,9 @@ def path_determinant_work(h: PuncturedHexagon) -> Work:
     division, priced as two: the division took 1.4-2.8 products' time
     from 150 to 6,000 bits (BENCH_17.json)."""
     a, b, c = h.a, h.b, h.c
-    diag = h.puncture_point().x - h.puncture_point().y
+    p = h.puncture_point()
     half = min(b + c + 1, (min(b, c) + a + 1) * (b + c + 1).bit_length()) // 2
-    m = min(a + b, a + c + diag) - max(diag, 0)  # midpoints != P
+    m = len(h.span(p.x - p.y)) - 1  # midpoints != P
     n = a + 1
     beta = 17 * a * b * c // (5 * (a + b + c) * n) + 1
     grown = poly_mul((0, 2 * n, -1), (0, 2 * n, -1))
@@ -409,11 +424,12 @@ def render_tiling_svg(h: PuncturedHexagon, family: PathFamily) -> str:
         for p, q in zip(path, path[1:]):
             step, fill = (_U, _FILL_EAST) if q.x == p.x + 1 else (_V, _FILL_SOUTH)
             polys.append((_figure_points(p, [(stay, w_), (stay, w), (step, w), (step, w_)]), fill))
-    # interior points off every path carry the third orientation
+    # the points a puncture may take that are off every path carry the
+    # third orientation (the a+1 E points of d = b are all on paths)
     third = [(stay, w), (stay, s), (stay, w_), (stay, s_)]
     for x in range(a + b + 1):
         for y in range(a + c + 1):
-            if 1 <= x - y + c + 1 <= b + c and (x, y) not in used:
+            if (x, y) in h and (x, y) not in used:
                 polys.append((_figure_points((x, y), third), _FILL_THIRD))
     # the removed triangle
     polys.append((_figure_points(h.puncture_point(), [(stay, w), (stay, w_), (stay, s_)]),

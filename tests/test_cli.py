@@ -540,6 +540,13 @@ GOLDEN_REPORTS = (
     (("count", "brute", "--a", "1", "--b", "1", "--c", "1", "--puncture", "0", "1"),
      '{"command":"count brute","params":{"a":1,"b":1,"c":1,"puncture":[0,1]},'
      '"result":"3","elapsed_ms":0}'),
+    # the point (3,0) on the last diagonal x - y = b, and its mirror image (0,0)
+    (("count", "brute", "--a", "3", "--b", "3", "--c", "3", "--puncture", "0", "-3"),
+     '{"command":"count brute","params":{"a":3,"b":3,"c":3,"puncture":[0,-3]},'
+     '"result":"4116","elapsed_ms":0}'),
+    (("count", "brute", "--a", "3", "--b", "3", "--c", "3", "--puncture", "-3", "-3"),
+     '{"command":"count brute","params":{"a":3,"b":3,"c":3,"puncture":[-3,-3]},'
+     '"result":"4116","elapsed_ms":0}'),
     (("count", "lgv", "--a", "2", "--b", "2", "--c", "2"),
      '{"command":"count lgv","params":{"a":2,"b":2,"c":2},"result":"54","elapsed_ms":0}'),
     (("render", "--a", "1", "--b", "1", "--c", "1", "--index", "1", "-o", "t.svg"),
@@ -582,6 +589,19 @@ def test_report_bytes_are_pinned(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     for args, line in GOLDEN_REPORTS:
         assert _run_in_process(capsys, *args) == (0, line + "\n", ""), args
+
+
+def test_readme_command_line_examples_print_what_they_show(capsys, monkeypatch, tmp_path):
+    # each "$ punchex ..." line of README's "Command line" section, run in
+    # process, prints the report line under it, elapsed_ms masked; render
+    # writes into tmp_path
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"^\$ punchex (.*)\n(.*)$", section, re.MULTILINE)
+    assert len(examples) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv, line in examples:
+        assert _run_in_process(capsys, *argv.split()) == (0, _zero_elapsed(line) + "\n", ""), argv
 
 
 def test_counterexample_report_bytes_are_pinned(capsys, monkeypatch):

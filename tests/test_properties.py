@@ -61,16 +61,16 @@ def test_theorem3_chain_and_lemma10_at_drawn_points(case):
 @st.composite
 def hexagons(draw):
     """A punctured hexagon with a <= 3, b, c <= 5, a and b of equal parity,
-    punctured at a drawn point strictly inside it (the default in about a
-    quarter of the draws)."""
+    punctured at a drawn point it admits (the default in about a quarter
+    of the draws)."""
     a = draw(st.integers(1, 3))
     b = draw(st.sampled_from([x for x in range(1, 6) if x % 2 == a % 2]))
     c = draw(st.integers(1, 5))
     if draw(st.integers(0, 3)) == 0:
         return PuncturedHexagon(a, b, c)
-    # strictly inside: 0 <= x <= a+b, 0 <= y <= a+c, -c <= x - y <= b - 1
+    # admitted: 0 <= x <= a+b, 0 <= y <= a+c, -c <= x - y <= b
     x = draw(st.integers(0, a + b))
-    y = draw(st.integers(max(0, x - b + 1), min(a + c, x + c)))
+    y = draw(st.integers(max(0, x - b), min(a + c, x + c)))
     anchor = PuncturedHexagon(a, b, c).puncture_point()
     return PuncturedHexagon(a, b, c, (x - anchor.x, y - anchor.y))
 

@@ -4,6 +4,7 @@ the lattice-path determinant count, and SVG rendering."""
 import hashlib
 import inspect
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import List
@@ -41,7 +42,7 @@ def _expect_value_error(fn, *args):
 
 def _every_puncture(max_a, max_bc):
     """Every hexagon with a <= max_a, b, c <= max_bc, punctured at every
-    point strictly inside it (both parities of c)."""
+    point it admits (both parities of c)."""
     for a in range(1, max_a + 1):
         for b in range(1, max_bc + 1):
             if a % 2 != b % 2:
@@ -139,9 +140,43 @@ def test_hexagon_validation():
     _expect_value_error(PuncturedHexagon, 1, 2, 1)  # a, b parity differs
     _expect_value_error(PuncturedHexagon, 1, 1, 1, (5, 5))  # puncture outside
     _expect_value_error(PuncturedHexagon, 1, 1, 1, (-3, 0))
-    # (2,1) sits on the path-end boundary line, not strictly inside
-    _expect_value_error(PuncturedHexagon, 1, 1, 1, (1, 0))
     _expect_value_error(PuncturedHexagon, 2, 2, 2, (1, 0, 0))
+    # (2,1) is the end point E_2 on the last diagonal x - y = b: admitted
+    h = PuncturedHexagon(1, 1, 1, (1, 0))
+    assert h.puncture_point() == (2, 1)
+    assert enumerate_tilings(h) == count_via_path_determinants(h) == 3
+
+
+def test_hexagon_admits_exactly_the_tileable_punctures():
+    # every lattice point of every hexagon with a <= 3, b, c <= 5, a = b
+    # (mod 2), and of a ring around it: off the hexagon's diagonals
+    # -c-1 <= x - y <= b it is refused; on them it is admitted iff the
+    # sweep counts it positive, and then the determinant route agrees.  The
+    # refused points of the hexagon are the A points of x - y = -c-1, which
+    # a path already starts from
+    admitted, refused = Counter(), 0
+    for a in range(1, 4):
+        for b in range(2 - a % 2, 6, 2):
+            for c in range(1, 6):
+                centre = PuncturedHexagon(a, b, c)
+                anchor, starts = centre.puncture_point(), start_end_points(centre)[0][:-1]
+                for x in range(-1, a + b + 2):
+                    for y in range(-1, a + c + 2):
+                        offset = (x - anchor.x, y - anchor.y)
+                        if not (0 <= x <= a + b and 0 <= y <= a + c and -c - 1 <= x - y <= b):
+                            _expect_value_error(PuncturedHexagon, a, b, c, offset)
+                            continue
+                        count = tiling._sweep(centre, [*starts, LatticePoint(x, y)])
+                        try:
+                            h = PuncturedHexagon(a, b, c, offset)
+                        except ValueError:
+                            assert (x, y) in starts and count == 0, (a, b, c, x, y, count)
+                            refused += 1
+                            continue
+                        assert count > 0 and count == count_via_path_determinants(h), (h, count)
+                        admitted[a, b, c] += 1
+    assert (sum(admitted.values()), refused) == (1200, 80)
+    assert [admitted[n, n, n] for n in (1, 2, 3)] == [7, 19, 37]
 
 
 def test_hexagon_refuses_non_integral_sides_and_offsets():
@@ -233,7 +268,7 @@ def test_families_are_valid_and_counted_consistently():
         assert len(set(f.paths for f in fams)) == len(fams)
         cases += 1
         families += len(fams)
-    assert (cases, families) == (120, 6920)
+    assert (cases, families) == (141, 7786)
 
 
 def test_sweep_avoids_forbidden_vertices():
@@ -257,7 +292,7 @@ def test_sweep_avoids_forbidden_vertices():
                 assert count == full, (h, forbidden)
             cases += 1
             cut += count < full
-    assert (cases, cut) == (2040, 1368)
+    assert (cases, cut) == (2400, 1572)
 
 
 def test_tiling_family_index_range():
@@ -308,7 +343,7 @@ def test_determinant_route_matches_brute_force():
     for h in _every_puncture(4, 5):
         assert count_via_path_determinants(h) == enumerate_tilings(h), h
         cases += 1
-    assert cases == 1470
+    assert cases == 1640
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +394,15 @@ def test_render_rejects_foreign_family():
 
 
 def test_sweep_updates_sums_every_diagonal():
-    # against the sum taken diagonal by diagonal, at every puncture; past
-    # the limit only a(b+c+1) is returned, a lower bound
+    # against the sum taken diagonal by diagonal, at every puncture, a
+    # diagonal before the puncture's priced as two; past the limit only
+    # a(b+c+1) is returned, a lower bound
     cases = 0
     for h in _every_puncture(4, 7):
         a, b, c, p = h.a, h.b, h.c, h.puncture_point()
         total = sum(
             comb(min(a + b, a + c + d) - max(d, 0) + 2, a + (d >= p.x - p.y))
-            * (a + (d >= p.x - p.y))
+            * (a + (d >= p.x - p.y)) * (1 + (d < p.x - p.y))
             for d in range(-c - 1, b)
         )
         assert sweep_updates(h, total) == total, h
@@ -383,7 +419,8 @@ def test_unranking_updates_sums_every_sweep_and_bounds_them():
     def every_sweep(h):
         a, b, c, p = h.a, h.b, h.c, h.puncture_point()
         total = sum(comb(min(b, c + d) - max(d, 0) + 2 + k, k + (d >= p.x - p.y))
-                    * (k + (d >= p.x - p.y)) for k in range(a + 1) for d in range(-c - 1, b))
+                    * (k + (d >= p.x - p.y)) * (1 + (d < p.x - p.y))
+                    for k in range(a + 1) for d in range(-c - 1, b))
         return sweep_updates(h, 10 ** 30) + (b + c + 1) * total
 
     for h in _every_puncture(3, 5):

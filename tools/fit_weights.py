@@ -15,7 +15,9 @@ and as few inputs as possible that the parent admitted and that were
 measured under ``KEEP_S`` are refused, with the weights of the kernels that
 did not change since the last fit held (``HELD``): only ``sweep`` is
 fitted, to BENCH_20.json's timings of every ``count brute`` and ``render``
-input on the sweep that carries a south step's states over whole.  Inputs
+input on the sweep that carries a south step's states over whole, and
+BENCH_32.json's of ``count brute`` punctured on the last two diagonals,
+where the sweep carries the a paths alone almost to the end.  Inputs
 measured between ``KEEP_S`` and the budget may go either way: a timing
 there is within the spread of repeated runs of one input.  Among the
 solutions it takes the one whose estimates exceed the times least.  It
@@ -46,7 +48,8 @@ HELD = ("call", "product", "step", "digit", "pfaffian_digit", "binomial")
 # the timings held to the check, earliest first; BENCH_28.json's re-timing of
 # chain53 is not among them, as its host's reference clock read unchanged code
 # 1.1-1.3x what these files' hosts read
-RECORDS = ("BENCH_14.json", "BENCH_16.json", "BENCH_17.json", "BENCH_20.json", "BENCH_23.json")
+RECORDS = ("BENCH_14.json", "BENCH_16.json", "BENCH_17.json", "BENCH_20.json", "BENCH_23.json",
+           "BENCH_32.json")
 
 
 def recorded():
