@@ -265,13 +265,16 @@ def _verify(args):
                          f"{LEAST_N[target](b)} (got --n {nn}): below it both sides "
                          f"are 0 at every point")
     if target == "lemma8":
-        pairs = symfun.generate_rab(a, b)
-        params["pairs"] = len(pairs)
-        bad = [p for p in pairs if not symfun.lemma8_check(p)]
-        if bad or len(pairs) != binomial(a + b, a):
-            ce = {"pairs": len(pairs), "expected_pairs": binomial(a + b, a)}
+        # each pair is checked as it is made and then dropped; the first refused is kept
+        pairs, bad = 0, None
+        for pairs, pair in enumerate(symfun.iter_rab(a, b), 1):
+            if not symfun.lemma8_check(pair):
+                bad = bad or pair
+        params["pairs"] = pairs
+        if bad or pairs != binomial(a + b, a):
+            ce = {"pairs": pairs, "expected_pairs": binomial(a + b, a)}
             if bad:
-                ce["pair"] = {"lam": list(bad[0].lam.parts), "mu": list(bad[0].mu.parts)}
+                ce["pair"] = {"lam": list(bad.lam.parts), "mu": list(bad.mu.parts)}
             return params, False, ce
         return params, True, None
 

@@ -25,10 +25,11 @@ denominator) pairs of ints, which the public functions divide once into a
   Requires pairwise distinct points.  Nothing in the package calls it: it
   is the independent route the tests check ``schur_nk`` against.
 
-``generate_rab`` produces the family R(a,b) of partition pairs (lambda, mu)
-indexed by (k; i_1..i_{a+1}) that the summation identities range over, and
-``lemma8_check`` verifies the structural property linking each pair to a
-subset of {0..a+b} paired around the midpoint (a+b)/2.
+``iter_rab`` yields the family R(a,b) of partition pairs (lambda, mu)
+indexed by (k; i_1..i_{a+1}) that the summation identities range over, one
+pair at a time (``generate_rab`` lists them), and ``lemma8_check``
+verifies the structural property linking each pair to a subset of
+{0..a+b} paired around the midpoint (a+b)/2.
 
 The other caches hold the work functions (``table_work``, ``schur_work``,
 ``rab_sum_work``, ``lemma8_work``): pure functions of ints, memoised per
@@ -43,7 +44,7 @@ from functools import lru_cache, partial
 from itertools import combinations, repeat
 from math import gcd, prod
 from operator import add, itemgetter, lt, sub
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .core import (_WORD, Partition, Work, binomial, cached_work, conjugate, elimination_work,
                    integer_determinant, poly_mul, poly_sum, product_digits, total)
@@ -339,7 +340,16 @@ def _check_rab(a: int, b: int) -> None:
 
 
 def generate_rab(a: int, b: int) -> List[RabPair]:
-    """All pairs (lambda, mu) of R(a,b), in a fixed deterministic order.
+    """All pairs (lambda, mu) of R(a,b), as a list: ``iter_rab``'s pairs."""
+    return list(iter_rab(a, b))
+
+
+def iter_rab(a: int, b: int) -> Iterator[RabPair]:
+    """The pairs (lambda, mu) of R(a,b), one at a time, in a fixed
+    deterministic order; (a, b) is checked at the call, not at the first
+    pair.  It holds the current k's subsets and their halves, O(C(h, k) +
+    C(h, a-k)) of them (h = (a+b)/2), each of up to b+1 ints: a caller
+    that drops each pair holds those, not the C(a+b, a) pairs.
 
     Enumeration order: k ascending; for each k the negative entries run
     over k-subsets of {-(a+b)/2..-1} in colex order, then the positive
@@ -368,8 +378,12 @@ def generate_rab(a: int, b: int) -> List[RabPair]:
     each.
     """
     _check_rab(a, b)
+    return _rab_pairs(a, b)
+
+
+def _rab_pairs(a: int, b: int) -> Iterator[RabPair]:
+    """``iter_rab``'s generator, on (a, b) it has checked."""
     half, hd = (a + b) // 2, (b - a) // 2
-    out: List[RabPair] = []
     for k in range(max(0, a - half), min(a, half) + 1):
         m = a - k
         # the halves of each positive subset: lambda's top rows, and mu's
@@ -383,18 +397,17 @@ def generate_rab(a: int, b: int) -> List[RabPair]:
             mu_high = conjugate([hd - x + h for h, x in enumerate(n)])
             n0 = n + (0,)
             for p, lam_high, mu_low in pos:
-                out.append(RabPair(_stacked(lam_low, lam_high), _stacked(mu_low, mu_high),
-                                   RabIndex(a, b, k, n0 + p)))
-    return out
+                yield RabPair(_stacked(lam_low, lam_high), _stacked(mu_low, mu_high),
+                              RabIndex(a, b, k, n0 + p))
 
 
 def _raised(p: Partition, s: int) -> Partition:
-    """p with s added to each part, conj(B) + len(T) in ``generate_rab``."""
+    """p with s added to each part, conj(B) + len(T) in ``iter_rab``."""
     return tuple.__new__(Partition, map(add, p, repeat(s))) if s else p
 
 
 def _stacked(low: Partition, high: Partition) -> Partition:
-    """conj(T ++ B) = low ++ high[len(low):] in ``generate_rab``, from
+    """conj(T ++ B) = low ++ high[len(low):] in ``iter_rab``, from
     low = conj(B) + len(T) and high = conj(T).  Where one adds nothing
     the other is returned itself, and the pairs share it."""
     cut = len(low)
@@ -469,12 +482,12 @@ def rab_sum_work(a: int, b: int, big: int, small: int) -> Work:
 
 @cached_work
 def lemma8_work(a: int, b: int, limit: int) -> Work:
-    """The work of ``generate_rab(a, b)`` and ``lemma8_check`` on its
+    """The work of ``iter_rab(a, b)`` and ``lemma8_check`` on its
     C(a+b, a) pairs: a call for each of the a+1 entries of a pair's index
     vector, and four interpreted operations for each of the b+1 rows of its
     shapes and its check (``product``'s price).  That prices conjugating
     each pair's two shapes whole (``generate_rab_by_pairs`` in the tests);
-    ``generate_rab`` conjugates each half once per subset, so it
+    ``iter_rab`` conjugates each half once per subset, so it
     over-prices the generation and stays an upper bound (its refit is left
     to ROADMAP item 7).  Past
     ``limit``, a+b pairs, a lower bound, so huge sides are refused at once."""

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -246,6 +247,20 @@ def test_violations_flag_exactly_the_inputs_that_break_the_check():
             (costly, 30.0, True),                # refused, measured above the budget
             (cheap, est / 2, False)]             # admitted with room to spare
     assert [row[:2] for row in fit_weights.violations(rows)] == [row[:2] for row in rows[:2]]
+
+
+def test_report_lists_inputs_whose_verdict_moves_from_the_trees(capsys):
+    # with sweep priced 1.3x, inputs the tree admits become refused, though
+    # the files that recorded them marked them refused before; the report
+    # lists them, and the tree's own weights list none and keep FS_PER
+    rows, saved = fit_weights.recorded(), dict(cli.FS_PER)
+    assert fit_weights.report(rows, dict(cli.FS_PER, sweep=cli.FS_PER["sweep"] * 13 // 10)) == 0
+    out = capsys.readouterr().out
+    assert ("  refused at 5.08 s, admitted by the tree at 3.91 s, measured 2.49 s: "
+            "count brute --a 1 --b 1 --c 520008\n") in out
+    assert cli.FS_PER == saved
+    fit_weights.report(rows, cli.FS_PER)
+    assert "by the tree" not in capsys.readouterr().out
 
 
 def test_weights_are_the_ones_fit_weights_fits():
@@ -652,6 +667,55 @@ def test_minor_summation_counterexample_bytes_are_pinned(capsys, monkeypatch):
             f'"counterexample":{ce}}},"result":false,"elapsed_ms":0,"seed":{seed}}}\n',
             "",
         )
+
+
+def test_lemma8_counterexample_names_the_first_refused_pair(capsys, monkeypatch):
+    # the check refuses two of R(3,3)'s 20 pairs: the report names the
+    # first of them, and every pair is still checked
+    real, seen = symfun.lemma8_check, []
+
+    def refuse_two(pair):
+        seen.append(pair.source.i)
+        return real(pair) and pair.source.i not in ((-2, 0, 1, 3), (-3, -1, 0, 2))
+
+    monkeypatch.setattr(symfun, "lemma8_check", refuse_two)
+    assert _run_in_process(capsys, "verify", "lemma8", "--a", "3", "--b", "3") == (
+        1,
+        '{"command":"verify lemma8","params":{"a":3,"b":3,"pairs":20,'
+        '"counterexample":{"pairs":20,"expected_pairs":20,"pair":{"lam":[3,2,2,1],"mu":[3,1]}}},'
+        '"result":false,"elapsed_ms":0,"seed":0}\n',
+        "",
+    )
+    assert len(seen) == len(set(seen)) == 20
+
+
+def test_lemma8_counterexample_reports_a_missing_pair(capsys, monkeypatch):
+    # with no set of negative entries at k = 0, R(3,3) loses its first pair
+    # (k = 0, i = (0, 1, 2, 3)): the count falls short of C(6, 3) = 20
+    real = symfun._colex_subsets
+    monkeypatch.setattr(symfun, "_colex_subsets",
+                        lambda pool, k: [] if k == 0 and min(pool) < 0 else real(pool, k))
+    assert _run_in_process(capsys, "verify", "lemma8", "--a", "3", "--b", "3") == (
+        1,
+        '{"command":"verify lemma8","params":{"a":3,"b":3,"pairs":19,'
+        '"counterexample":{"pairs":19,"expected_pairs":20}},'
+        '"result":false,"elapsed_ms":0,"seed":0}\n',
+        "",
+    )
+
+
+def test_lemma8_holds_one_pair_at_a_time(capsys):
+    # R(5,13) has 8,568 pairs, about 4 MB of them held at once; checked as
+    # they are made, the command's traced peak stays under a quarter of that
+    _run_in_process(capsys, "verify", "lemma8", "--a", "1", "--b", "1")  # warm the caches
+    tracemalloc.start()
+    try:
+        code, out, _ = _run_in_process(capsys, "verify", "lemma8", "--a", "5", "--b", "13")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and '"pairs":8568' in out
+    assert peak < 1024 * 1024, peak
 
 
 def test_shared_parser_carries_nothing_between_runs(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from punchex.symfun import (
     as_pairs,
     as_points,
     generate_rab,
+    iter_rab,
     lemma8_check,
     lemma8_work,
     _denominator_bits,
@@ -282,7 +283,9 @@ def test_generate_rab_counts_and_bounds():
     for a in range(1, 5):
         for b in range(1, 5):
             if a % 2 != b % 2:
+                # the generator refuses (a, b) when called, before any pair
                 _expect_value_error(generate_rab, a, b)
+                _expect_value_error(iter_rab, a, b)
                 continue
             pairs = generate_rab(a, b)
             assert len(pairs) == binomial(a + b, a), (a, b)

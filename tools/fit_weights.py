@@ -22,9 +22,11 @@ measured between ``KEEP_S`` and the budget may go either way: a timing
 there is within the spread of repeated runs of one input.  Among the
 solutions it takes the one whose estimates exceed the times least.  It
 prints the weights, rounded up to two digits, and then the verdicts under
-them, class by class; the run takes a few seconds.  ``--check`` prints the
-verdicts under the weights in ``cli``, which tier-1 holds to the same
-check (``test_recorded_edge_timings_keep_their_verdicts``).
+them, class by class: the inputs newly refused against ``admitted_before``,
+and each other input they admit where the tree's ``cli.FS_PER`` refuses it,
+or refuse where the tree admits it.  The run takes a few seconds.
+``--check`` prints the verdicts under the weights in ``cli``, which tier-1
+holds to the same check (``test_recorded_edge_timings_keep_their_verdicts``).
 """
 
 from __future__ import annotations
@@ -138,27 +140,40 @@ def _round_up(x: float) -> int:
     return -(-int(x) // 10 ** digits) * 10 ** digits
 
 
+def _estimates(runs):
+    """Each run's estimate in seconds under ``cli.FS_PER``."""
+    return [cli._estimated_fs(cli._parse(argv)) / 1e15 for argv, _, _ in runs]
+
+
 def report(rows, weights) -> int:
     """Print the verdicts under ``weights`` class by class (a class is a
-    command), with each input that ``violations`` flags; return how many
-    it flags."""
+    command), with each input that ``violations`` flags and each input
+    whose verdict differs from the one under the tree's ``cli.FS_PER``
+    (none, when ``weights`` are the tree's); return how many it flags."""
+    classes = {}
+    for argv, t, before in rows:
+        kind = "render" if argv[0] == "render" else "_".join(argv[:2])
+        classes.setdefault(kind, []).append((argv, t, before))
+    trees = {kind: _estimates(runs) for kind, runs in classes.items()}
     saved = dict(cli.FS_PER)
     cli.FS_PER.update(weights)
     try:
-        classes, flagged = {}, 0
-        for argv, t, before in rows:
-            kind = "render" if argv[0] == "render" else "_".join(argv[:2])
-            classes.setdefault(kind, []).append((argv, t, before))
+        flagged = 0
         for kind, runs in sorted(classes.items()):
-            ests = [cli._estimated_fs(cli._parse(argv)) / 1e15 for argv, _, _ in runs]
+            ests = _estimates(runs)
             ratios = [t / est for (_, t, _), est in zip(runs, ests) if est <= cli.BUDGET_S and t >= 0.3]
             gained = sum(not before and est <= cli.BUDGET_S for (_, _, before), est in zip(runs, ests))
             print(f"{kind}: {len(runs)} inputs, time/estimate of the admitted over 0.3 s "
                   f"{min(ratios, default=0):.2f}-{max(ratios, default=0):.2f}, "
                   f"{gained} newly admitted")
-            for (argv, t, before), est in zip(runs, ests):
-                if before and t <= KEEP_S and est > cli.BUDGET_S:
+            for (argv, t, before), est, tree in zip(runs, ests, trees[kind]):
+                refused = est > cli.BUDGET_S
+                if before and t <= KEEP_S and refused:
                     print(f"  newly refused, measured {t:.2f} s: {' '.join(argv)}")
+                elif refused != (tree > cli.BUDGET_S):
+                    now, then = ("refused", "admitted") if refused else ("admitted", "refused")
+                    print(f"  {now} at {est:.2f} s, {then} by the tree at "
+                          f"{tree:.2f} s, measured {t:.2f} s: {' '.join(argv)}")
             for argv, t, est in violations(runs):
                 print(f"  admitted at {est:.2f} s, measured {t:.2f} s: {' '.join(argv)}")
                 flagged += 1
