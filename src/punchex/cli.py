@@ -7,8 +7,9 @@ Every invocation prints a single-line JSON report on stdout:
 ``result`` is the exact decimal count (as a string) for count commands, a
 boolean for verify commands, and the output path for render.  Exit codes:
 0 success / verified, 1 verification found a counterexample (reported in
-params), 2 usage error or an output file that cannot be written (diagnostic
-on stderr, no JSON).
+params), 2 a usage error, an input refused as over the time budget, an
+input the library rejects or an output file that cannot be written
+(diagnostic on stderr, no JSON).
 """
 
 from __future__ import annotations
@@ -66,12 +67,18 @@ LEAST_N = {"theorem3": lambda b: (b + 1) // 2, "conjecture5": lambda b: b // 2}
 
 
 _SIDES = tuple(((side,), {"type": int, "required": True}) for side in ("--a", "--b", "--c"))
+_A_B = tuple(((side,), {"type": int, "default": 1}) for side in ("--a", "--b"))
+_SEED = (("--seed",), {"type": int, "default": 0})
+# the options of the targets checked at seeded points, and of those that draw random instances
+_POINTS = (*_A_B, (("--n",), {"type": int, "default": None}), _SEED,
+           (("--trials",), {"type": int, "default": 3}))
+_DRAWS = (_SEED, (("--trials",), {"type": int, "default": 50}))
 # Every command: the words that name it, its help line in the command list
-# and its arguments, each the flags and keywords of one ``add_argument``.
-# ``_build_parser`` builds argparse's tree from this table and ``_read``
-# reads a plain argv with it.  Every default is immutable (``--puncture`` a
-# tuple, the rest ints or None), so a parser can be shared by every call in
-# a process.
+# and its arguments, each the flags and keywords of one ``add_argument``, in
+# the order its report's params name them (``_params``).  ``_build_parser``
+# builds argparse's tree from this table and ``_read`` reads a plain argv
+# with it.  Every default is immutable (``--puncture`` a tuple, the rest
+# ints or None), so a parser can be shared by every call in a process.
 COMMANDS = {
     ("count", "closed"): ("closed-form product count", (*_SIDES, (("--theorem",), {
         "type": int, "choices": (1, 4), "default": None,
@@ -82,11 +89,13 @@ COMMANDS = {
         "type": int, "nargs": 2, "default": (0, 0), "metavar": ("DX", "DY"),
         "help": "offset of the removed triangle from its default position"}))),
     ("count", "lgv"): ("lattice-path determinant count", _SIDES),
-    ("verify",): ("check an identity exactly", (
-        (("target",), {"choices": ("theorem3", "conjecture5", "minor-summation", "lemma9",
-                                   "lemma10", "chain53", "lemma8")}),
-        *(((f"--{name}",), {"type": int, "default": default})
-          for name, default in (("a", 1), ("b", 1), ("n", None), ("seed", 0), ("trials", None))))),
+    ("verify", "theorem3"): ("Theorem 3: the R(a,b) sum against four rectangles", _POINTS),
+    ("verify", "conjecture5"): ("Conjecture 5: Theorem 3 with two more points", _POINTS),
+    ("verify", "minor-summation"): ("the minor summation formula on random matrices", _DRAWS),
+    ("verify", "lemma9"): ("Lemma 9 on random skew matrices", _DRAWS),
+    ("verify", "lemma10"): ("Lemma 10: chain53's moment Pfaffians as Schur values", _POINTS),
+    ("verify", "chain53"): ("the R(a,b) sum as a block Pfaffian", _POINTS),
+    ("verify", "lemma8"): ("Lemma 8 on every pair of R(a,b)", (*_A_B, _SEED)),
     ("render",): ("write one tiling as SVG", (*_SIDES, (("--index",), {
         "type": int, "required": True,
         "help": "0-based index into the deterministic enumeration order"}),
@@ -109,10 +118,11 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="punchex", description=(
         "Exact counts and identity checks for rhombus tilings of punctured hexagons"))
     sub = parser.add_subparsers(dest="command", required=True)
-    count = sub.add_parser("count", help="compute a tiling or box count")
-    modes = count.add_subparsers(dest="mode", required=True)
+    groups = {word: sub.add_parser(word, help=line).add_subparsers(dest="mode", required=True)
+              for word, line in (("count", "compute a tiling or box count"),
+                                 ("verify", "check an identity exactly"))}
     for words, (line, arguments) in COMMANDS.items():
-        command = (modes if words[0] == "count" else sub).add_parser(words[-1], help=line)
+        command = groups.get(words[0], sub).add_parser(words[-1], help=line)
         for flags, keywords in arguments:
             command.add_argument(*flags, **keywords)
     return parser
@@ -122,45 +132,39 @@ def _parse(argv):
     """``_build_parser().parse_args(argv)``, with the same ``vars``, output
     and exit; ``_read`` reads a plain argv that names a command without it."""
     argv = list(argv)
-    words = tuple(argv[:2] if argv[:1] == ["count"] else argv[:1])
+    words = tuple(argv[:1] if argv[:1] == ["render"] else argv[:2])
     args = _read(words, argv[len(words):]) if words in COMMANDS else None
     return _build_parser().parse_args(argv) if args is None else args
 
 
 @functools.cache
 def _arguments(words):
-    """The table ``_read`` reads the command ``words`` with, built once: each
-    flag's dest (its last, long, form without the dashes) and keywords, the
-    positionals, the values before any argument and the required dests."""
+    """The table ``_read`` reads the command ``words`` with, built once:
+    each flag's dest (its last, long, form without the dashes) and
+    keywords, the values before any argument and the required dests."""
     arguments = {flag: (flags[-1].lstrip("-"), keywords)
                  for flags, keywords in COMMANDS[words][1] for flag in flags}
-    positionals = tuple(flag for flag in arguments if flag[0] != "-")
     values = dict(zip(("command", "mode"), words))
     values.update((dest, keywords.get("default")) for dest, keywords in arguments.values())
     required = {dest for dest, keywords in arguments.values() if keywords.get("required")}
-    return arguments, positionals, values, frozenset(required.union(positionals))
+    return arguments, values, frozenset(required)
 
 
 def _read(words, rest):
     """What argparse makes of ``rest`` under the command ``words``, or None
-    (argparse must parse it) unless each option is spelt out with its number
-    of values, none like an option but a negative number, each converted and
-    in its choices; at most one positional; every required argument given."""
-    arguments, positionals, values, missing = _arguments(words)
-    positionals, values, missing = list(positionals), dict(values), set(missing)
+    (argparse must parse it) unless each argument is an option of the
+    command spelt out with its number of values, none like an option but a
+    negative number, each converted and in its choices, and every required
+    option is given."""
+    arguments, values, missing = _arguments(words)
+    values, missing = dict(values), set(missing)
     i = 0
     while i < len(rest):
-        if rest[i][:1] != "-":
-            if not positionals:
-                return None
-            flag = positionals.pop()
-        elif rest[i] in arguments:
-            flag, i = rest[i], i + 1
-        else:
+        if rest[i] not in arguments:
             return None
-        dest, keywords = arguments[flag]
+        dest, keywords = arguments[rest[i]]
         count = keywords.get("nargs", 1)
-        raw, i = rest[i:i + count], i + count
+        raw, i = rest[i + 1:i + 1 + count], i + 1 + count
         if len(raw) < count or any(v[:1] == "-" and not _NEGATIVE.match(v) for v in raw):
             return None
         try:
@@ -172,6 +176,30 @@ def _read(words, rest):
         values[dest] = got if "nargs" in keywords else got[0]
         missing.discard(dest)
     return None if missing else types.SimpleNamespace(**values)
+
+
+def _words(args):
+    """The words that name the parsed command, its key in COMMANDS."""
+    return (args.command, args.mode) if hasattr(args, "mode") else (args.command,)
+
+
+def _params(args):
+    """The params of the parsed command's report, which ``_admit`` names
+    too: each argument of its row in order but ``--seed``, a pair as a
+    list, n as b when not given and ``--theorem`` as the formula that runs."""
+    params = {}
+    for flags, keywords in COMMANDS[_words(args)][1]:
+        dest = flags[-1].lstrip("-")
+        value = getattr(args, dest)
+        if dest == "n" and value is None:
+            value = args.b
+        elif dest == "theorem" and value is None:
+            if args.a % 2 != args.b % 2:
+                raise ValueError("no closed formula: a and b must have equal parity")
+            value = 1 if args.b % 2 == args.c % 2 else 4
+        if dest != "seed":
+            params[dest] = list(value) if "nargs" in keywords else value
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +216,6 @@ def _load_identity_layer() -> None:
     import random
 
     from . import msf, symfun
-
-
-def _sizes(args):
-    """(a, b, n, trials) of a ``verify``: n is b, trials 50 or 3 by default."""
-    trials = 50 if args.target in ("minor-summation", "lemma9") else 3
-    return (args.a, args.b, args.b if args.n is None else args.n,
-            trials if args.trials is None else args.trials)
 
 
 def _work(args) -> Work:
@@ -216,18 +237,18 @@ def _work(args) -> Work:
             hexagon, limit("sweep"))
         return total({"sweep": updates}, own)
     _load_identity_layer()
-    a, b, n, trials = _sizes(args)
-    if args.target == "lemma8":
-        return total(symfun.lemma8_work(a, b, limit("call")), own)
-    if args.target in POINT_TARGETS:
+    if args.mode == "lemma8":
+        return total(symfun.lemma8_work(args.a, args.b, limit("call")), own)
+    if args.mode in POINT_TARGETS:
         # a trial draws its points (a call each) and checks them
-        extra, _, target_work = POINT_TARGETS[args.target]
-        work = total(target_work(*(max(x, 0) for x in (a, b, n))), {"call": max(n, 0) + extra})
-        return total(total(work, times=trials), own)
+        extra, _, target_work = POINT_TARGETS[args.mode]
+        a, b, n = (max(x, 0) for x in (args.a, args.b, _params(args)["n"]))
+        work = total(target_work(a, b, n), {"call": n + extra})
+        return total(total(work, times=args.trials), own)
     # a random instance, priced at the mean over the sizes it draws, each
     # with the middle of its columns' range; a call for each number drawn
     bits = max(ENTRIES).bit_length()
-    if args.target == "minor-summation":
+    if args.mode == "minor-summation":
         sizes = MINOR_SUMMATION_SIZES
         cols = [(max(1, size - size % 2) + MAX_COLUMNS) // 2 for size in sizes]
         works = [total(msf.minor_summation_work(size, p, size % 2, bits),
@@ -237,7 +258,7 @@ def _work(args) -> Work:
         sizes = LEMMA9_SIZES
         works = [total(msf.lemma9_work(size, bits), {"call": 2 + 2 * size + size * (size - 1) // 2})
                  for size in sizes]
-    return total({unit: trials * v // len(sizes) for unit, v in total(*works).items()}, own)
+    return total({unit: args.trials * v // len(sizes) for unit, v in total(*works).items()}, own)
 
 
 def _estimated_fs(args) -> int:
@@ -245,19 +266,17 @@ def _estimated_fs(args) -> int:
     return sum(FS_PER[unit] * v for unit, v in _work(args).items())
 
 
-def _verify(args):
-    """Run one verification target; returns (params, verdict, counterexample)."""
-    target, seed = args.target, args.seed
-    a, b, nn, t = _sizes(args)
-    if t < 1:
+def _verify(args, params):
+    """Run one verification target on its report's ``params``, to which
+    lemma8 adds its count of pairs; returns (verdict, counterexample)."""
+    target, seed = args.mode, args.seed
+    a, b, nn, t = (params.get(name) for name in ("a", "b", "n", "trials"))
+    if "trials" in params and t < 1:
         # a verdict over zero instances would be vacuous
         raise ValueError("--trials must be at least 1")
-    if target in ("lemma8", *POINT_TARGETS) and a % 2 != b % 2:
+    if "b" in params and a % 2 != b % 2:
         raise ValueError(f"verify {target} needs --a and --b of equal parity "
                          f"(got --a {a}, --b {b})")
-    # the inputs the target reads, as its report names them
-    params = ({"a": a, "b": b} if target == "lemma8" else {"trials": t} if target in (
-        "minor-summation", "lemma9") else {"a": a, "b": b, "n": nn, "trials": t})
     _admit(f"verify {target}", _estimated_fs(args), **params)
     # sides the library refuses keep its own message
     if target in LEAST_N and min(a, b) > 0 and nn < LEAST_N[target](b):
@@ -275,8 +294,8 @@ def _verify(args):
             ce = {"pairs": pairs, "expected_pairs": binomial(a + b, a)}
             if bad:
                 ce["pair"] = {"lam": list(bad.lam.parts), "mu": list(bad.mu.parts)}
-            return params, False, ce
-        return params, True, None
+            return False, ce
+        return True, None
 
     if target == "minor-summation":
         rng = random.Random(seed)
@@ -288,9 +307,9 @@ def _verify(args):
             H = [[rng.randint(*ENTRIES) for _ in range(q)] for _ in range(size)]
             lhs, rhs = msf.minor_summation(G, H, _random_skew(rng, p))
             if lhs != rhs:
-                return params, False, {"trial": trial, "n": size, "p": p, "q": q,
-                                       "lhs": str(lhs), "rhs": str(rhs)}
-        return params, True, None
+                return False, {"trial": trial, "n": size, "p": p, "q": q,
+                               "lhs": str(lhs), "rhs": str(rhs)}
+        return True, None
 
     if target == "lemma9":
         rng = random.Random(seed)
@@ -301,8 +320,8 @@ def _verify(args):
             cvec = [rng.randint(*ENTRIES) for _ in range(size)]
             d = rng.randint(*ENTRIES)
             if not msf.lemma9_check(A, bvec, cvec, d):
-                return params, False, {"trial": trial, "n": size}
-        return params, True, None
+                return False, {"trial": trial, "n": size}
+        return True, None
 
     # the remaining targets are parameterized by (a, b, n) and seeded points
     extra, check, _ = POINT_TARGETS[target]
@@ -310,9 +329,9 @@ def _verify(args):
         pts = symfun.seeded_pairs(nn + extra, seed + trial)
         if not check(a, b, nn, pts):
             # each point as str(Fraction) prints it: p/q, or p when q is 1
-            return params, False, {"trial": trial, "seed": seed + trial,
-                                   "points": [f"{p}/{q}".removesuffix("/1") for p, q in pts]}
-    return params, True, None
+            return False, {"trial": trial, "seed": seed + trial,
+                           "points": [f"{p}/{q}".removesuffix("/1") for p, q in pts]}
+    return True, None
 
 
 def _admit(command: str, fs: int, **params) -> None:
@@ -345,28 +364,16 @@ def _hexagon(args) -> PuncturedHexagon:
     return PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
 
 
-def _count(args):
-    """Run one ``count`` mode; returns (params, value)."""
+def _count(args, params):
+    """Run one ``count`` mode on its report's ``params``; returns the count."""
     if args.mode == "box":
-        return {"x": args.x, "y": args.y, "z": args.z}, macmahon_box(args.x, args.y, args.z)
-    params = {"a": args.a, "b": args.b, "c": args.c}
+        return macmahon_box(args.x, args.y, args.z)
     if args.mode == "closed":
-        theorem = args.theorem
-        if theorem is None:
-            if args.a % 2 == args.b % 2 == args.c % 2:
-                theorem = 1
-            elif args.a % 2 == args.b % 2:
-                theorem = 4
-            else:
-                raise ValueError("no closed formula: a and b must have equal parity")
-        params["theorem"] = theorem
-        fn = theorem1_count if theorem == 1 else theorem4_count
-        return params, fn(args.a, args.b, args.c)
-    if args.mode == "brute":
-        params["puncture"] = list(args.puncture)
+        fn = theorem1_count if params["theorem"] == 1 else theorem4_count
+        return fn(args.a, args.b, args.c)
     _admit(f"count {args.mode}", _estimated_fs(args), **params)
     count = enumerate_tilings if args.mode == "brute" else count_via_path_determinants
-    return params, count(_hexagon(args))
+    return count(_hexagon(args))
 
 
 def _report(command: str, params, result, t0: float, seed=None) -> str:
@@ -386,22 +393,20 @@ def run(argv) -> int:
 
     t0 = time.monotonic()
     try:
+        command, params = " ".join(_words(args)), _params(args)
         if args.command == "count":
-            params, value = _count(args)
-            print(_report(f"count {args.mode}", params, _digits(value), t0))
+            print(_report(command, params, _digits(_count(args, params)), t0))
             return 0
 
         if args.command == "verify":
-            params, verdict, counterexample = _verify(args)
+            verdict, counterexample = _verify(args, params)
             if counterexample is not None:
-                params = dict(params, counterexample=counterexample)
-            print(_report(f"verify {args.target}", params, verdict, t0, seed=args.seed))
+                params["counterexample"] = counterexample
+            print(_report(command, params, verdict, t0, seed=args.seed))
             return 0 if verdict else 1
 
         hexagon = _hexagon(args)
-        params = {"a": args.a, "b": args.b, "c": args.c, "index": args.index,
-                  "output": args.output}
-        _admit("render", _estimated_fs(args), **params)
+        _admit(command, _estimated_fs(args), **params)
         svg = render_tiling_svg(hexagon, tiling_family(hexagon, args.index))
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -347,9 +347,10 @@ def generate_rab(a: int, b: int) -> List[RabPair]:
 def iter_rab(a: int, b: int) -> Iterator[RabPair]:
     """The pairs (lambda, mu) of R(a,b), one at a time, in a fixed
     deterministic order; (a, b) is checked at the call, not at the first
-    pair.  It holds the current k's subsets and their halves, O(C(h, k) +
-    C(h, a-k)) of them (h = (a+b)/2), each of up to b+1 ints: a caller
-    that drops each pair holds those, not the C(a+b, a) pairs.
+    pair.  It holds the current k's subsets and, past k = 0, their
+    halves, O(C(h, k) + C(h, a-k)) of them (h = (a+b)/2), each of up to
+    b+1 ints: a caller that drops each pair holds those, not the C(a+b, a)
+    pairs.
 
     Enumeration order: k ascending; for each k the negative entries run
     over k-subsets of {-(a+b)/2..-1} in colex order, then the positive
@@ -388,10 +389,15 @@ def _rab_pairs(a: int, b: int) -> Iterator[RabPair]:
         m = a - k
         # the halves of each positive subset: lambda's top rows, and mu's
         # bottom rows raised by the k above them; then of each negative one:
-        # lambda's bottom rows raised by the m above them, and mu's top rows
-        pos = [(p, conjugate([hd + x + h for h, x in enumerate(reversed(p), 1)]),
+        # lambda's bottom rows raised by the m above them, and mu's top rows.
+        # At k = 0 the halves serve one negative subset, the empty one, so
+        # they are made as it reads them: at a = 1 the list would hold h
+        # halves of up to b parts each
+        pos = ((p, conjugate([hd + x + h for h, x in enumerate(reversed(p), 1)]),
                 _raised(conjugate([hd + k, *(hd - x + h for h, x in enumerate(p, k + 1))]), k))
-               for p in _colex_subsets(range(1, half + 1), m)]
+               for p in _colex_subsets(range(1, half + 1), m))
+        if k:
+            pos = list(pos)
         for n in _colex_subsets(range(-half, 0), k):
             lam_low = _raised(conjugate([hd + m + x + g for g, x in enumerate(reversed(n), 1)]), m)
             mu_high = conjugate([hd - x + h for h, x in enumerate(n)])

@@ -361,7 +361,8 @@ def path_determinant_work(h: PuncturedHexagon) -> Work:
     a, b, c = h.a, h.b, h.c
     p = h.puncture_point()
     half = min(b + c + 1, (min(b, c) + a + 1) * (b + c + 1).bit_length()) // 2
-    m = len(h.span(p.x - p.y)) - 1  # midpoints != P
+    span = h.span(p.x - p.y)
+    m = span.stop - span.start - 1  # midpoints != P; len() refuses one past sys.maxsize
     n = a + 1
     beta = 17 * a * b * c // (5 * (a + b + c) * n) + 1
     grown = poly_mul((0, 2 * n, -1), (0, 2 * n, -1))

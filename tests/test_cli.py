@@ -133,10 +133,13 @@ def test_count_brute_guard_is_usage_error():
 
 
 def test_huge_sides_are_refused_at_once(capsys, tmp_path):
-    # refused on a lower bound of the estimate, before any work
-    big = str(10 ** 9 - 1)
+    # refused on a lower bound of the estimate, before any work; the lgv
+    # sides past sys.maxsize make a diagonal longer than len() can count
+    big, huge = str(10 ** 9 - 1), str(2 ** 63 + 1)
     for args, verb in ((("count", "brute", "--a", big, "--b", big, "--c", big), "count"),
                        (("count", "lgv", "--a", big, "--b", big, "--c", big), "count"),
+                       (("count", "lgv", "--a", huge, "--b", huge, "--c", "1"), "count"),
+                       (("count", "lgv", "--a", "1", "--b", huge, "--c", huge), "count"),
                        (("render", "--a", big, "--b", big, "--c", "1", "--index", "0",
                          "-o", str(tmp_path / "x.svg")), "render"),
                        (("verify", "theorem3", "--a", big, "--b", big, "--n", "5"), "verify")):
@@ -184,9 +187,9 @@ def test_every_priced_command_goes_through_the_one_refusal(capsys, monkeypatch, 
 def test_verify_refusals_name_only_the_inputs_the_target_reads(capsys):
     # lemma8 reads --a and --b, minor-summation and lemma9 --trials: a
     # refusal names those, the keys of the target's report, in _admit's form
-    for args, named in ((("lemma9", "--a", "5", "--trials", "100000000"), "trials=100000000"),
-                        (("minor-summation", "--n", "3", "--trials", "10000000"), "trials=10000000"),
-                        (("lemma8", "--a", "41", "--b", "41", "--n", "7"), "a=41, b=41"),
+    for args, named in ((("lemma9", "--trials", "100000000"), "trials=100000000"),
+                        (("minor-summation", "--trials", "10000000"), "trials=10000000"),
+                        (("lemma8", "--a", "41", "--b", "41"), "a=41, b=41"),
                         (("theorem3", "--a", "41", "--b", "41", "--n", "60"),
                          "a=41, b=41, n=60, trials=3")):
         code = cli.run(["verify", *args])
@@ -421,7 +424,7 @@ def test_verify_refuses_large_rab_up_front():
     # lemma8 walks the pairs: C(28, 14) = 40,116,600 of them, and sides too
     # large for C(a+b, a) to be computed, are refused before any is generated
     for a, b in (("14", "14"), ("1", "10000001")):
-        proc = _run("verify", "lemma8", "--a", a, "--b", b, "--n", b)
+        proc = _run("verify", "lemma8", "--a", a, "--b", b)
         assert proc.returncode == 2, (a, b)
         assert proc.stdout.strip() == "", (a, b)
         assert f"more than the {VERIFY_BUDGET_S} s verify admits" in proc.stderr, (a, b)
@@ -517,6 +520,26 @@ def test_verify_refuses_more_points_than_seeded_points_has():
     proc = _run("verify", "theorem3", "--a", "1", "--b", "1", "--n", "115")
     assert proc.returncode == 2
     assert proc.stdout.strip() == "" and "115 distinct values" in proc.stderr
+
+
+def test_each_verify_target_takes_only_the_options_it_reads(capsys):
+    # each target's row lists the options it reads: any other target's
+    # option is a usage error, and the report's params are the row's
+    # options in order but --seed (lemma8 adds its count of pairs)
+    rows = {words[1]: [flags[-1] for flags, _ in arguments]
+            for words, (_, arguments) in cli.COMMANDS.items() if words[0] == "verify"}
+    assert len(rows) == 7 and sum(map(len, rows.values())) == 27
+    every = {option for options in rows.values() for option in options}
+    for target, options in rows.items():
+        for option in sorted(every - set(options)):
+            code = cli.run(["verify", target, option, "1"])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "", (target, option)
+            assert err.endswith(f"error: unrecognized arguments: {option} 1\n"), (target, err)
+        code = cli.run(["verify", target, *(word for option in options for word in (option, "2"))])
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert code == 0 and [key for key in params if key != "pairs"] == [
+            option[2:] for option in options if option != "--seed"], (target, params)
 
 
 def test_unknown_target_is_usage_error():
@@ -706,16 +729,19 @@ def test_lemma8_counterexample_reports_a_missing_pair(capsys, monkeypatch):
 
 def test_lemma8_holds_one_pair_at_a_time(capsys):
     # R(5,13) has 8,568 pairs, about 4 MB of them held at once; checked as
-    # they are made, the command's traced peak stays under a quarter of that
+    # they are made, the command's traced peak stays under a quarter of
+    # that.  R(1,401)'s 201 positive halves at k = 0, of up to 401 parts
+    # each, are made as they are read, not held as a list of 0.9 MB
     _run_in_process(capsys, "verify", "lemma8", "--a", "1", "--b", "1")  # warm the caches
-    tracemalloc.start()
-    try:
-        code, out, _ = _run_in_process(capsys, "verify", "lemma8", "--a", "5", "--b", "13")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and '"pairs":8568' in out
-    assert peak < 1024 * 1024, peak
+    for a, b, pairs, bound in (("5", "13", 8568, 1024 * 1024), ("1", "401", 402, 512 * 1024)):
+        tracemalloc.start()
+        try:
+            code, out, _ = _run_in_process(capsys, "verify", "lemma8", "--a", a, "--b", b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and f'"pairs":{pairs}' in out, (a, b)
+        assert peak < bound, (a, b, peak)
 
 
 def test_shared_parser_carries_nothing_between_runs(capsys, monkeypatch):
@@ -773,6 +799,8 @@ PARSE_CONTRACT = (
     ("count", "lgv", "--a=-1", "--b", "1", "--c", "1"),
     ("verify", "lemma9"),
     ("verify", "theorem3", "--a", "3", "--b", "1", "--n", "4", "--seed", "2", "--trials", "5"),
+    ("verify", "lemma8", "--a", "3", "--b", "3", "--trials", "0"),      # an option not read
+    ("verify", "lemma9", "--a", "1"), ("verify", "theorem3", "--help"), ("verify",),
     ("render", *_SIDES, "--index", "0", "-o", "x.svg"),
     ("render", *_SIDES, "--index", "0", "--output=x.svg"),
     ("count", "brute", *_SIDES, "--puncture", "-1", "0"),               # negative values
