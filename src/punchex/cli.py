@@ -10,6 +10,10 @@ boolean for verify commands, and the output path for render.  Exit codes:
 params), 2 a usage error, an input refused as over the time budget, an
 input the library rejects or an output file that cannot be written
 (diagnostic on stderr, no JSON).
+
+Each command is one row of ``COMMANDS``: its help line, its arguments, its
+price (the work it will do, which ``_admit`` holds to the budget before it
+runs) and its run.  ``run`` takes every command through the same steps.
 """
 
 from __future__ import annotations
@@ -45,26 +49,149 @@ MINOR_SUMMATION_SIZES, LEMMA9_SIZES = range(1, 5), range(1, 6)
 MAX_COLUMNS = 6
 ENTRIES = (-3, 3)
 
-# The targets checked at seeded points: how many points beyond n each draws,
-# its check on (a, b, n, (p, q) pairs) and its work on (a, b, n).  The lambdas
-# look both up in ``msf`` (bound by ``_load_identity_layer``) at call time, so
-# a tracer's wrapper sees every call.
-POINT_TARGETS = {
-    "theorem3": (1, lambda a, b, n, pts: msf.theorem3_check(a, b, n, pts, pts[:n]),
-                 lambda a, b, n: msf.theorem3_work(a, b, n)),
-    "conjecture5": (2, lambda a, b, n, pts: msf.conjecture5_check(a, b, n, pts),
-                    lambda a, b, n: msf.conjecture5_work(a, b, n)),
-    "chain53": (1, lambda a, b, n, pts: msf.chain_5_3_check(a, b, n, pts, pts[:n]),
-                lambda a, b, n: msf.chain53_work(a, b, n)),
-    "lemma10": (0, lambda a, b, n, pts: msf.lemma10_check(a, b, n, pts),
-                lambda a, b, n: msf.lemma10_work(a, b, n)),
-}
 # The least n, on b, at which theorem3's and conjecture5's sides do not
 # vanish: below it a rectangle on the right has more rows than the points it
 # is evaluated at, so both sides are 0 at every point and a verdict would be
 # vacuous.
 LEAST_N = {"theorem3": lambda b: (b + 1) // 2, "conjecture5": lambda b: b // 2}
 
+
+# ---------------------------------------------------------------------------
+# the prices and runs of the commands
+# ---------------------------------------------------------------------------
+
+def _hexagon(args) -> PuncturedHexagon:
+    """The hexagon of a parsed ``count brute|lgv`` or ``render``, punctured
+    at ``--puncture``'s offset where the command takes one."""
+    return PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
+
+
+def _render(args, params) -> str:
+    """Write the ``--index``-th tiling as SVG to ``--output``; returns the path."""
+    hexagon = _hexagon(args)
+    svg = render_tiling_svg(hexagon, tiling_family(hexagon, args.index))
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return args.output
+
+
+@functools.cache
+def _load_identity_layer() -> None:
+    """Bind ``msf``, ``symfun`` and ``random`` in this module, once a process,
+    for the first ``verify``: ``count`` and ``render`` never import them.
+    ``_work`` calls it, and every ``verify`` is priced before it runs.  Every
+    use looks its function up on the module at call time."""
+    global msf, random, symfun
+    import random
+
+    from . import msf, symfun
+
+
+def _at_points(extra: int, check, work):
+    """The price and the run of a target checked at ``--trials`` sets of
+    n + ``extra`` seeded points: ``check(a, b, n, (p, q) pairs)`` and
+    ``work(a, b, n)``, the work of one check, look their kernels up in
+    ``msf`` at call time, so a tracer's wrapper sees every call."""
+    def price(args, limit) -> Work:
+        # a trial draws its points (a call each) and checks them
+        a, b, n = (max(x, 0) for x in (args.a, args.b, _params(args)["n"]))
+        return total(total(work(a, b, n), {"call": n + extra}), times=args.trials)
+
+    def run(args, params) -> bool:
+        a, b, n = params["a"], params["b"], params["n"]
+        # sides the library refuses keep its own message
+        if args.mode in LEAST_N and min(a, b) > 0 and n < LEAST_N[args.mode](b):
+            raise ValueError(f"verify {args.mode} at --b {b} needs --n of at least "
+                             f"{LEAST_N[args.mode](b)} (got --n {n}): below it both sides "
+                             f"are 0 at every point")
+        for trial in range(args.trials):
+            pts = symfun.seeded_pairs(n + extra, args.seed + trial)
+            if not check(a, b, n, pts):
+                # each point as str(Fraction) prints it: p/q, or p when q is 1
+                params["counterexample"] = {"trial": trial, "seed": args.seed + trial, "points": [
+                    f"{p}/{q}".removesuffix("/1") for p, q in pts]}
+                return False
+        return True
+    return price, run
+
+
+def _random_instances(sizes: range, work, check):
+    """The price and the run of a target checked on ``--trials`` random
+    instances, each of a size drawn from ``sizes``: ``work(size, bits)`` is
+    the work of drawing and checking one, ``check(rng, size)`` draws one and
+    returns None or its counterexample."""
+    def price(args, limit) -> Work:
+        # priced at the mean over the sizes it draws
+        each = total(*(work(size, max(ENTRIES).bit_length()) for size in sizes))
+        return {unit: args.trials * v // len(sizes) for unit, v in each.items()}
+
+    def run(args, params) -> bool:
+        rng = random.Random(args.seed)
+        for trial in range(args.trials):
+            bad = check(rng, rng.randrange(sizes.start, sizes.stop))
+            if bad is not None:
+                params["counterexample"] = {"trial": trial, **bad}
+                return False
+        return True
+    return price, run
+
+
+def _minor_summation_work(size: int, bits: int) -> Work:
+    """An instance of ``size`` rows, with the middle of its columns' range;
+    a call for each number drawn."""
+    p = (max(1, size - size % 2) + MAX_COLUMNS) // 2
+    return total(msf.minor_summation_work(size, p, size % 2, bits),
+                 {"call": 3 + size * (p + size % 2) + p * (p - 1) // 2})
+
+
+def _minor_summation(rng: random.Random, size: int):
+    """Draw G, H and A with ``size`` rows and check the minor summation formula."""
+    q = rng.choice([x for x in (0, 1, 2) if (size + x) % 2 == 0 and x <= size])
+    p = rng.randint(max(1, size - q), MAX_COLUMNS)
+    G = [[rng.randint(*ENTRIES) for _ in range(p)] for _ in range(size)]
+    H = [[rng.randint(*ENTRIES) for _ in range(q)] for _ in range(size)]
+    lhs, rhs = msf.minor_summation(G, H, _random_skew(rng, p))
+    return None if lhs == rhs else {"n": size, "p": p, "q": q, "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def _lemma9(rng: random.Random, size: int):
+    """Draw a skew matrix of ``size``, two vectors and a number, and check Lemma 9."""
+    A = _random_skew(rng, size)
+    bvec = [rng.randint(*ENTRIES) for _ in range(size)]
+    cvec = [rng.randint(*ENTRIES) for _ in range(size)]
+    return None if msf.lemma9_check(A, bvec, cvec, rng.randint(*ENTRIES)) else {"n": size}
+
+
+def _random_skew(rng: random.Random, size: int):
+    """A size x size skew matrix, its upper triangle drawn row by row from ENTRIES."""
+    A = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            A[i][j] = rng.randint(*ENTRIES)
+            A[j][i] = -A[i][j]
+    return A
+
+
+def _lemma8(args, params) -> bool:
+    """Check every pair of R(a, b), each as it is made and then dropped, and
+    add their count to ``params``; the first refused pair is kept."""
+    a, b = args.a, args.b
+    pairs, bad = 0, None
+    for pairs, pair in enumerate(symfun.iter_rab(a, b), 1):
+        if not symfun.lemma8_check(pair):
+            bad = bad or pair
+    params["pairs"] = pairs
+    if bad or pairs != binomial(a + b, a):
+        ce = params["counterexample"] = {"pairs": pairs, "expected_pairs": binomial(a + b, a)}
+        if bad:
+            ce["pair"] = {"lam": list(bad.lam.parts), "mu": list(bad.mu.parts)}
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
 
 _SIDES = tuple(((side,), {"type": int, "required": True}) for side in ("--a", "--b", "--c"))
 _A_B = tuple(((side,), {"type": int, "default": 1}) for side in ("--a", "--b"))
@@ -73,33 +200,58 @@ _SEED = (("--seed",), {"type": int, "default": 0})
 _POINTS = (*_A_B, (("--n",), {"type": int, "default": None}), _SEED,
            (("--trials",), {"type": int, "default": 3}))
 _DRAWS = (_SEED, (("--trials",), {"type": int, "default": 50}))
-# Every command: the words that name it, its help line in the command list
-# and its arguments, each the flags and keywords of one ``add_argument``, in
-# the order its report's params name them (``_params``).  ``_build_parser``
-# builds argparse's tree from this table and ``_read`` reads a plain argv
-# with it.  Every default is immutable (``--puncture`` a tuple, the rest
-# ints or None), so a parser can be shared by every call in a process.
+# Every command, one row each: the words that name it, its help line in the
+# command list, its arguments, its price and its run.  Each argument is the
+# flags and keywords of one ``add_argument``, in the order its report's
+# params name them (``_params``).  ``_build_parser`` builds argparse's tree
+# from this table and ``_read`` reads a plain argv with it.  Every default
+# is immutable (``--puncture`` a tuple, the rest ints or None), so a parser
+# can be shared by every call in a process.  The price, on the parsed
+# arguments and the limit of each unit (``_work``), is the work the command
+# will do, None for the two that are not priced; the run, on the parsed
+# arguments and the report's params, returns the count, the verdict (a
+# counterexample written into the params) or the path it wrote.
 COMMANDS = {
     ("count", "closed"): ("closed-form product count", (*_SIDES, (("--theorem",), {
         "type": int, "choices": (1, 4), "default": None,
-        "help": "force the same-parity (1) or mixed-parity (4) formula"}))),
+        "help": "force the same-parity (1) or mixed-parity (4) formula"})), None,
+        lambda args, params: (theorem1_count if params["theorem"] == 1 else theorem4_count)(
+            args.a, args.b, args.c)),
     ("count", "box"): ("plane partitions in a box", tuple(
-        ((side,), {"type": int, "required": True}) for side in ("--x", "--y", "--z"))),
+        ((side,), {"type": int, "required": True}) for side in ("--x", "--y", "--z")), None,
+        lambda args, params: macmahon_box(args.x, args.y, args.z)),
     ("count", "brute"): ("exact diagonal sweep over path families", (*_SIDES, (("--puncture",), {
         "type": int, "nargs": 2, "default": (0, 0), "metavar": ("DX", "DY"),
-        "help": "offset of the removed triangle from its default position"}))),
-    ("count", "lgv"): ("lattice-path determinant count", _SIDES),
-    ("verify", "theorem3"): ("Theorem 3: the R(a,b) sum against four rectangles", _POINTS),
-    ("verify", "conjecture5"): ("Conjecture 5: Theorem 3 with two more points", _POINTS),
-    ("verify", "minor-summation"): ("the minor summation formula on random matrices", _DRAWS),
-    ("verify", "lemma9"): ("Lemma 9 on random skew matrices", _DRAWS),
-    ("verify", "lemma10"): ("Lemma 10: chain53's moment Pfaffians as Schur values", _POINTS),
-    ("verify", "chain53"): ("the R(a,b) sum as a block Pfaffian", _POINTS),
-    ("verify", "lemma8"): ("Lemma 8 on every pair of R(a,b)", (*_A_B, _SEED)),
+        "help": "offset of the removed triangle from its default position"})),
+        lambda args, limit: {"sweep": sweep_updates(_hexagon(args), limit("sweep"))},
+        lambda args, params: enumerate_tilings(_hexagon(args))),
+    ("count", "lgv"): ("lattice-path determinant count", _SIDES,
+        lambda args, limit: path_determinant_work(_hexagon(args)),
+        lambda args, params: count_via_path_determinants(_hexagon(args))),
+    ("verify", "theorem3"): ("Theorem 3: the R(a,b) sum against four rectangles", _POINTS,
+        *_at_points(1, lambda a, b, n, pts: msf.theorem3_check(a, b, n, pts, pts[:n]),
+                    lambda a, b, n: msf.theorem3_work(a, b, n))),
+    ("verify", "conjecture5"): ("Conjecture 5: Theorem 3 with two more points", _POINTS,
+        *_at_points(2, lambda a, b, n, pts: msf.conjecture5_check(a, b, n, pts),
+                    lambda a, b, n: msf.conjecture5_work(a, b, n))),
+    ("verify", "minor-summation"): ("the minor summation formula on random matrices", _DRAWS,
+        *_random_instances(MINOR_SUMMATION_SIZES, _minor_summation_work, _minor_summation)),
+    ("verify", "lemma9"): ("Lemma 9 on random skew matrices", _DRAWS,
+        *_random_instances(LEMMA9_SIZES, lambda size, bits: total(
+            msf.lemma9_work(size, bits), {"call": 2 + 2 * size + size * (size - 1) // 2}), _lemma9)),
+    ("verify", "lemma10"): ("Lemma 10: chain53's moment Pfaffians as Schur values", _POINTS,
+        *_at_points(0, lambda a, b, n, pts: msf.lemma10_check(a, b, n, pts),
+                    lambda a, b, n: msf.lemma10_work(a, b, n))),
+    ("verify", "chain53"): ("the R(a,b) sum as a block Pfaffian", _POINTS,
+        *_at_points(1, lambda a, b, n, pts: msf.chain_5_3_check(a, b, n, pts, pts[:n]),
+                    lambda a, b, n: msf.chain53_work(a, b, n))),
+    ("verify", "lemma8"): ("Lemma 8 on every pair of R(a,b)", (*_A_B, _SEED),
+        lambda args, limit: symfun.lemma8_work(args.a, args.b, limit("call")), _lemma8),
     ("render",): ("write one tiling as SVG", (*_SIDES, (("--index",), {
         "type": int, "required": True,
         "help": "0-based index into the deterministic enumeration order"}),
-        (("-o", "--output"), {"required": True}))),
+        (("-o", "--output"), {"required": True})),
+        lambda args, limit: {"sweep": unranking_updates(_hexagon(args), limit("sweep"))}, _render),
 }
 
 # argparse's pattern for an argument that looks like a negative number: as
@@ -121,7 +273,7 @@ def _build_parser():
     groups = {word: sub.add_parser(word, help=line).add_subparsers(dest="mode", required=True)
               for word, line in (("count", "compute a tiling or box count"),
                                  ("verify", "check an identity exactly"))}
-    for words, (line, arguments) in COMMANDS.items():
+    for words, (line, arguments, *_) in COMMANDS.items():
         command = groups.get(words[0], sub).add_parser(words[-1], help=line)
         for flags, keywords in arguments:
             command.add_argument(*flags, **keywords)
@@ -203,135 +355,27 @@ def _params(args):
 
 
 # ---------------------------------------------------------------------------
-# verify targets
+# admission and dispatch
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _load_identity_layer() -> None:
-    """Bind ``msf``, ``symfun`` and ``random`` in this module, once a process,
-    for the first ``verify``: ``count`` and ``render`` never import them.
-    ``_work`` calls it, and every ``verify`` is priced before it runs.  Every
-    use looks its function up on the module at call time."""
-    global msf, random, symfun
-    import random
-
-    from . import msf, symfun
-
-
 def _work(args) -> Work:
-    """The work of the parsed command, as its modules count it in closed
-    form, with the command's own: 1500 calls for the parse and the report.
-    That is an upper bound, timed in a fresh process for the edges of
-    BENCH_16.json and BENCH_17.json when every parse built argparse's whole
-    tree; the plain reader, which builds no parser, costs less again.  A
-    count past the budget may be only a lower bound (``limit``)."""
+    """The work of the parsed command, its row's price, with the command's
+    own: 1500 calls for the parse and the report.  That is an upper bound,
+    timed in a fresh process for the edges of BENCH_16.json and
+    BENCH_17.json when every parse built argparse's whole tree; the plain
+    reader, which builds no parser, costs less again.  A count past the
+    budget may be only a lower bound (``limit``)."""
     def limit(unit: str) -> int:
         return BUDGET_S * 10 ** 15 // FS_PER[unit]
 
-    own = {"call": 1500}  # the parse and the report
-    if args.command != "verify":
-        hexagon = _hexagon(args)
-        if getattr(args, "mode", "") == "lgv":
-            return total(path_determinant_work(hexagon), own)
-        updates = (unranking_updates if args.command == "render" else sweep_updates)(
-            hexagon, limit("sweep"))
-        return total({"sweep": updates}, own)
-    _load_identity_layer()
-    if args.mode == "lemma8":
-        return total(symfun.lemma8_work(args.a, args.b, limit("call")), own)
-    if args.mode in POINT_TARGETS:
-        # a trial draws its points (a call each) and checks them
-        extra, _, target_work = POINT_TARGETS[args.mode]
-        a, b, n = (max(x, 0) for x in (args.a, args.b, _params(args)["n"]))
-        work = total(target_work(a, b, n), {"call": n + extra})
-        return total(total(work, times=args.trials), own)
-    # a random instance, priced at the mean over the sizes it draws, each
-    # with the middle of its columns' range; a call for each number drawn
-    bits = max(ENTRIES).bit_length()
-    if args.mode == "minor-summation":
-        sizes = MINOR_SUMMATION_SIZES
-        cols = [(max(1, size - size % 2) + MAX_COLUMNS) // 2 for size in sizes]
-        works = [total(msf.minor_summation_work(size, p, size % 2, bits),
-                       {"call": 3 + size * (p + size % 2) + p * (p - 1) // 2})
-                 for size, p in zip(sizes, cols)]
-    else:
-        sizes = LEMMA9_SIZES
-        works = [total(msf.lemma9_work(size, bits), {"call": 2 + 2 * size + size * (size - 1) // 2})
-                 for size in sizes]
-    return total({unit: args.trials * v // len(sizes) for unit, v in total(*works).items()}, own)
+    if args.command == "verify":
+        _load_identity_layer()
+    return total(COMMANDS[_words(args)][2](args, limit), {"call": 1500})
 
 
 def _estimated_fs(args) -> int:
     """Estimated run time in femtoseconds, in integers: ``_work`` by ``FS_PER``."""
     return sum(FS_PER[unit] * v for unit, v in _work(args).items())
-
-
-def _verify(args, params):
-    """Run one verification target on its report's ``params``, to which
-    lemma8 adds its count of pairs; returns (verdict, counterexample)."""
-    target, seed = args.mode, args.seed
-    a, b, nn, t = (params.get(name) for name in ("a", "b", "n", "trials"))
-    if "trials" in params and t < 1:
-        # a verdict over zero instances would be vacuous
-        raise ValueError("--trials must be at least 1")
-    if "b" in params and a % 2 != b % 2:
-        raise ValueError(f"verify {target} needs --a and --b of equal parity "
-                         f"(got --a {a}, --b {b})")
-    _admit(f"verify {target}", _estimated_fs(args), **params)
-    # sides the library refuses keep its own message
-    if target in LEAST_N and min(a, b) > 0 and nn < LEAST_N[target](b):
-        raise ValueError(f"verify {target} at --b {b} needs --n of at least "
-                         f"{LEAST_N[target](b)} (got --n {nn}): below it both sides "
-                         f"are 0 at every point")
-    if target == "lemma8":
-        # each pair is checked as it is made and then dropped; the first refused is kept
-        pairs, bad = 0, None
-        for pairs, pair in enumerate(symfun.iter_rab(a, b), 1):
-            if not symfun.lemma8_check(pair):
-                bad = bad or pair
-        params["pairs"] = pairs
-        if bad or pairs != binomial(a + b, a):
-            ce = {"pairs": pairs, "expected_pairs": binomial(a + b, a)}
-            if bad:
-                ce["pair"] = {"lam": list(bad.lam.parts), "mu": list(bad.mu.parts)}
-            return False, ce
-        return True, None
-
-    if target == "minor-summation":
-        rng = random.Random(seed)
-        for trial in range(t):
-            size = rng.randrange(MINOR_SUMMATION_SIZES.start, MINOR_SUMMATION_SIZES.stop)
-            q = rng.choice([x for x in (0, 1, 2) if (size + x) % 2 == 0 and x <= size])
-            p = rng.randint(max(1, size - q), MAX_COLUMNS)
-            G = [[rng.randint(*ENTRIES) for _ in range(p)] for _ in range(size)]
-            H = [[rng.randint(*ENTRIES) for _ in range(q)] for _ in range(size)]
-            lhs, rhs = msf.minor_summation(G, H, _random_skew(rng, p))
-            if lhs != rhs:
-                return False, {"trial": trial, "n": size, "p": p, "q": q,
-                               "lhs": str(lhs), "rhs": str(rhs)}
-        return True, None
-
-    if target == "lemma9":
-        rng = random.Random(seed)
-        for trial in range(t):
-            size = rng.randrange(LEMMA9_SIZES.start, LEMMA9_SIZES.stop)
-            A = _random_skew(rng, size)
-            bvec = [rng.randint(*ENTRIES) for _ in range(size)]
-            cvec = [rng.randint(*ENTRIES) for _ in range(size)]
-            d = rng.randint(*ENTRIES)
-            if not msf.lemma9_check(A, bvec, cvec, d):
-                return False, {"trial": trial, "n": size}
-        return True, None
-
-    # the remaining targets are parameterized by (a, b, n) and seeded points
-    extra, check, _ = POINT_TARGETS[target]
-    for trial in range(t):
-        pts = symfun.seeded_pairs(nn + extra, seed + trial)
-        if not check(a, b, nn, pts):
-            # each point as str(Fraction) prints it: p/q, or p when q is 1
-            return False, {"trial": trial, "seed": seed + trial,
-                           "points": [f"{p}/{q}".removesuffix("/1") for p, q in pts]}
-    return True, None
 
 
 def _admit(command: str, fs: int, **params) -> None:
@@ -344,48 +388,10 @@ def _admit(command: str, fs: int, **params) -> None:
                          f"more than the {BUDGET_S} s {command.split()[0]} admits")
 
 
-def _random_skew(rng: random.Random, size: int):
-    """A size x size skew matrix, its upper triangle drawn row by row from ENTRIES."""
-    A = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            A[i][j] = rng.randint(*ENTRIES)
-            A[j][i] = -A[i][j]
-    return A
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def _hexagon(args) -> PuncturedHexagon:
-    """The hexagon of a parsed ``count brute|lgv`` or ``render``, punctured
-    at ``--puncture``'s offset where the command takes one."""
-    return PuncturedHexagon(args.a, args.b, args.c, tuple(getattr(args, "puncture", (0, 0))))
-
-
-def _count(args, params):
-    """Run one ``count`` mode on its report's ``params``; returns the count."""
-    if args.mode == "box":
-        return macmahon_box(args.x, args.y, args.z)
-    if args.mode == "closed":
-        fn = theorem1_count if params["theorem"] == 1 else theorem4_count
-        return fn(args.a, args.b, args.c)
-    _admit(f"count {args.mode}", _estimated_fs(args), **params)
-    count = enumerate_tilings if args.mode == "brute" else count_via_path_determinants
-    return count(_hexagon(args))
-
-
-def _report(command: str, params, result, t0: float, seed=None) -> str:
-    """The single-line JSON report, timed from ``t0``; ``seed`` only if given."""
-    payload = {"command": command, "params": params, "result": result,
-               "elapsed_ms": int((time.monotonic() - t0) * 1000)}
-    if seed is not None:
-        payload["seed"] = seed
-    return json.dumps(payload, separators=(",", ":"))
-
-
 def run(argv) -> int:
+    """Run one command: parse ``argv``, refuse a vacuous, unequal-parity or
+    negative-n input, admit a priced one, run its row and print its report;
+    returns the exit code."""
     try:
         args = _parse(argv)
     except SystemExit as exc:
@@ -393,25 +399,28 @@ def run(argv) -> int:
 
     t0 = time.monotonic()
     try:
-        command, params = " ".join(_words(args)), _params(args)
-        if args.command == "count":
-            print(_report(command, params, _digits(_count(args, params)), t0))
-            return 0
-
-        if args.command == "verify":
-            verdict, counterexample = _verify(args, params)
-            if counterexample is not None:
-                params["counterexample"] = counterexample
-            print(_report(command, params, verdict, t0, seed=args.seed))
-            return 0 if verdict else 1
-
-        hexagon = _hexagon(args)
-        _admit(command, _estimated_fs(args), **params)
-        svg = render_tiling_svg(hexagon, tiling_family(hexagon, args.index))
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        print(_report("render", params, args.output, t0))
-        return 0
+        words = _words(args)
+        command, params = " ".join(words), _params(args)
+        if params.get("trials", 1) < 1:
+            # a verdict over zero instances would be vacuous
+            raise ValueError("--trials must be at least 1")
+        if args.command == "verify" and "b" in params and params["a"] % 2 != params["b"] % 2:
+            raise ValueError(f"{command} needs --a and --b of equal parity "
+                             f"(got --a {params['a']}, --b {params['b']})")
+        if (getattr(args, "n", None) or 0) < 0:
+            # no alphabet has fewer than 0 points
+            raise ValueError("--n must be at least 0")
+        price, execute = COMMANDS[words][2:]
+        if price is not None:
+            _admit(command, _estimated_fs(args), **params)
+        result = execute(args, params)
+        report = {"command": command, "params": params,
+                  "result": _digits(result) if type(result) is int else result,
+                  "elapsed_ms": int((time.monotonic() - t0) * 1000)}
+        if hasattr(args, "seed"):
+            report["seed"] = args.seed
+        print(json.dumps(report, separators=(",", ":")))
+        return 1 if result is False else 0
     except (ValueError, OSError) as exc:
         # OSError: an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)

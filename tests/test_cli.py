@@ -165,23 +165,24 @@ def test_count_lgv_is_priced():
 
 def test_every_priced_command_goes_through_the_one_refusal(capsys, monkeypatch, tmp_path):
     # with no budget, each priced command refuses with _admit's message:
-    # none has a path around the estimate
+    # none has a path around the estimate.  Each row of cli.COMMANDS with a
+    # price runs with its required options at their least valid values
     monkeypatch.setattr(cli, "BUDGET_S", 0)
-    commands = [(("count", "brute", "--a", "1", "--b", "1", "--c", "1"), "count"),
-                (("count", "lgv", "--a", "1", "--b", "1", "--c", "1"), "count"),
-                (("render", "--a", "1", "--b", "1", "--c", "1", "--index", "0",
-                  "-o", str(tmp_path / "x.svg")), "render")]
-    commands += [(("verify", target), "verify") for target in (
-        "theorem3", "conjecture5", "minor-summation", "lemma9", "lemma10", "chain53", "lemma8")]
-    for args, verb in commands:
-        code = cli.run(list(args))
+    least = {"--index": "0", "--output": str(tmp_path / "x.svg")}  # a side is 1
+    unpriced = []
+    for words, (_, arguments, price, _) in cli.COMMANDS.items():
+        if price is None:
+            unpriced.append(words)
+            continue
+        args = [*words, *(word for flags, keywords in arguments if keywords.get("required")
+                          for word in (flags[-1], least.get(flags[-1], "1")))]
+        code = cli.run(args)
         out, err = capsys.readouterr()
         assert code == 2 and out == "", args
-        assert re.fullmatch(rf"error: {' '.join(args[:2]) if verb != 'render' else 'render'} at "
-                            rf".* would take about \S+ s, more than the 0 s {verb} admits\n",
-                            err), (args, err)
+        assert re.fullmatch(rf"error: {' '.join(words)} at .* would take about \S+ s, "
+                            rf"more than the 0 s {words[0]} admits\n", err), (args, err)
+    assert unpriced == [("count", "closed"), ("count", "box")]
     assert not (tmp_path / "x.svg").exists()
-
 
 
 def test_verify_refusals_name_only_the_inputs_the_target_reads(capsys):
@@ -271,6 +272,23 @@ def test_weights_are_the_ones_fit_weights_fits():
     # needs scipy, which only this test and the tool read
     pytest.importorskip("scipy")
     assert fit_weights.fit(fit_weights.recorded()) == cli.FS_PER
+
+
+def test_code_lines_counts_the_lines_that_hold_code():
+    # docstrings, comments and blank lines are left out; a line that holds
+    # any other token counts once, each line of a multi-line string too
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", Path(__file__).resolve().parent.parent / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\n'
+              'def f(x):  # a trailing comment\n'
+              '    """Its docstring."""\n'
+              '    return (x,\n'
+              '            """two\n'
+              'lines""")\n\n'
+              'class C:\n    "docstring"\n    y = "not a docstring"\n')
+    assert code_lines.code_lines(source) == 6
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
@@ -499,6 +517,16 @@ def test_verify_refuses_n_where_both_sides_vanish(capsys):
         assert code == 0 and json.loads(out)["result"] is True, (target, b, n)
 
 
+def test_verify_refuses_negative_n_with_one_message(capsys):
+    # no alphabet of fewer than 0 points exists: every target checked at
+    # seeded points refuses a negative n up front, with the same message
+    for target in ("theorem3", "conjecture5", "chain53", "lemma10"):
+        for n in ("-1", "-3"):
+            code = cli.run(["verify", target, "--a", "1", "--b", "1", "--n", n])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", "error: --n must be at least 0\n"), (target, n)
+
+
 def test_least_n_is_where_the_sums_stop_vanishing():
     # the R(a,b) sums of theorem3 (X_{n+1}, X_n) and conjecture5
     # (X_{n+2}, X_n) are 0 at every n below LEAST_N and at no n from it on
@@ -527,7 +555,7 @@ def test_each_verify_target_takes_only_the_options_it_reads(capsys):
     # option is a usage error, and the report's params are the row's
     # options in order but --seed (lemma8 adds its count of pairs)
     rows = {words[1]: [flags[-1] for flags, _ in arguments]
-            for words, (_, arguments) in cli.COMMANDS.items() if words[0] == "verify"}
+            for words, (_, arguments, *_) in cli.COMMANDS.items() if words[0] == "verify"}
     assert len(rows) == 7 and sum(map(len, rows.values())) == 27
     every = {option for options in rows.values() for option in options}
     for target, options in rows.items():
@@ -643,7 +671,7 @@ def test_readme_command_line_examples_print_what_they_show(capsys, monkeypatch, 
 
 
 def test_counterexample_report_bytes_are_pinned(capsys, monkeypatch):
-    # POINT_TARGETS looks theorem3_check up in msf at call time, so this forces exit 1
+    # theorem3's row looks theorem3_check up in msf at call time, so this forces exit 1
     monkeypatch.setattr(msf, "theorem3_check", lambda *args: False)
     assert _run_in_process(capsys, "verify", "theorem3", "--a", "1", "--b", "1", "--n", "1",
                            "--trials", "2", "--seed", "4") == (

@@ -108,7 +108,7 @@ def test_conjugate_is_a_partition_and_an_involution(parts):
 
 # option strings spelt out, abbreviated and with "=v"; values, negative,
 # malformed and blank ones; positionals, "--" and help
-_FLAGS = sorted({flag for _, arguments in cli.COMMANDS.values()
+_FLAGS = sorted({flag for _, arguments, *_ in cli.COMMANDS.values()
                  for flags, _ in arguments for flag in flags if flag[0] == "-"})
 _VALUES = ("0", "1", "4", "-1", "-12", "-2.5", "x", "", " 3", "-x")
 _TOKENS = (*_FLAGS, *_VALUES, "--the", "--pun", "--ind", "--out", "--tri", "--se", "--h",
